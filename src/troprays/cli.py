@@ -109,7 +109,11 @@ def cmd_eval(args):
 def _interval_from_args(args, pair, rays) -> RayInterval:
     y1 = _resolve_ray(getattr(args, "from"), rays, pair.dim)
     y2 = _resolve_ray(args.to, rays, pair.dim)
-    return RayInterval(y1, y2)
+    try:
+        return RayInterval(y1, y2)
+    except ValueError as ex:
+        raise SchemaError(f"bad interval --from {getattr(args, 'from')} "
+                          f"--to {args.to}: {ex}") from ex
 
 
 def cmd_interval_profile(args):
@@ -324,8 +328,25 @@ def cmd_oracle(args):
     return 0 if total == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are input errors: one stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {self.prog}: {message}\n")
+
+
+def _count(least: int):
+    """An argparse type: an integer that is at least `least`."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="troprays",
         description="exact tropical quadratic-form computations on ray spaces")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the companion identity")
     common(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count(0), default=200)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate q, b, CS on vectors")
@@ -376,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--w2", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--max-iter", type=int, default=256)
+    p.add_argument("--max-iter", type=_count(1), default=256)
     p.set_defaults(func=cmd_junction)
 
     p = sub.add_parser("butterfly", help="construct and verify a butterfly")
@@ -390,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, family=True, interval=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_count(0), default=25)
     p.set_defaults(func=cmd_isotropy_entry)
 
     p = sub.add_parser("oracle", help="run the sampling cross-check suite")
     common(p)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_count(0), default=500)
     p.set_defaults(func=cmd_oracle)
 
     return parser

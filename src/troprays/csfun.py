@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IsotropicArgument, IsotropicEndpoint, PerpendicularWitness
+from .errors import (IsotropicArgument, IsotropicEndpoint, PerpendicularWitness,
+                     VerificationFailed)
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
@@ -55,7 +56,8 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
     endpoint.  A witness orthogonal to both base points yields the constant
     zero function.
     """
-    if pair.eval_q(w).is_zero():
+    qw = pair.eval_q(w)
+    if qw.is_zero():
         raise IsotropicArgument("CS witness must be anisotropic")
     b1 = pair.eval_b(eps1, w)
     b2 = pair.eval_b(eps2, w)
@@ -68,7 +70,7 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
     denominator = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
     if denominator.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
-    return numerator.mul(denominator.scale(pair.eval_q(w)).invert()).normalize()
+    return numerator.mul(denominator.scale(qw).invert()).normalize()
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
 
     The regions are read off the computed function (maximal constancy at both
     ends); the closed formulas for u_w, v_w are evaluated independently and
-    asserted to agree whenever B_w is nondegenerate.
+    must agree whenever B_w is nondegenerate, or VerificationFailed is raised.
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
     b1 = pair.eval_b(eps1, w)
@@ -125,9 +127,11 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
         region_b = (u_w, v_w)
     else:
         region_b = (region_a[1], region_c[0])
-        assert region_b == (u_w, v_w), "region formulas disagree with the function"
+        if region_b != (u_w, v_w):
+            raise VerificationFailed("region formulas disagree with the function")
         inner = f.reduced_degrees()[1:-1] if len(f.segments) > 2 else ()
-        assert 0 not in inner, "B_w contains an interior constant piece"
+        if 0 in inner:
+            raise VerificationFailed("B_w contains an interior constant piece")
     return IntervalCsProfile(interval, w, f, quasilinear,
                              region_a, region_b, region_c, u_w, v_w)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IllposedApproach, NoAnisotropicInterior
+from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
@@ -206,7 +206,7 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
         ref = interior_separators(witness_at(t1), w_prime)
         alt = interior_separators(witness_at(t1b), w_prime)
     if ref != alt:
-        raise AssertionError("separating rays depend on the choice of the interior ray")
+        raise VerificationFailed("separating rays depend on the choice of the interior ray")
 
     boundaries = [(ZERO, w)]
     for piece in pieces[1:]:
@@ -214,5 +214,5 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
     boundaries.append((INF, w_prime))
     expected = tuple(r for _, r in boundaries[1:-1])
     if expected != ref:
-        raise AssertionError("direct and interior-ray separators disagree")
+        raise VerificationFailed("direct and interior-ray separators disagree")
     return StrataTrace(interval, tuple(pieces), tuple(boundaries))

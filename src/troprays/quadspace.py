@@ -11,20 +11,40 @@ holds on basis pairs by construction; it holds for all vectors exactly when
 every diagonal entry satisfies beta_ii <= alpha_i.  The JSON loader rejects
 data violating that bound; :func:`validate_pair` reports violations on
 in-memory models.  Models with beta_ii = alpha_i for all i are *balanced*.
+
+Gram evaluation runs on an integer lattice.  Vectors and models keep their
+finite exponents as integer numerators over one common denominator (the
+lcm of the exponents' denominators), and q and b take their max-plus sums
+beta_ij + x_i + y_j in Python ints over L = the lcm of the denominators
+involved.  This is exact because max-plus arithmetic commutes with scaling
+by a positive integer: L * max(a, b) = max(L a, L b) and
+L * (a + b) = L a + L b, so the scaled maximum divided by L is the rational
+maximum itself.  Only the result becomes a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
-from .semifield import ZERO, ONE, TropValue
+from .semifield import _KFINITE, ZERO, ONE, TropValue
+
+
+def _lattice(values) -> tuple:
+    """(d, nums): d is the lcm of the finite exponents' denominators and
+    nums[k] = d * exponent of values[k], an int, or None for the zero."""
+    exps = [v.exp for v in values]
+    d = lcm(*[e.denominator for e in exps if e is not None])
+    return d, tuple([None if e is None else e.numerator * (d // e.denominator)
+                     for e in exps])
 
 
 class Vector:
     """Immutable coordinate vector over [0, oo[; no coordinate may be oo."""
 
-    __slots__ = ("coords", "exps")
+    __slots__ = ("coords", "_lat")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -32,8 +52,16 @@ class Vector:
             if c.is_infinite():
                 raise ValueError("vector coordinates must lie in [0, oo[")
         self.coords = coords
-        # raw exponents (None encoding zero) for the Gram evaluation hot path
-        self.exps = tuple(c.exp for c in coords)
+        # the integer-lattice form of the coordinates, (d, nums) as built by
+        # _lattice; computed on the first Gram evaluation, since most vectors
+        # (ray representatives, interval points) never reach one
+        self._lat = None
+
+    def lattice(self) -> tuple:
+        """The coordinates as (d, nums): integer numerators over d."""
+        if self._lat is None:
+            self._lat = _lattice(self.coords)
+        return self._lat
 
     @classmethod
     def parse(cls, items) -> "Vector":
@@ -113,9 +141,12 @@ class QuadraticPair:
             for v in row:
                 if v.is_infinite():
                     raise SchemaError("b values must lie in [0, oo[")
-        object.__setattr__(self, "_qe", tuple(v.exp for v in self.q_diag))
-        object.__setattr__(self, "_be",
-                           tuple(tuple(v.exp for v in row) for row in self.b))
+        # integer-lattice Gram data: one denominator d for every entry,
+        # q numerators and companion rows over d (None for the zero)
+        n = self.dim
+        d, nums = _lattice([*self.q_diag, *(v for row in self.b for v in row)])
+        rows = tuple(nums[n * (i + 1):n * (i + 2)] for i in range(n))
+        object.__setattr__(self, "_lat", (d, nums[:n], rows))
 
     @classmethod
     def from_rows(cls, q_diag, b_rows) -> "QuadraticPair":
@@ -137,46 +168,49 @@ class QuadraticPair:
     def eval_q(self, x: Vector) -> TropValue:
         """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""
         self._check_dim(x)
+        d, qn, rows = self._lat
+        dx, xn = x.lattice()
+        den = lcm(d, dx)
+        sg, sx = den // d, den // dx
+        xs = [(i, v * sx) for i, v in enumerate(xn) if v is not None]
         best = None
-        xe = x.exps
-        for i in range(self.dim):
-            xi = xe[i]
-            if xi is None:
-                continue
-            qi = self._qe[i]
+        for k, (i, xi) in enumerate(xs):
+            qi = qn[i]
             if qi is not None:
-                v = qi + xi + xi
+                v = qi * sg + xi + xi
                 if best is None or best < v:
                     best = v
-            row = self._be[i]
-            for j in range(i + 1, self.dim):
-                xj = xe[j]
-                if xj is None or row[j] is None:
-                    continue
-                v = row[j] + xi + xj
-                if best is None or best < v:
-                    best = v
-        return ZERO if best is None else TropValue.finite(best)
+            row = rows[i]
+            for j, xj in xs[k + 1:]:
+                bij = row[j]
+                if bij is not None:
+                    v = bij * sg + xi + xj
+                    if best is None or best < v:
+                        best = v
+        return ZERO if best is None else TropValue(_KFINITE, Fraction(best, den))
 
     def eval_b(self, x: Vector, y: Vector) -> TropValue:
         """b(x, y) = max over beta_ij x_i y_j (all i, j)."""
         self._check_dim(x)
         self._check_dim(y)
+        d, _, rows = self._lat
+        dx, xn = x.lattice()
+        dy, yn = y.lattice()
+        den = lcm(d, dx, dy)
+        sg, sx, sy = den // d, den // dx, den // dy
+        ys = [(j, v * sy) for j, v in enumerate(yn) if v is not None]
         best = None
-        ye = y.exps
-        for i in range(self.dim):
-            xi = x.exps[i]
+        for xi, row in zip(xn, rows):
             if xi is None:
                 continue
-            row = self._be[i]
-            for j in range(self.dim):
-                yj = ye[j]
-                if yj is None or row[j] is None:
-                    continue
-                v = row[j] + xi + yj
-                if best is None or best < v:
-                    best = v
-        return ZERO if best is None else TropValue.finite(best)
+            xi *= sx
+            for j, yj in ys:
+                bij = row[j]
+                if bij is not None:
+                    v = bij * sg + xi + yj
+                    if best is None or best < v:
+                        best = v
+        return ZERO if best is None else TropValue(_KFINITE, Fraction(best, den))
 
     def cs(self, x: Vector, y: Vector) -> TropValue:
         """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic."""

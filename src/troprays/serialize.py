@@ -25,6 +25,20 @@ def value_from_text(text) -> TropValue:
         raise SchemaError(f"bad semifield value {text!r}: {ex}") from ex
 
 
+def _array(obj, what: str) -> list:
+    """`obj` itself when it is a JSON array; SchemaError naming `what` otherwise."""
+    if not isinstance(obj, list):
+        raise SchemaError(f"{what} must be an array")
+    return obj
+
+
+def _object(obj, what: str) -> dict:
+    """`obj` itself when it is a JSON object; SchemaError naming `what` otherwise."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object")
+    return obj
+
+
 def vector_from_json(obj) -> Vector:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SchemaError("a vector is a non-empty array of values")
@@ -48,21 +62,20 @@ def ray_to_json(r: Ray) -> dict:
 
 
 def model_from_json(obj) -> QuadraticPair:
-    if not isinstance(obj, dict):
-        raise SchemaError("model document must be an object")
+    _object(obj, "model document")
     for key in ("dim", "q_diag", "b"):
         if key not in obj:
             raise SchemaError(f'model document lacks "{key}"')
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("dim must be a positive integer")
-    q_diag = [value_from_text(x) for x in obj["q_diag"]]
-    rows = obj["b"]
+    q_diag = [value_from_text(x) for x in _array(obj["q_diag"], "q_diag")]
+    rows = _array(obj["b"], "b")
     if len(q_diag) != dim or len(rows) != dim:
         raise SchemaError("q_diag and b must have length dim")
     b = []
     for row in rows:
-        if len(row) != dim:
+        if len(_array(row, "each row of b")) != dim:
             raise SchemaError("b must be a dim x dim matrix")
         b.append(tuple(value_from_text(x) for x in row))
     pair = QuadraticPair(dim, tuple(q_diag), tuple(b))
@@ -89,25 +102,25 @@ def model_hash(pair: QuadraticPair) -> str:
 
 def family_from_json(obj, pair: QuadraticPair):
     """Returns (named rays, basic functions, sample rays)."""
-    if not isinstance(obj, dict):
-        raise SchemaError("family document must be an object")
+    _object(obj, "family document")
     rays = {}
-    for name, spec in obj.get("rays", {}).items():
+    for name, spec in _object(obj.get("rays", {}), "rays").items():
         rays[name] = ray_from_json(spec)
         if len(rays[name].base) != pair.dim:
             raise SchemaError(f'ray "{name}" has the wrong dimension')
     functions = []
-    for idx, fn in enumerate(obj.get("functions", [])):
+    for idx, fn in enumerate(_array(obj.get("functions", []), "functions")):
         terms = []
-        for term in fn.get("terms", []):
+        for term in _array(_object(fn, f"function {idx}").get("terms", []), "terms"):
+            term = _object(term, f"a term of function {idx}")
             coeff = value_from_text(term.get("coeff", "0"))
             anchor_name = term.get("anchor")
-            if anchor_name not in rays:
+            if not isinstance(anchor_name, str) or anchor_name not in rays:
                 raise SchemaError(f'function {idx} references unknown ray "{anchor_name}"')
             terms.append((coeff, rays[anchor_name]))
         functions.append(BasicFunction(tuple(terms)))
-    samples = [rays[name] if name in rays else ray_from_json(name)
-               for name in obj.get("samples", [])]
+    samples = [rays[name] if isinstance(name, str) and name in rays else ray_from_json(name)
+               for name in _array(obj.get("samples", []), "samples")]
     return rays, tuple(functions), samples
 
 

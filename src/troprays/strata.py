@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .csfun import cs_restriction_pm
-from .errors import IsotropicArgument, NotStrictPair, WitnessNotInStratum
+from .errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
@@ -266,7 +266,8 @@ def _assert_sign_monotone(pieces, m):
             ascending = all(a <= b for a, b in zip(ranks, ranks[1:]))
             descending = all(a >= b for a, b in zip(ranks, ranks[1:]))
             if not (ascending or descending):
-                raise AssertionError(f"sign pattern of pair ({k},{l}) is not monotone: {signs}")
+                raise VerificationFailed(
+                    f"sign pattern of pair ({k},{l}) is not monotone: {signs}")
 
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:

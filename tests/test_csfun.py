@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from troprays.csfun import (
@@ -236,3 +240,35 @@ def test_composition_with_cs_restriction(m1, m1_iv):
     sampler = Sampler(62)
     for lam in sampler.many_parameters(60, include=composed.breakpoints):
         assert composed.eval(lam) == min(f.eval(lam), t(3))
+
+
+# build_fw on M1's e1 witness with cs_restriction_pm replaced by a continuous
+# function whose region B = [50, 60] contradicts the formulas u_w = -2, v_w = 2
+CORRUPTED_BUILD_FW = """
+import sys
+from troprays import csfun
+from troprays.errors import VerificationFailed
+from troprays.instances import M1, m1_interval
+from troprays.pmfunc import PmFunction
+from troprays.quadspace import Vector
+from troprays.semifield import INF, ONE, ZERO, t
+
+if __debug__:
+    sys.exit(3)
+csfun.cs_restriction_pm = lambda *args: PmFunction(
+    (ZERO, t(50), t(60), INF), ((ONE, 0), (t(-50), 1), (t(10), 0)))
+try:
+    csfun.build_fw(M1, m1_interval(), Vector.unit(2, 0))
+except VerificationFailed:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_build_fw_self_check_survives_optimize():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_BUILD_FW],
+                         capture_output=True, env=env)
+    assert res.returncode == 0, res.stderr.decode()
+

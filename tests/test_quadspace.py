@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from troprays.errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
 from troprays.quadspace import QuadraticPair, Vector, validate_pair, vec
 from troprays.sampling import Sampler
-from troprays.semifield import INF, ONE, ZERO, t
+from troprays.semifield import INF, ONE, ZERO, TropValue, t, trop_sum
 
 
 def test_vector_rejects_infinity():
@@ -112,3 +115,93 @@ def test_balanced_cs_self_is_unit():
         pair = sampler.anisotropic_pair(sampler.rng.randint(1, 4), balanced=True)
         x = sampler.vector(pair.dim)
         assert pair.cs(x, x) == ONE
+
+
+# -- the integer-lattice Gram kernel against semifield arithmetic -----------
+
+def ref_q(pair, x):
+    """q(x) as a tropical sum of TropValue products over the Gram formula."""
+    n = pair.dim
+    return trop_sum([pair.q_diag[i] * x[i] * x[i] for i in range(n)]
+                    + [pair.b[i][j] * x[i] * x[j]
+                       for i in range(n) for j in range(i + 1, n)])
+
+
+def ref_b(pair, x, y):
+    n = pair.dim
+    return trop_sum(pair.b[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+def assert_kernel_matches(pair, x, y):
+    qx, qy, bxy = ref_q(pair, x), ref_q(pair, y), ref_b(pair, x, y)
+    assert_same(pair.eval_q(x), qx)
+    assert_same(pair.eval_q(y), qy)
+    assert_same(pair.eval_b(x, y), bxy)
+    if qx.is_zero() or qy.is_zero():
+        with pytest.raises(IsotropicArgument):
+            pair.cs(x, y)
+    else:
+        assert_same(pair.cs(x, y), (bxy * bxy) / (qx * qy))
+
+
+def exponents(max_denominator):
+    """Small rationals with denominators up to `max_denominator`, plus
+    numerators far beyond machine words."""
+    return st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=max_denominator),
+        st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                  st.integers(1, max_denominator)))
+
+
+def gram_values(max_denominator):
+    return st.one_of(st.just(ZERO), exponents(max_denominator).map(TropValue.finite))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model (ZERO Gram entries allowed) and two vectors (ZERO coordinates
+    allowed) of dimension 1-4, all integer or with denominators up to 12."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 12]))
+    value = gram_values(den)
+    q_diag = tuple(draw(value) for _ in range(n))
+    b = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            b[i][j] = b[j][i] = draw(value)
+    pair = QuadraticPair(n, q_diag, tuple(tuple(row) for row in b))
+    x = Vector(draw(value) for _ in range(n))
+    y = Vector(draw(value) for _ in range(n))
+    return pair, x, y
+
+
+@given(kernel_cases())
+def test_kernel_matches_semifield_reference(case):
+    assert_kernel_matches(*case)
+
+
+@pytest.mark.parametrize("num_bound,den_bound", [(8, 1), (8, 12), (10 ** 30, 12)])
+def test_kernel_matches_semifield_reference_sampled(num_bound, den_bound):
+    sampler = Sampler(41, num_bound=num_bound, den_bound=den_bound)
+    for _ in range(300):
+        n = sampler.rng.randint(1, 4)
+        pair = sampler.anisotropic_pair(n)
+        x = sampler.vector(n, p_zero=0.3, nonzero=False)
+        y = sampler.vector(n, p_zero=0.3, nonzero=False)
+        assert_kernel_matches(pair, x, y)
+
+
+def test_kernel_on_zero_gram_entries():
+    # q(e1) = 0 and b(e1, e2) = 0: only the e2 terms survive
+    pair = QuadraticPair.from_rows(["-inf", "1/6"], [["-inf", "-inf"], ["-inf", "-1/4"]])
+    x = vec("7/12", "-5/3")
+    assert_kernel_matches(pair, x, vec(0, "1/2"))
+    assert pair.eval_q(vec(3, "-inf")) == ZERO
+    assert pair.eval_b(x, vec("2/5", "-inf")) == ZERO
+    assert pair.eval_q(x) == t(Fraction(1, 6) - Fraction(10, 3))

@@ -48,6 +48,11 @@ def test_model_schema_errors():
     with pytest.raises(SchemaError):
         serialize.model_from_json(
             {"dim": 2, "q_diag": ["0", "x"], "b": [["0", "2"], ["2", "0"]]})
+    for doc in ({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]},
+                {"dim": 2, "q_diag": ["0", "0"], "b": ["0", "2"]},
+                {"dim": True, "q_diag": ["0"], "b": [["0"]]}):
+        with pytest.raises(SchemaError):
+            serialize.model_from_json(doc)
 
 
 def test_ray_and_pm_roundtrip():
@@ -64,6 +69,14 @@ def test_family_parsing_errors():
     with pytest.raises(SchemaError):
         serialize.family_from_json(
             {"functions": [{"terms": [{"coeff": "0", "anchor": "nope"}]}]}, M1)
+    for doc in ({"rays": ["0", "0"]},
+                {"functions": {"terms": []}},
+                {"functions": [{"terms": ["Y1"]}]},
+                {"rays": {"Y1": ["0", "-inf"]},
+                 "functions": [{"terms": [{"anchor": ["Y1"]}]}]},
+                {"samples": "Y1"}):
+        with pytest.raises(SchemaError):
+            serialize.family_from_json(doc, M1)
 
 
 def test_cli_stratify_m1():
@@ -170,3 +183,34 @@ def test_cli_deterministic_bytes():
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+def assert_input_error(res):
+    """Exit 2 with a one-line message on stderr and no traceback."""
+    stderr = res.stderr.decode()
+    assert res.returncode == 2, stderr
+    assert len(stderr.splitlines()) == 1, stderr
+    assert stderr.startswith("input error: ")
+    assert res.stdout == b""
+
+
+def test_cli_scalar_q_diag_is_input_error(tmp_path):
+    model = tmp_path / "scalar.json"
+    model.write_text(json.dumps({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]}))
+    assert_input_error(run_cli("validate", "--model", str(model)))
+
+
+def test_cli_degenerate_interval_is_input_error():
+    assert_input_error(run_cli("stratify", "--model", data("m1.json"), "--b",
+                               data("family_m1.json"), "--from", "Y1", "--to", "Y1"))
+
+
+def test_cli_zero_max_iter_is_input_error():
+    assert_input_error(run_cli("junction", "--model", data("m1.json"), "--b",
+                               data("family_m1.json"), "--w", "W", "--w2", "W2",
+                               "--u", "Z", "--max-iter", "0"))
+
+
+def test_cli_negative_samples_is_input_error():
+    assert_input_error(run_cli("validate", "--model", data("m1.json"), "--samples", "-5"))
+

@@ -1,6 +1,6 @@
 import pytest
 
-from troprays.errors import IsotropicArgument, NotStrictPair, WitnessNotInStratum
+from troprays.errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
 from troprays.instances import CHART, chart_family, chart_sample
 from troprays.quadspace import QuadraticPair, Vector
 from troprays.rays import Ray, RayInterval, ray
@@ -10,6 +10,8 @@ from troprays.strata import (
     BasicFunction,
     Relaxation,
     SignVector,
+    TracePiece,
+    _assert_sign_monotone,
     derivation_chart,
     eval_basic,
     example_family,
@@ -70,6 +72,12 @@ def test_stratify_m1_worked(m1, m1_fam, m1_iv):
     rays = trace.separator_rays()
     assert rays[0] == m1_iv.y1 and rays[-1] == m1_iv.y2
     assert rays[1] == rays[2] == ray(0, 0)
+
+
+def test_non_monotone_sign_pattern_is_verification_failure():
+    pieces = [TracePiece(SignVector(2, [s]), ZERO, True, ZERO, True) for s in "<><"]
+    with pytest.raises(VerificationFailed, match="not monotone"):
+        _assert_sign_monotone(pieces, 2)
 
 
 def test_stratify_single_stratum(m1, m1_fam):
