@@ -9,14 +9,13 @@ and butterfly frontier processes, and the entrance analysis at isotropic rays.
 
 from .semifield import INF, ONE, ZERO, TropValue, t
 from .quadspace import QuadraticPair, Vector, ValidationReport, validate_pair, vec
-from .rays import Ray, RayInterval, canonicalize, ray
+from .rays import Ray, RayInterval, ray
 from .pmfunc import PmFunction, SignPiece
 from .csfun import (
     IntervalCsProfile,
     build_fw,
     cs_restriction_pm,
     q_segment_profile,
-    restrict_cs,
     uniqueness_classify,
 )
 from .strata import (
@@ -27,7 +26,6 @@ from .strata import (
     StrataTrace,
     TracePiece,
     derivation_chart,
-    eval_basic,
     example_family,
     is_direct_derivate,
     minimal_relaxation,
@@ -40,9 +38,6 @@ from .frontier import (
     FrontierPair,
     JunctionReport,
     JunctionStep,
-    entrance_ray,
-    is_butterfly,
-    is_junction,
     regularity_bounds,
     sector_member,
 )
@@ -50,7 +45,6 @@ from .isotropy import (
     IsotropicApproach,
     StabilityReport,
     entrance_stratum,
-    is_isotropic,
     stability_check,
     stratify_halfopen,
 )
@@ -60,18 +54,17 @@ __version__ = "0.1.0"
 __all__ = [
     "INF", "ONE", "ZERO", "TropValue", "t",
     "QuadraticPair", "Vector", "ValidationReport", "validate_pair", "vec",
-    "Ray", "RayInterval", "canonicalize", "ray",
+    "Ray", "RayInterval", "ray",
     "PmFunction", "SignPiece",
     "IntervalCsProfile", "build_fw", "cs_restriction_pm",
-    "q_segment_profile", "restrict_cs", "uniqueness_classify",
+    "q_segment_profile", "uniqueness_classify",
     "BasicFunction", "DerivationChart", "Relaxation", "SignVector",
-    "StrataTrace", "TracePiece", "derivation_chart", "eval_basic",
+    "StrataTrace", "TracePiece", "derivation_chart",
     "example_family", "is_direct_derivate", "minimal_relaxation",
     "relaxation_components", "sign_vector_at", "stratify_interval",
     "ButterflyResult", "FrontierPair", "JunctionReport", "JunctionStep",
-    "entrance_ray", "is_butterfly", "is_junction", "regularity_bounds",
-    "sector_member",
+    "regularity_bounds", "sector_member",
     "IsotropicApproach", "StabilityReport", "entrance_stratum",
-    "is_isotropic", "stability_check", "stratify_halfopen",
+    "stability_check", "stratify_halfopen",
     "__version__",
 ]

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import serialize
-from .errors import SchemaError, TropraysError, VerificationFailed
+from .errors import SchemaError, TropraysError, VerificationFailed, ZeroVector
 from .csfun import build_fw
 from .frontier import FrontierPair
 from .isotropy import entrance_stratum, stability_check
@@ -34,12 +34,9 @@ def _resolve_ray(spec: str, rays: dict, dim: int) -> Ray:
     if spec in rays:
         return rays[spec]
     try:
-        vec = Vector(TropValue.parse(p) for p in spec.split(","))
-    except (ValueError, ZeroDivisionError) as ex:
-        raise SchemaError(f"cannot parse ray {spec!r}: {ex}") from ex
-    if len(vec) != dim:
-        raise SchemaError(f"ray {spec!r} has dimension {len(vec)}, expected {dim}")
-    return Ray(vec)
+        return Ray(_resolve_vector(spec, dim))
+    except ZeroVector as ex:
+        raise SchemaError(f"ray {spec!r} is the zero vector") from ex
 
 
 def _resolve_vector(spec: str, dim: int) -> Vector:
@@ -271,6 +268,8 @@ def cmd_isotropy_entry(args):
     y2 = _resolve_ray(getattr(args, "from"), rays, pair.dim)
     y3 = _resolve_ray(args.to, rays, pair.dim)
     eps = _resolve_vector(args.eps, pair.dim)
+    if eps.is_zero() or not pair.is_isotropic(eps):
+        raise SchemaError(f"--eps {args.eps} is not an isotropic vector")
     eta = _resolve_vector(args.eta, pair.dim)
     approach = entrance_stratum(pair, functions, y2, y3, eps, eta)
     samples = [approach.t_checked * t(-k) for k in range(args.samples)]

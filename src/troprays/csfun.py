@@ -27,7 +27,7 @@ from .errors import (IsotropicArgument, IsotropicEndpoint, PerpendicularWitness,
                      VerificationFailed)
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
-from .rays import Ray, RayInterval
+from .rays import RayInterval
 from .semifield import INF, ZERO, TropValue
 
 
@@ -61,12 +61,22 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
         raise IsotropicArgument("CS witness must be anisotropic")
     b1 = pair.eval_b(eps1, w)
     b2 = pair.eval_b(eps2, w)
+    if b1.is_zero() and b2.is_zero():
+        return PmFunction.constant(ZERO)
+    return _cs_ratio_pm(b1, b2, pair.eval_q(eps1), pair.eval_b(eps1, eps2),
+                        pair.eval_q(eps2), qw)
+
+
+def _cs_ratio_pm(b1: TropValue, b2: TropValue, a1: TropValue, a12: TropValue,
+                 a2: TropValue, qw: TropValue) -> PmFunction:
+    """lam -> (b1^2 + lam^2 b2^2) / ((a1 + a12 lam + a2 lam^2) qw), normalized.
+
+    Takes the Gram values b(eps1,w), b(eps2,w), q(eps1), b(eps1,eps2), q(eps2)
+    and q(w) from the caller, which evaluates each of them once.
+    """
     numerator = PmFunction.from_monomials([(b1 * b1, 0), (b2 * b2, 2)])
     if numerator.is_constant_zero():
         return numerator
-    a1 = pair.eval_q(eps1)
-    a12 = pair.eval_b(eps1, eps2)
-    a2 = pair.eval_q(eps2)
     denominator = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
     if denominator.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
@@ -108,7 +118,10 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     if a1.is_zero() or a2.is_zero():
         raise IsotropicEndpoint("interval endpoint is isotropic")
     a12 = pair.eval_b(eps1, eps2)
-    f = cs_restriction_pm(pair, eps1, eps2, w).normalize()
+    qw = pair.eval_q(w)
+    if qw.is_zero():
+        raise IsotropicArgument("CS witness must be anisotropic")
+    f = _cs_ratio_pm(b1, b2, a1, a12, a2, qw)
 
     quasilinear = a1 * a2 >= a12 * a12
     r = b1 / b2  # oo when b2 = 0, 0 when b1 = 0
@@ -134,11 +147,6 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
             raise VerificationFailed("B_w contains an interior constant piece")
     return IntervalCsProfile(interval, w, f, quasilinear,
                              region_a, region_b, region_c, u_w, v_w)
-
-
-def restrict_cs(pair: QuadraticPair, interval: RayInterval, witness: Ray) -> PmFunction:
-    """The pm function lam -> CS(pi(lam), W) for a witness ray W."""
-    return build_fw(pair, interval, witness.base).f
 
 
 def uniqueness_classify(pair: QuadraticPair, interval: RayInterval,

@@ -33,6 +33,8 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
     """
     if sign_vector_at(pair, family, w) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
+    if u == w:
+        raise NoEntrance("U is W itself")
     interval = RayInterval(w, u)
     trace = stratify_interval(pair, family, interval)
     if len(trace.pieces) != 2:
@@ -44,11 +46,6 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
         raise NoEntrance("boundary case2: T' piece is open at its first ray")
     lam = second.lo
     return interval.pi(lam), lam
-
-
-def entrance_ray(pair: QuadraticPair, family, t_vec: SignVector,
-                 t_prime: SignVector, w: Ray, u: Ray) -> Ray:
-    return entrance_data(pair, family, t_vec, t_prime, w, u)[0]
 
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
@@ -77,20 +74,6 @@ def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
     if _memo is not None:
         _memo[key] = result
     return result
-
-
-def is_junction(pair, family, t_vec, t_prime, w: Ray, w_prime: Ray, z: Ray,
-                _memo=None) -> bool:
-    return (sector_member(pair, family, t_vec, t_prime, w, z, _memo)
-            and sector_member(pair, family, t_vec, t_prime, w_prime, z, _memo))
-
-
-def is_butterfly(pair, family, t_vec, t_prime, w: Ray, w_prime: Ray,
-                 z: Ray, z_prime: Ray, _memo=None) -> bool:
-    if z == z_prime:
-        return False
-    return (is_junction(pair, family, t_vec, t_prime, w, w_prime, z, _memo)
-            and is_junction(pair, family, t_vec, t_prime, w, w_prime, z_prime, _memo))
 
 
 def regularity_bounds(pair: QuadraticPair, anchors, z: Vector, w: Vector,
@@ -172,7 +155,7 @@ class FrontierPair:
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
 
-    # -- thin wrappers sharing one sector memo --------------------------------
+    # -- entrances and sectors, sharing one sector memo ---------------------------
 
     def entrance_data(self, w: Ray, u: Ray):
         return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u)
@@ -184,13 +167,14 @@ class FrontierPair:
         return sector_member(self.pair, self.family, self.t, self.t_prime,
                              w, z, self._memo)
 
-    def is_junction(self, w, w_prime, z) -> bool:
-        return is_junction(self.pair, self.family, self.t, self.t_prime,
-                           w, w_prime, z, self._memo)
+    def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
+        """Z lies in the sectors of both W and W'."""
+        return self.sector_member(w, z) and self.sector_member(w_prime, z)
 
-    def is_butterfly(self, w, w_prime, z, z_prime) -> bool:
-        return is_butterfly(self.pair, self.family, self.t, self.t_prime,
-                            w, w_prime, z, z_prime, self._memo)
+    def is_butterfly(self, w: Ray, w_prime: Ray, z: Ray, z_prime: Ray) -> bool:
+        """Two different rays Z, Z' are both junctions of W and W'."""
+        return (z != z_prime and self.is_junction(w, w_prime, z)
+                and self.is_junction(w, w_prime, z_prime))
 
     # -- the junction process ---------------------------------------------------
 

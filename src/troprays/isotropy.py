@@ -25,17 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .csfun import _cs_ratio_pm
 from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, t
-from .strata import SignVector, StrataTrace, _pieces_from_pms, sign_vector_at, stratify_interval
-
-
-def is_isotropic(pair: QuadraticPair, x: Vector) -> bool:
-    """True iff x is nonzero and q(x) = 0."""
-    return pair.is_isotropic(x)
+from .semifield import INF, ONE, ZERO, TropValue, midpoint, t
+from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
 
 
 def _ratio_or_inf(num: TropValue, den: TropValue) -> TropValue:
@@ -85,27 +81,24 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
     a23 = pair.eval_b(eps2, eps3)
     b_eta_2 = pair.eval_b(eta, eps2)
     b_eta_3 = pair.eval_b(eta, eps3)
-    denom = PmFunction.from_monomials([(a2, 0), (a23, 1), (a3, 2)])
 
     profile = None
     if not a12.is_zero() and not a13.is_zero():
         case = "A"
         strict = False
         t0 = min(_ratio_or_inf(a12, b_eta_2), _ratio_or_inf(a13, b_eta_3))
-        profile = PmFunction.from_monomials(
-            [(a12 * a12, 0), (a13 * a13, 2)]).mul(denom.invert())
+        profile = _cs_ratio_pm(a12, a13, a2, a23, a3, ONE)
     elif a12.is_zero():
         case = "B"
         strict = False
         t0 = INF
-        numer = PmFunction.from_monomials([(b_eta_2 * b_eta_2, 0), (b_eta_3 * b_eta_3, 2)])
-        if not numer.is_constant_zero():
-            profile = numer.mul(denom.invert())
+        if not (b_eta_2.is_zero() and b_eta_3.is_zero()):
+            profile = _cs_ratio_pm(b_eta_2, b_eta_3, a2, a23, a3, ONE)
     elif b_eta_3.is_zero():
         case = "C1"
         strict = False
         t0 = INF
-        profile = denom.invert()
+        profile = _cs_ratio_pm(ONE, ZERO, a2, a23, a3, ONE)  # 1 / q(eps2 + t eps3)
     else:
         cs23 = pair.cs(eps2, eps3)
         if cs23 > ONE:
@@ -154,21 +147,6 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
     return StabilityReport(True, approach.entrance, checked, None)
 
 
-def _entrance_pieces(pair, family, eps: Vector, end: Vector,
-                     drop_zero: bool, drop_inf: bool):
-    pms = [f.restrict(pair, eps, end) for f in family]
-    return _pieces_from_pms(pms, drop_zero_end=drop_zero, drop_inf_end=drop_inf)
-
-
-def _two_interior_points(piece):
-    lo, hi = piece.lo, piece.hi
-    from .semifield import midpoint
-
-    first = midpoint(lo, hi)
-    second = midpoint(lo, first)
-    return first, second
-
-
 def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> StrataTrace:
     """Trace of ]W, W'] (W isotropic) or ]W, W'[ (both ends isotropic).
 
@@ -186,33 +164,24 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
     if prime_isotropic and pair.eval_b(eps, end).is_zero():
         raise NoAnisotropicInterior("no anisotropic ray between the endpoints")
 
-    pieces = _entrance_pieces(pair, family, eps, end,
-                              drop_zero=True, drop_inf=prime_isotropic)
     interval = RayInterval(w, w_prime)
-
-    def witness_at(param):
-        return interval.pi(param)
-
-    def interior_separators(w_tilde, w_tilde_prime):
-        trace = stratify_interval(pair, family, RayInterval(w_tilde, w_tilde_prime))
-        return trace.separator_rays()[1:-1]
-
-    t1, t1b = _two_interior_points(pieces[0])
-    if prime_isotropic:
-        s1, s1b = _two_interior_points(pieces[-1])
-        ref = interior_separators(witness_at(t1), witness_at(s1))
-        alt = interior_separators(witness_at(t1b), witness_at(s1b))
-    else:
-        ref = interior_separators(witness_at(t1), w_prime)
-        alt = interior_separators(witness_at(t1b), w_prime)
-    if ref != alt:
+    trace = _trace(pair, family, interval, drop_zero_end=True,
+                   drop_inf_end=prime_isotropic)
+    first, last = trace.pieces[0], trace.pieces[-1]
+    # two choices of W~: the midpoint of the entrance piece, then the midpoint
+    # of its lower half; likewise for W~' in the last piece when W' is isotropic
+    separators = []
+    t1, s1 = first.hi, last.hi
+    for _ in range(2):
+        t1 = midpoint(first.lo, t1)
+        end_ray = w_prime
+        if prime_isotropic:
+            s1 = midpoint(last.lo, s1)
+            end_ray = interval.pi(s1)
+        inner = stratify_interval(pair, family, RayInterval(interval.pi(t1), end_ray))
+        separators.append(inner.separator_rays()[1:-1])
+    if separators[0] != separators[1]:
         raise VerificationFailed("separating rays depend on the choice of the interior ray")
-
-    boundaries = [(ZERO, w)]
-    for piece in pieces[1:]:
-        boundaries.append((piece.lo, witness_at(piece.lo)))
-    boundaries.append((INF, w_prime))
-    expected = tuple(r for _, r in boundaries[1:-1])
-    if expected != ref:
+    if trace.separator_rays()[1:-1] != separators[0]:
         raise VerificationFailed("direct and interior-ray separators disagree")
-    return StrataTrace(interval, tuple(pieces), tuple(boundaries))
+    return trace

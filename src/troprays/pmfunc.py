@@ -199,20 +199,11 @@ class PmFunction:
         f = inner
         if f.is_constant_zero() or f.is_constant_inf():
             return PmFunction.constant(self.eval(f.segments[0][0]))
-        bps = [ZERO]
-        segs = []
-
-        def emit(hi, seg):
-            if segs and segs[-1][1] == seg[1] and segs[-1][0] == seg[0]:
-                bps[-1] = hi
-                return
-            bps.append(hi)
-            segs.append(seg)
-
+        cells = _PmBuilder()
         for k, (gamma, i) in enumerate(f.segments):
             a, b = f.breakpoints[k], f.breakpoints[k + 1]
             if i == 0:
-                emit(b, (self.eval(gamma), 0))
+                cells.emit(b, (self.eval(gamma), 0))
                 continue
             va, vb = _mono_eval(gamma, i, a), _mono_eval(gamma, i, b)
             lo, hi = (va, vb) if va < vb else (vb, va)
@@ -228,9 +219,8 @@ class PmFunction:
                     continue
                 value_probe = _mono_eval(gamma, i, midpoint(t0, t1))
                 delta, kdeg = self.segment_at(value_probe)
-                emit(t1, (delta * gamma ** kdeg, kdeg * i))
-        bps[-1] = INF
-        return PmFunction(bps, segs).normalize()
+                cells.emit(t1, (delta * gamma ** kdeg, kdeg * i))
+        return cells.function()
 
     def restrict(self, zeta: TropValue, eta: TropValue) -> "PmFunction":
         """The function of the subinterval [pi(zeta), pi(eta)] in its own parameter.
@@ -245,37 +235,27 @@ class PmFunction:
             return self
         if zeta.is_zero() and eta.is_infinite():
             return self.normalize()
-        bps = [ZERO]
-        segs = []
-
-        def emit(hi, seg):
-            if segs and segs[-1][1] == seg[1] and segs[-1][0] == seg[0]:
-                bps[-1] = hi
-                return
-            bps.append(hi)
-            segs.append(seg)
-
+        cells = _PmBuilder()
         if eta.is_infinite():
-            emit(zeta, (self.eval(zeta), 0))
+            cells.emit(zeta, (self.eval(zeta), 0))
             for k in range(len(self.segments)):
                 hi = self.breakpoints[k + 1]
                 if hi <= zeta:
                     continue
-                emit(hi, self.segments[k])
-            bps[-1] = INF
-            return PmFunction(bps, segs).normalize()
+                cells.emit(hi, self.segments[k])
+            return cells.function()
 
         cut = zeta / eta  # ZERO when zeta is, else finite < e
         if not cut.is_zero():
-            emit(cut, (self.eval(zeta), 0))
+            cells.emit(cut, (self.eval(zeta), 0))
         for k, (gamma, i) in enumerate(self.segments):
             a, b = self.breakpoints[k], self.breakpoints[k + 1]
             lo, hi = max(a, zeta), min(b, eta)
             if not lo < hi:
                 continue
-            emit(hi / eta, (gamma * eta ** i, i))
-        emit(INF, (self.eval(eta), 0))
-        return PmFunction(bps, segs).normalize()
+            cells.emit(hi / eta, (gamma * eta ** i, i))
+        cells.emit(INF, (self.eval(eta), 0))
+        return cells.function()
 
     # -- comparison ------------------------------------------------------------------
 
@@ -289,22 +269,9 @@ class PmFunction:
         """
         points = set(self.breakpoints) | set(other.breakpoints)
         points.update(crossing_points(self, other))
-        points = sorted(points)
-        cells = []  # (lo, hi, closed) with closed meaning a one-point cell
-        for k, p in enumerate(points):
-            cells.append((p, p, True))
-            if k + 1 < len(points):
-                cells.append((p, points[k + 1], False))
-        runs = []
-        for lo, hi, is_point in cells:
-            probe = lo if is_point else midpoint(lo, hi)
-            sign = compare_sign(self.eval(probe), other.eval(probe))
-            if runs and runs[-1].sign == sign:
-                prev = runs[-1]
-                runs[-1] = SignPiece(prev.lo, prev.lo_closed, hi, is_point, sign)
-            else:
-                runs.append(SignPiece(lo, is_point, hi, is_point, sign))
-        return tuple(runs)
+        runs = _runs(_cells(sorted(points)),
+                     lambda lam: compare_sign(self.eval(lam), other.eval(lam)))
+        return tuple(SignPiece(*run) for run in runs)
 
     def has_glen(self) -> tuple | None:
         """The maximal open interval where f dips below both endpoint values.
@@ -338,6 +305,29 @@ class SignPiece:
         return f"{lb}{self.lo}, {self.hi}{rb}: {self.sign}"
 
 
+def _cells(points) -> list:
+    """The point cells [p, p] and open cells ]p, p'[ cut out by sorted points,
+    in order, as (lo, hi, is_point) triples."""
+    out = []
+    for p, q in zip(points, points[1:]):
+        out += ((p, p, True), (p, q, False))
+    out.append((points[-1], points[-1], True))
+    return out
+
+
+def _runs(cells, label) -> list:
+    """Merge consecutive cells with equal label(probe), probe a parameter in
+    the cell, into [lo, lo_closed, hi, hi_closed, label] runs."""
+    runs = []
+    for lo, hi, is_point in cells:
+        value = label(lo if is_point else midpoint(lo, hi))
+        if runs and runs[-1][4] == value:
+            runs[-1][2:4] = hi, is_point
+        else:
+            runs.append([lo, is_point, hi, is_point, value])
+    return runs
+
+
 def crossing_points(f: PmFunction, g: PmFunction) -> list:
     """Exact crossing parameters of f against g inside refined cells."""
     if any(p.is_constant_zero() or p.is_constant_inf() for p in (f, g)):
@@ -369,6 +359,31 @@ def _refine(f: PmFunction, g: PmFunction):
     return bps, _spread(f, bps), _spread(g, bps)
 
 
+class _PmBuilder:
+    """The cells of a pm function, appended from 0 to oo.
+
+    A cell carrying the same monomial as its left neighbour extends that
+    neighbour; :meth:`function` closes the last cell at oo.
+    """
+
+    __slots__ = ("bps", "segs")
+
+    def __init__(self):
+        self.bps = [ZERO]
+        self.segs = []
+
+    def emit(self, hi: TropValue, seg: Segment):
+        if self.segs and self.segs[-1] == seg:
+            self.bps[-1] = hi
+        else:
+            self.bps.append(hi)
+            self.segs.append(seg)
+
+    def function(self) -> PmFunction:
+        self.bps[-1] = INF
+        return PmFunction(self.bps, self.segs).normalize()
+
+
 def _envelope(f: PmFunction, g: PmFunction, take_max: bool) -> PmFunction:
     for a, b in ((f, g), (g, f)):
         if a.is_constant_zero():
@@ -376,22 +391,13 @@ def _envelope(f: PmFunction, g: PmFunction, take_max: bool) -> PmFunction:
         if a.is_constant_inf():
             return a if take_max else b
     bps, fs, gs = _refine(f, g)
-    out_bps = [ZERO]
-    out_segs = []
-
-    def emit(hi, seg):
-        if out_segs and out_segs[-1] == seg:
-            out_bps[-1] = hi
-            return
-        out_bps.append(hi)
-        out_segs.append(seg)
-
+    cells = _PmBuilder()
     for k in range(len(fs)):
         a, b = bps[k], bps[k + 1]
         (gamma, i), (delta, j) = fs[k], gs[k]
         if i == j:
             winner = max(gamma, delta) if take_max else min(gamma, delta)
-            emit(b, (winner, i))
+            cells.emit(b, (winner, i))
             continue
         lam = TropValue.finite((delta.exp - gamma.exp) / (i - j))
         if a < lam < b:
@@ -399,13 +405,12 @@ def _envelope(f: PmFunction, g: PmFunction, take_max: bool) -> PmFunction:
             f_below_left = i > j
             left, right = ((delta, j), (gamma, i)) if f_below_left else ((gamma, i), (delta, j))
             if not take_max:
-                left, right = ((gamma, i), (delta, j)) if f_below_left else ((delta, j), (gamma, i))
-            emit(lam, left)
-            emit(b, right)
+                left, right = right, left
+            cells.emit(lam, left)
+            cells.emit(b, right)
         else:
             probe = midpoint(a, b)
             fv, gv = _mono_eval(gamma, i, probe), _mono_eval(delta, j, probe)
             pick_f = (fv >= gv) if take_max else (fv <= gv)
-            emit(b, (gamma, i) if pick_f else (delta, j))
-    out_bps[-1] = INF
-    return PmFunction(out_bps, out_segs).normalize()
+            cells.emit(b, (gamma, i) if pick_f else (delta, j))
+    return cells.function()

@@ -54,10 +54,6 @@ def ray(*items) -> Ray:
     return Ray(Vector.parse(items))
 
 
-def canonicalize(x: Vector) -> Ray:
-    return Ray(x)
-
-
 class RayInterval:
     """The closed interval [Y1, Y2] between two different pointed rays."""
 

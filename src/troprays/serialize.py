@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import SchemaError
+from .errors import SchemaError, ZeroVector
 from .pmfunc import PmFunction, SignPiece
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray
@@ -42,7 +42,10 @@ def _object(obj, what: str) -> dict:
 def vector_from_json(obj) -> Vector:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SchemaError("a vector is a non-empty array of values")
-    return Vector(value_from_text(x) for x in obj)
+    try:
+        return Vector(value_from_text(x) for x in obj)
+    except ValueError as ex:  # an infinite coordinate
+        raise SchemaError(f"bad vector {obj!r}: {ex}") from ex
 
 
 def vector_to_json(v: Vector) -> list:
@@ -53,8 +56,11 @@ def ray_from_json(obj) -> Ray:
     if isinstance(obj, dict):
         if "base" not in obj:
             raise SchemaError('a pointed ray object needs a "base" array')
-        return Ray(vector_from_json(obj["base"]))
-    return Ray(vector_from_json(obj))
+        obj = obj["base"]
+    try:
+        return Ray(vector_from_json(obj))
+    except ZeroVector as ex:
+        raise SchemaError(f"ray {obj!r} is the zero vector") from ex
 
 
 def ray_to_json(r: Ray) -> dict:
@@ -100,27 +106,34 @@ def model_hash(pair: QuadraticPair) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _ray_of_dim(spec, dim: int, what: str) -> Ray:
+    r = ray_from_json(spec)
+    if len(r.base) != dim:
+        raise SchemaError(f"{what} has the wrong dimension")
+    return r
+
+
 def family_from_json(obj, pair: QuadraticPair):
     """Returns (named rays, basic functions, sample rays)."""
     _object(obj, "family document")
-    rays = {}
-    for name, spec in _object(obj.get("rays", {}), "rays").items():
-        rays[name] = ray_from_json(spec)
-        if len(rays[name].base) != pair.dim:
-            raise SchemaError(f'ray "{name}" has the wrong dimension')
+    rays = {name: _ray_of_dim(spec, pair.dim, f'ray "{name}"')
+            for name, spec in _object(obj.get("rays", {}), "rays").items()}
     functions = []
     for idx, fn in enumerate(_array(obj.get("functions", []), "functions")):
         terms = []
         for term in _array(_object(fn, f"function {idx}").get("terms", []), "terms"):
             term = _object(term, f"a term of function {idx}")
             coeff = value_from_text(term.get("coeff", "0"))
+            if coeff.is_infinite():
+                raise SchemaError(f"function {idx} has an infinite coefficient")
             anchor_name = term.get("anchor")
             if not isinstance(anchor_name, str) or anchor_name not in rays:
                 raise SchemaError(f'function {idx} references unknown ray "{anchor_name}"')
             terms.append((coeff, rays[anchor_name]))
         functions.append(BasicFunction(tuple(terms)))
-    samples = [rays[name] if isinstance(name, str) and name in rays else ray_from_json(name)
-               for name in _array(obj.get("samples", []), "samples")]
+    samples = [rays[spec] if isinstance(spec, str) and spec in rays
+               else _ray_of_dim(spec, pair.dim, f"sample {idx}")
+               for idx, spec in enumerate(_array(obj.get("samples", []), "samples"))]
     return rays, tuple(functions), samples
 
 

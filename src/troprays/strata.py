@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .csfun import cs_restriction_pm
 from .errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
-from .pmfunc import PmFunction
+from .pmfunc import PmFunction, _cells, _runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, trop_sum
@@ -46,20 +46,18 @@ class BasicFunction:
         return tuple(anchor for _, anchor in self.terms)
 
     def restrict(self, pair: QuadraticPair, eps1, eps2) -> PmFunction:
-        """The pm function of lam -> f(pi(lam)); terms orthogonal to both base
-        points contribute the constant zero and simply drop out."""
+        """The pm function of lam -> f(pi(lam)); terms with coefficient 0 or
+        orthogonal to both base points are the constant zero and drop out."""
         acc = None
         for coeff, anchor in self.terms:
+            if coeff.is_zero():
+                continue
             piece = cs_restriction_pm(pair, eps1, eps2, anchor.base)
             if piece.is_constant_zero():
                 continue
             piece = piece.scale(coeff)
             acc = piece if acc is None else acc.add(piece)
         return acc if acc is not None else PmFunction.constant(ZERO)
-
-
-def eval_basic(pair: QuadraticPair, f: BasicFunction, x: Ray) -> TropValue:
-    return f.eval(pair, x)
 
 
 def example_family(pair: QuadraticPair, y1: Ray, y2: Ray) -> tuple:
@@ -153,11 +151,13 @@ def sign_vector_at(pair: QuadraticPair, family, x: Ray) -> SignVector:
     """Pairwise exact comparison of all family values at the ray x."""
     if pair.eval_q(x.base).is_zero():
         raise IsotropicArgument("sign vectors live on the anisotropic ray space")
-    values = [f.eval(pair, x) for f in family]
+    return _sign_vector([f.eval(pair, x) for f in family])
+
+
+def _sign_vector(values) -> SignVector:
     m = len(values)
-    signs = [compare_sign(values[k], values[l])
-             for k in range(m) for l in range(k + 1, m)]
-    return SignVector(m, signs)
+    return SignVector(m, [compare_sign(values[k], values[l])
+                          for k in range(m) for l in range(k + 1, m)])
 
 
 @dataclass(frozen=True)
@@ -215,43 +215,35 @@ class StrataTrace:
         return tuple(p.signs for p in self.pieces)
 
 
-def _pieces_from_pms(pms, drop_zero_end=False, drop_inf_end=False):
-    """Merge the pairwise sign structure of restricted functions into cells.
+def _trace(pair: QuadraticPair, family, interval: RayInterval,
+           drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
+    """The family's pieces on the interval, with the rays bounding them.
 
-    Returns a list of TracePiece over the parameter domain.  When an end is
-    dropped (isotropic interval endpoint) the adjacent piece opens there and
-    the endpoint itself belongs to no piece.
+    Restricts every basic function to the interval, cuts the parameter domain
+    at all pairwise crossings, and merges cells with equal sign vectors into
+    consecutive pieces.  When an end is dropped (isotropic interval endpoint)
+    the adjacent piece opens there and the endpoint itself belongs to no piece.
     """
-    m = len(pms)
+    eps1, eps2 = interval.y1.base, interval.y2.base
+    pms = [f.restrict(pair, eps1, eps2) for f in family]
     points = {ZERO, INF}
-    for k in range(m):
-        for l in range(k + 1, m):
-            for piece in pms[k].compare(pms[l]):
+    for k, f in enumerate(pms):
+        for g in pms[k + 1:]:
+            for piece in f.compare(g):
                 points.add(piece.lo)
                 points.add(piece.hi)
-    points = sorted(points)
-    cells = []
-    for idx, p in enumerate(points):
-        cells.append((p, p, True))
-        if idx + 1 < len(points):
-            cells.append((p, points[idx + 1], False))
+    cells = _cells(sorted(points))
     if drop_zero_end:
         cells = cells[1:]
     if drop_inf_end:
         cells = cells[:-1]
-    pieces = []
-    for lo, hi, is_point in cells:
-        probe = lo if is_point else midpoint(lo, hi)
-        values = [f.eval(probe) for f in pms]
-        signs = [compare_sign(values[k], values[l])
-                 for k in range(m) for l in range(k + 1, m)]
-        sv = SignVector(m, signs)
-        if pieces and pieces[-1].signs == sv:
-            prev = pieces[-1]
-            pieces[-1] = TracePiece(sv, prev.lo, prev.lo_closed, hi, is_point)
-        else:
-            pieces.append(TracePiece(sv, lo, is_point, hi, is_point))
-    return pieces
+    runs = _runs(cells, lambda lam: _sign_vector([f.eval(lam) for f in pms]))
+    pieces = tuple(TracePiece(sv, lo, lo_closed, hi, hi_closed)
+                   for lo, lo_closed, hi, hi_closed, sv in runs)
+    boundaries = [(ZERO, interval.y1)]
+    boundaries += [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
+    boundaries.append((INF, interval.y2))
+    return StrataTrace(interval, pieces, tuple(boundaries))
 
 
 def _assert_sign_monotone(pieces, m):
@@ -271,22 +263,13 @@ def _assert_sign_monotone(pieces, m):
 
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:
-    """Trace of the family's partition on [Y1, Y2] with separating rays.
-
-    Restricts every basic function to the interval, intersects all pairwise
-    sign sequences, and merges equal sign vectors into consecutive pieces.
-    """
+    """Trace of the family's partition on [Y1, Y2] with separating rays."""
     eps1, eps2 = interval.y1.base, interval.y2.base
     if pair.eval_q(eps1).is_zero() or pair.eval_q(eps2).is_zero():
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
-    pms = [f.restrict(pair, eps1, eps2) for f in family]
-    pieces = _pieces_from_pms(pms)
-    _assert_sign_monotone(pieces, len(family))
-    boundaries = [(ZERO, interval.y1)]
-    for piece in pieces[1:]:
-        boundaries.append((piece.lo, interval.pi(piece.lo)))
-    boundaries.append((INF, interval.y2))
-    return StrataTrace(interval, tuple(pieces), tuple(boundaries))
+    trace = _trace(pair, family, interval)
+    _assert_sign_monotone(trace.pieces, len(family))
+    return trace
 
 
 def relaxation_components(t_vec: SignVector, relaxed, realized=None):

@@ -8,7 +8,6 @@ from troprays.csfun import (
     build_fw,
     cs_restriction_pm,
     q_segment_profile,
-    restrict_cs,
     uniqueness_classify,
 )
 from troprays.errors import IsotropicEndpoint, PerpendicularWitness
@@ -195,10 +194,10 @@ def test_uniqueness_matches_fibers(m1, m1_iv):
         assert m1_iv.locate(m1_iv.pi(lam)) == lam
 
 
-def test_restrict_cs_equals_build_fw(m1, m1_iv):
+def test_build_fw_equals_cs_restriction_pm(m1, m1_iv):
     w_ray = Ray(vec(0, -1))
-    assert restrict_cs(m1, m1_iv, w_ray).equivalent(
-        build_fw(m1, m1_iv, w_ray.base).f)
+    assert build_fw(m1, m1_iv, w_ray.base).f.equivalent(
+        cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, w_ray.base))
 
 
 def test_pm_restriction_matches_subinterval_geometry():
@@ -242,7 +241,7 @@ def test_composition_with_cs_restriction(m1, m1_iv):
         assert composed.eval(lam) == min(f.eval(lam), t(3))
 
 
-# build_fw on M1's e1 witness with cs_restriction_pm replaced by a continuous
+# build_fw on M1's e1 witness with the CS-ratio pm replaced by a continuous
 # function whose region B = [50, 60] contradicts the formulas u_w = -2, v_w = 2
 CORRUPTED_BUILD_FW = """
 import sys
@@ -255,7 +254,7 @@ from troprays.semifield import INF, ONE, ZERO, t
 
 if __debug__:
     sys.exit(3)
-csfun.cs_restriction_pm = lambda *args: PmFunction(
+csfun._cs_ratio_pm = lambda *args: PmFunction(
     (ZERO, t(50), t(60), INF), ((ONE, 0), (t(-50), 1), (t(10), 0)))
 try:
     csfun.build_fw(M1, m1_interval(), Vector.unit(2, 0))

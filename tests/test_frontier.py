@@ -8,7 +8,7 @@ from troprays.errors import (
     VerificationFailed,
     WitnessNotInStratum,
 )
-from troprays.frontier import FrontierPair, entrance_ray, regularity_bounds
+from troprays.frontier import FrontierPair, regularity_bounds
 from troprays.instances import WALL, wall_family, wall_scenario
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval, ray
@@ -54,9 +54,9 @@ def test_entrance_degenerate_and_intermediate(m1, m1_fam, m1_frontier):
         fp2.entrance_data(ray(0, 0), ray("-inf", 0))
 
 
-def test_entrance_module_function(m1, m1_fam, m1_frontier):
-    z = entrance_ray(m1, m1_fam, m1_frontier.t, m1_frontier.t_prime,
-                     ray(0, -5), ray(0, 0))
+def test_entrance_ray(m1, m1_fam, m1_frontier):
+    fp = FrontierPair(m1, m1_fam, m1_frontier.t, m1_frontier.t_prime)
+    z = fp.entrance_ray(ray(0, -5), ray(0, 0))
     assert z == ray(0, 0)
 
 

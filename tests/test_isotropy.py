@@ -4,7 +4,6 @@ from troprays.errors import IllposedApproach, NoAnisotropicInterior
 from troprays.instances import M3, M3_C1
 from troprays.isotropy import (
     entrance_stratum,
-    is_isotropic,
     stability_check,
     stratify_halfopen,
 )
@@ -27,10 +26,10 @@ def m3_setup():
 
 def test_is_isotropic_worked():
     e1, e2, e3 = units()
-    assert is_isotropic(M3, e1)
-    assert not is_isotropic(M3, e2)
+    assert M3.is_isotropic(e1)
+    assert not M3.is_isotropic(e2)
     # cross term makes e1 + e2 anisotropic
-    assert not is_isotropic(M3, vec(0, 0, "-inf"))
+    assert not M3.is_isotropic(vec(0, 0, "-inf"))
 
 
 def test_entrance_m3_case_c2b(m3_setup):

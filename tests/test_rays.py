@@ -2,17 +2,17 @@ import pytest
 
 from troprays.errors import NotOnInterval, ZeroVector
 from troprays.quadspace import Vector, vec
-from troprays.rays import Ray, RayInterval, canonicalize, ray
+from troprays.rays import Ray, RayInterval, ray
 from troprays.sampling import Sampler
 from troprays.semifield import INF, ZERO, t
 
 
 def test_canonicalize_examples():
-    assert canonicalize(vec(3, 1)).rep == vec(0, -2)
-    assert canonicalize(vec(0, "-inf")).rep == vec(0, "-inf")
-    assert canonicalize(vec(-5, -5)).rep == vec(0, 0)
+    assert Ray(vec(3, 1)).rep == vec(0, -2)
+    assert Ray(vec(0, "-inf")).rep == vec(0, "-inf")
+    assert Ray(vec(-5, -5)).rep == vec(0, 0)
     with pytest.raises(ZeroVector):
-        canonicalize(vec("-inf", "-inf"))
+        Ray(vec("-inf", "-inf"))
 
 
 def test_canonicalize_idempotent_and_scale_invariant():

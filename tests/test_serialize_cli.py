@@ -74,7 +74,10 @@ def test_family_parsing_errors():
                 {"functions": [{"terms": ["Y1"]}]},
                 {"rays": {"Y1": ["0", "-inf"]},
                  "functions": [{"terms": [{"anchor": ["Y1"]}]}]},
-                {"samples": "Y1"}):
+                {"samples": "Y1"},
+                {"rays": {"Y1": ["+inf", "0"]}},
+                {"rays": {"O": ["-inf", "-inf"]}},
+                {"samples": [["0", "0", "0"]]}):
         with pytest.raises(SchemaError):
             serialize.family_from_json(doc, M1)
 
@@ -214,3 +217,51 @@ def test_cli_zero_max_iter_is_input_error():
 def test_cli_negative_samples_is_input_error():
     assert_input_error(run_cli("validate", "--model", data("m1.json"), "--samples", "-5"))
 
+
+
+def family_file(tmp_path, **extra):
+    """family_m1.json with some sections replaced, written to tmp_path."""
+    with open(data("family_m1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(extra)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_zero_vector_ray_argument_is_input_error():
+    assert_input_error(run_cli("stratify", "--model", data("m1.json"), "--b",
+                               data("family_m1.json"), "--from=-inf,-inf", "--to", "Y2"))
+
+
+def test_cli_zero_vector_family_ray_is_input_error(tmp_path):
+    family = family_file(tmp_path, rays={"Y1": ["0", "-inf"], "Y2": ["-inf", "0"],
+                                         "O": ["-inf", "-inf"]})
+    assert_input_error(run_cli("stratify", "--model", data("m1.json"), "--b", family,
+                               "--from", "Y1", "--to", "Y2"))
+
+
+def test_cli_sample_of_wrong_dimension_is_input_error(tmp_path):
+    family = family_file(tmp_path, samples=["W", ["0", "0", "0"]])
+    assert_input_error(run_cli("chart", "--model", data("m1.json"), "--b", family))
+
+
+def test_cli_infinite_coefficient_is_input_error(tmp_path):
+    family = family_file(tmp_path, functions=[
+        {"terms": [{"coeff": "+inf", "anchor": "Y1"}]},
+        {"terms": [{"coeff": "0", "anchor": "Y2"}]}])
+    assert_input_error(run_cli("stratify", "--model", data("m1.json"), "--b", family,
+                               "--from", "Y1", "--to", "Y2"))
+
+
+def test_cli_anisotropic_eps_is_input_error():
+    assert_input_error(run_cli("isotropy-entry", "--model", data("m3.json"), "--b",
+                               data("family_m3.json"), "--from", "Y2", "--to", "Y3",
+                               "--eps=-inf,0,-inf", "--eta=-inf,-inf,0"))
+
+
+def test_cli_junction_toward_its_own_source_has_no_entrance():
+    res = run_cli("junction", "--model", data("wall.json"), "--b",
+                  data("family_wall.json"), "--w", "W", "--w2", "W2", "--u", "W")
+    assert res.returncode == 1
+    assert res.stderr.decode().splitlines() == ["NoEntrance: U is W itself"]

@@ -13,7 +13,6 @@ from troprays.strata import (
     TracePiece,
     _assert_sign_monotone,
     derivation_chart,
-    eval_basic,
     example_family,
     is_direct_derivate,
     minimal_relaxation,
@@ -24,11 +23,11 @@ from troprays.strata import (
 
 
 def test_eval_basic_worked(m1, m1_fam):
-    assert eval_basic(m1, m1_fam[0], ray(0, 0)) == t(2)
-    assert eval_basic(m1, BasicFunction.zero(), ray(0, 0)) == ZERO
+    assert m1_fam[0].eval(m1, ray(0, 0)) == t(2)
+    assert BasicFunction.zero().eval(m1, ray(0, 0)) == ZERO
     c = m1.cs(Vector.unit(2, 0), Vector.unit(2, 1))
     scaled = BasicFunction.cs(ray(0, "-inf"), c.inverse())
-    assert eval_basic(m1, scaled, ray("-inf", 0)) == ONE
+    assert scaled.eval(m1, ray("-inf", 0)) == ONE
 
 
 def test_example_family_sizes(m1):
@@ -112,6 +111,16 @@ def test_zero_member_family_stratifies(m1, m1_iv):
     assert len(trace.pieces) >= 3
     covered = [p.signs for p in trace.pieces]
     assert len(set(covered)) == len(covered)  # consecutive pieces differ
+
+
+def test_zero_coefficient_term_drops_out(m1, m1_iv):
+    """A term with coefficient 0 restricts to the zero it evaluates to."""
+    eps1, eps2 = m1_iv.y1.base, m1_iv.y2.base
+    f = BasicFunction.cs(ray(0, "-inf"))
+    padded = BasicFunction(f.terms + ((ZERO, ray("-inf", 0)),))
+    assert padded.restrict(m1, eps1, eps2) == f.restrict(m1, eps1, eps2)
+    assert padded.eval(m1, ray(0, 0)) == f.eval(m1, ray(0, 0))
+    assert BasicFunction.cs(ray(0, "-inf"), ZERO).restrict(m1, eps1, eps2).is_constant_zero()
 
 
 def test_relaxation_components_basic():
