@@ -276,8 +276,9 @@ def cmd_isotropy_entry(args):
     stability = stability_check(pair, functions, approach, samples)
     rows = []
     for t_val in samples:
-        witness = Ray(eps + t_val * eta)
-        sv = sign_vector_at(pair, functions, witness)
+        sv = stability.observed.get(t_val)
+        if sv is None:
+            sv = sign_vector_at(pair, functions, Ray(eps + t_val * eta))
         rows.append((str(t_val), str(sv), sv == approach.entrance))
     doc = {
         "command": "isotropy-entry",

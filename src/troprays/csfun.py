@@ -80,7 +80,7 @@ def _cs_ratio_pm(b1: TropValue, b2: TropValue, a1: TropValue, a12: TropValue,
     denominator = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
     if denominator.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
-    return numerator.mul(denominator.scale(qw).invert()).normalize()
+    return numerator.mul(denominator.scale(qw).invert())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStra
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import SignVector, is_direct_derivate, sign_vector_at, stratify_interval
+from .strata import (SignVector, derivate_piece, is_direct_derivate, sign_vector_at,
+                     stratify_interval)
 
 
 def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
@@ -36,16 +37,12 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
     if u == w:
         raise NoEntrance("U is W itself")
     interval = RayInterval(w, u)
-    trace = stratify_interval(pair, family, interval)
-    if len(trace.pieces) != 2:
-        raise NoEntrance(f"trace of [W,U] has {len(trace.pieces)} pieces")
-    first, second = trace.pieces
-    if first.signs != t_vec or second.signs != t_prime:
-        raise NoEntrance("trace does not run from T to T'")
-    if not second.lo_closed:
+    piece = derivate_piece(stratify_interval(pair, family, interval), t_vec, t_prime)
+    if piece is None:
+        raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
+    if not piece.lo_closed:
         raise NoEntrance("boundary case2: T' piece is open at its first ray")
-    lam = second.lo
-    return interval.pi(lam), lam
+    return interval.pi(piece.lo), piece.lo
 
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
@@ -61,16 +58,11 @@ def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
     result = False
     if sign_vector_at(pair, family, z) == t_prime:
         interval = RayInterval(w, z)
-        trace = stratify_interval(pair, family, interval)
+        piece = derivate_piece(stratify_interval(pair, family, interval), t_vec, t_prime)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
-        result = (
-            len(trace.pieces) == 2
-            and trace.pieces[0].signs == t_vec
-            and trace.pieces[1].signs == t_prime
-            and trace.pieces[1].lo_closed
-            and interval.pi(trace.pieces[1].lo) == z
-        )
+        result = (piece is not None and piece.lo_closed
+                  and interval.pi(piece.lo) == z)
     if _memo is not None:
         _memo[key] = result
     return result

@@ -122,6 +122,7 @@ class StabilityReport:
     expected: SignVector
     samples_checked: int
     first_violation: tuple | None   # (t, observed sign vector)
+    observed: dict                  # t -> sign vector, for every checked sample
 
 
 def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
@@ -130,8 +131,9 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
 
     Samples at or above the bound t0 are skipped (at t0 itself only for a
     strict bound).  For the all-t cases (B, C1) every positive sample counts.
+    The check stops at the first violation.
     """
-    checked = 0
+    observed = {}
     for t_val in sorted(set(t_samples)):
         if t_val.is_zero() or t_val.is_infinite():
             continue
@@ -140,11 +142,12 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
                 continue
             if not approach.strict and t_val > approach.t0:
                 continue
-        observed = sign_vector_at(pair, family, Ray(approach.eps + t_val * approach.eta))
-        checked += 1
-        if observed != approach.entrance:
-            return StabilityReport(False, approach.entrance, checked, (t_val, observed))
-    return StabilityReport(True, approach.entrance, checked, None)
+        sv = sign_vector_at(pair, family, Ray(approach.eps + t_val * approach.eta))
+        observed[t_val] = sv
+        if sv != approach.entrance:
+            return StabilityReport(False, approach.entrance, len(observed),
+                                   (t_val, sv), observed)
+    return StabilityReport(True, approach.entrance, len(observed), None, observed)
 
 
 def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> StrataTrace:

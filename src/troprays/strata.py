@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .csfun import cs_restriction_pm
 from .errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
-from .pmfunc import PmFunction, _cells, _runs
+from .pmfunc import PmFunction, sign_runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, trop_sum
@@ -226,20 +226,10 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
     pms = [f.restrict(pair, eps1, eps2) for f in family]
-    points = {ZERO, INF}
-    for k, f in enumerate(pms):
-        for g in pms[k + 1:]:
-            for piece in f.compare(g):
-                points.add(piece.lo)
-                points.add(piece.hi)
-    cells = _cells(sorted(points))
-    if drop_zero_end:
-        cells = cells[1:]
-    if drop_inf_end:
-        cells = cells[:-1]
-    runs = _runs(cells, lambda lam: _sign_vector([f.eval(lam) for f in pms]))
-    pieces = tuple(TracePiece(sv, lo, lo_closed, hi, hi_closed)
-                   for lo, lo_closed, hi, hi_closed, sv in runs)
+    m = len(pms)
+    pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
+                   for lo, lo_closed, hi, hi_closed, signs
+                   in sign_runs(pms, not drop_zero_end, not drop_inf_end))
     boundaries = [(ZERO, interval.y1)]
     boundaries += [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
     boundaries.append((INF, interval.y2))
@@ -321,6 +311,19 @@ def minimal_relaxation(t_vec: SignVector, t_prime: SignVector) -> Relaxation | N
     return Relaxation(t_vec.m, tuple(signs))
 
 
+def derivate_piece(trace: StrataTrace, t_vec: SignVector,
+                   t_prime: SignVector) -> TracePiece | None:
+    """The T' piece of a trace that is one T piece followed by one T' piece,
+    else None.
+
+    The T' piece is closed at its first ray in case1 and open there in case2.
+    """
+    pieces = trace.pieces
+    if len(pieces) == 2 and pieces[0].signs == t_vec and pieces[1].signs == t_prime:
+        return pieces[1]
+    return None
+
+
 def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
                        t_prime: SignVector, w: Ray, w_prime: Ray) -> str:
     """Decide the boundary case between two strata along [W, W'].
@@ -336,12 +339,10 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
     if sign_vector_at(pair, family, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
     trace = stratify_interval(pair, family, RayInterval(w, w_prime))
-    if len(trace.pieces) != 2:
+    piece = derivate_piece(trace, t_vec, t_prime)
+    if piece is None:
         return "not_neighbors"
-    first, second = trace.pieces
-    if first.signs != t_vec or second.signs != t_prime:
-        return "not_neighbors"
-    return "case1" if second.lo_closed else "case2"
+    return "case1" if piece.lo_closed else "case2"
 
 
 @dataclass(frozen=True)
@@ -373,6 +374,20 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
     recorded when some sampled witness pair certifies case1.  The result is
     deterministic in the sample order; absences mean "not witnessed", not
     "not neighbors".
+
+    Only ordered pairs with T' a derivate of T (:meth:`SignVector.is_derivate_of`)
+    are tried, which loses no edge.  Lemma: a case1 certificate T -> T' forces
+    T' to be a derivate of T.  Proof: the trace of [W, W'] is [0, Z[ in T
+    followed by [Z, oo] in T', and [0, Z[ is not empty because it holds 0, so
+    Z > 0 is a limit of parameters in T.  Every basic function restricts to a
+    pm function, which is continuous in the parameter on [0, oo] (at a finite
+    Z both functions are monomials on some [Z', Z], at Z = oo their values are
+    the limits of their last monomials).  Take a pair (k, l).  If T has
+    f_k < f_l, the inequality holds on [0, Z[ and its limit at Z gives
+    f_k <= f_l there, so the sign of the pair in T' is '<' or '='; '>' is
+    symmetric.  If T has f_k = f_l, equality passes to the limit, so T' has
+    '=' as well.  Every sign of T' thus equals that of T or is '=' where T is
+    strict, which is what is_derivate_of tests.
     """
     groups = {}
     order = []
@@ -386,7 +401,7 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
     witnesses = []
     for t_vec in order:
         for t_prime in order:
-            if t_vec == t_prime:
+            if t_vec == t_prime or not t_prime.is_derivate_of(t_vec):
                 continue
             found = None
             for w in groups[t_vec]:

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from chart_reference import stratum_witnesses
 from troprays.csfun import build_fw
 from troprays.errors import TropraysError
 from troprays.frontier import FrontierPair
@@ -286,27 +287,6 @@ def chart_is_isomorphic(nodes_a, edges_a, nodes_b, edges_b):
         if all((phi[x], phi[y]) in set(edges_b) for x, y in ea):
             return True
     return False
-
-
-def stratum_witnesses(pair, family, sample, per_stratum, sampler):
-    """Up to `per_stratum` witnesses for each stratum of `sample`.
-
-    Each sample ray x is joined to random rays Y; every trace piece of
-    [x, Y] lying in a sampled stratum adds the ray at its interior point.
-    """
-    pools = {sign_vector_at(pair, family, x): [x] for x in sample}
-    for _ in range(2 * per_stratum):
-        for x in sample:
-            y = Ray(sampler.vector(pair.dim))
-            if y == x:
-                continue
-            interval = RayInterval(x, y)
-            for piece in stratify_interval(pair, family, interval).pieces:
-                pool = pools.get(piece.signs)
-                z = interval.pi(piece.interior_point())
-                if pool is not None and len(pool) < per_stratum and z not in pool:
-                    pool.append(z)
-    return pools
 
 
 def test_criterion_8_chart_reproduction():

@@ -239,3 +239,29 @@ def test_halfopen_interior_all_anisotropic(m3_setup):
     interval = RayInterval(Ray(e1), y2)
     for k in range(-6, 7, 2):
         assert not pair.eval_q(interval.pi(t(k)).base).is_zero()
+
+
+def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
+    """The README isotropy-entry command: one sign vector for the entrance
+    witness and one per sample (the first sample is that witness again),
+    none recomputed for the table."""
+    import os
+
+    import troprays.cli as cli
+    import troprays.isotropy as isotropy
+
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sign_vector_at(*args)
+
+    monkeypatch.setattr(cli, "sign_vector_at", counted)
+    monkeypatch.setattr(isotropy, "sign_vector_at", counted)
+    code = cli.main(["isotropy-entry", "--model", os.path.join(data, "m3.json"),
+                     "--b", os.path.join(data, "family_m3.json"), "--from", "Y2",
+                     "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0"])
+    assert code == 0
+    assert "stability over 25 samples: pass" in capsys.readouterr().out
+    assert len(calls) == 26

@@ -1,7 +1,9 @@
 import pytest
 
+from chart_reference import stratum_witnesses, unpruned_chart
 from troprays.errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
-from troprays.instances import CHART, chart_family, chart_sample
+from troprays.instances import (CHART, CORNER, M1, WALL, chart_family, chart_sample,
+                                corner_family, corner_sample, m1_family, wall_family)
 from troprays.quadspace import QuadraticPair, Vector
 from troprays.rays import Ray, RayInterval, ray
 from troprays.sampling import Sampler
@@ -343,3 +345,70 @@ def test_sign_patterns_monotone_along_traces():
                 rank = [{"<": 0, "=": 1, ">": 2}[s] for s in signs]
                 assert (all(a <= b for a, b in zip(rank, rank[1:]))
                         or all(a >= b for a, b in zip(rank, rank[1:])))
+
+
+def _corner_case(per_stratum):
+    family, sample = corner_family(), corner_sample()
+    pools = stratum_witnesses(CORNER, family, sample, per_stratum, Sampler(808))
+    return CORNER, family, [z for x in sample for z in pools[sign_vector_at(CORNER, family, x)]]
+
+
+def _random_chart_case(seed):
+    """Three CS functions of a random model, sampled at the interior points of
+    the pieces of random interval traces, so walls between strata get rays."""
+    sampler = Sampler(seed)
+    pair = sampler.anisotropic_pair(sampler.rng.randint(2, 3))
+    family = tuple(BasicFunction.cs(Ray(sampler.vector(pair.dim, p_zero=0.0)))
+                   for _ in range(3))
+    sample = []
+    while len(sample) < 12:
+        y1, y2 = (Ray(sampler.vector(pair.dim, p_zero=0.0)) for _ in range(2))
+        if y1 == y2:
+            continue
+        interval = RayInterval(y1, y2)
+        for piece in stratify_interval(pair, family, interval).pieces:
+            x = interval.pi(piece.interior_point())
+            if x not in sample:
+                sample.append(x)
+    return pair, family, sample
+
+
+CHART_CASES = {
+    "CHART": lambda: (CHART, chart_family(), chart_sample()),
+    "m1": lambda: (M1, m1_family(), [ray(0, -5), ray(0, 0), ray("-inf", 0), ray(0, 3),
+                                     ray(0, -1), ray(0, 1)]),
+    "WALL": lambda: (WALL, wall_family(), [ray(0, -5, "-inf"), ray(-2, -6, 0),
+                                           ray(-1, -1, 5), ray("-inf", 0, "-inf")]),
+    "CORNER-4": lambda: _corner_case(4),
+    "CORNER-8": lambda: _corner_case(8),
+    **{f"random-{seed}": (lambda seed=seed: _random_chart_case(seed)) for seed in range(1, 13)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_CASES))
+def test_pruned_chart_equals_unpruned_chart(name):
+    """Skipping pairs that are not derivates loses no case1 edge."""
+    pair, family, sample = CHART_CASES[name]()
+    pruned = derivation_chart(pair, family, sample)
+    full = unpruned_chart(pair, family, sample)
+    assert pruned.nodes == full.nodes
+    assert pruned.edges == full.edges
+    assert pruned.witnesses == full.witnesses
+
+
+def test_corner_chart_tries_only_derivate_pairs(monkeypatch):
+    import troprays.strata as strata
+
+    pair, family, sample = _corner_case(4)
+    calls = []
+    decide = strata.is_direct_derivate
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return decide(*args)
+
+    monkeypatch.setattr(strata, "is_direct_derivate", counted)
+    chart = derivation_chart(pair, family, sample)
+    assert len(chart.edges) == 7
+    assert len(calls) <= 20
+    assert all(tp.is_derivate_of(tv) for tv, tp in calls)
