@@ -12,7 +12,7 @@ import sys
 
 from . import serialize
 from .errors import SchemaError, TropraysError, VerificationFailed, ZeroVector
-from .csfun import build_fw
+from .csfun import build_fw, cs_restriction_pm
 from .frontier import FrontierPair
 from .isotropy import entrance_stratum, stability_check
 from .oracle import run_suite
@@ -149,10 +149,8 @@ def cmd_compare(args):
     interval = _interval_from_args(args, pair, rays)
     if not (0 <= args.f < len(functions) and 0 <= args.g < len(functions)):
         raise SchemaError("function index out of range")
-    f = functions[args.f]
-    g = functions[args.g]
-    pf = f.restrict(pair, interval.y1.base, interval.y2.base)
-    pg = g.restrict(pair, interval.y1.base, interval.y2.base)
+    pf, pg = cs_restriction_pm(pair, interval.y1.base, interval.y2.base,
+                               (functions[args.f], functions[args.g]))
     pieces = pf.compare(pg)
     doc = {
         "command": "compare",
@@ -188,8 +186,11 @@ def cmd_chart(args):
     chart = derivation_chart(pair, functions, samples)
     dot = chart.to_dot()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot + "\n")
+        except OSError as ex:
+            raise SchemaError(f"cannot write --dot {args.dot}: {ex.strerror}") from ex
     doc = {
         "command": "chart",
         "model_hash": model_hash(pair),

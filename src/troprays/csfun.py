@@ -1,4 +1,4 @@
-"""CS-functions restricted to ray intervals, with the region and uniqueness analysis.
+"""CS-functions and basic functions on ray intervals, with regions and uniqueness.
 
 For base points eps1, eps2 and a witness w the restriction of CS(-, w) to the
 interval is the ratio of two tropical polynomials in the parameter,
@@ -6,10 +6,16 @@ interval is the ratio of two tropical polynomials in the parameter,
     f_w(lam) = (b(eps1,w)^2 + lam^2 b(eps2,w)^2)
                / ((alpha1 + alpha12 lam + alpha2 lam^2) * q(w)),
 
-computed here by exact pm division of the two upper envelopes rather than by
+computed here by exact pm arithmetic on the upper envelopes rather than by
 case tables, so the classical case split (quasilinear or not) becomes a
 checkable postcondition.  The denominator polynomial q(eps1 + lam eps2) is
 exposed separately as :func:`q_segment_profile`.
+
+A basic function f = sum_j c_j CS(Y_j, -) restricts to f = N / q: all terms
+share the denominator q(eps1 + lam eps2), so the numerator
+N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) is one envelope
+and 1/q is built once per interval.  :func:`cs_restriction_pm` restricts a
+family with 3 Gram evaluations per interval plus 3 per nonzero term.
 
 Region analysis: f_w is constant on a maximal initial interval A_w and a
 maximal final interval C_w and is nowhere constant in between (B_w), unless
@@ -27,8 +33,8 @@ from .errors import (IsotropicArgument, IsotropicEndpoint, PerpendicularWitness,
                      VerificationFailed)
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
-from .rays import RayInterval
-from .semifield import INF, ZERO, TropValue
+from .rays import Ray, RayInterval
+from .semifield import INF, ONE, ZERO, TropValue, trop_sum
 
 
 def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
@@ -47,40 +53,72 @@ def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
     return PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
 
 
+@dataclass(frozen=True)
+class BasicFunction:
+    """f = sum_j coeff_j * CS(anchor_j, -); the empty sum is the zero function."""
+
+    terms: tuple  # of (coeff: TropValue, anchor: Ray)
+
+    @classmethod
+    def cs(cls, anchor: Ray, coeff: TropValue = ONE) -> "BasicFunction":
+        return cls(((coeff, anchor),))
+
+    @classmethod
+    def zero(cls) -> "BasicFunction":
+        return cls(())
+
+    def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
+        return trop_sum(coeff * pair.cs(anchor.base, x.base)
+                        for coeff, anchor in self.terms)
+
+    def anchors(self):
+        return tuple(anchor for _, anchor in self.terms)
+
+
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
-                      w: Vector) -> PmFunction:
-    """The pm function lam -> CS(ray(eps1 + lam eps2), w), general base points.
+                      family) -> tuple:
+    """The pm functions lam -> f(ray(eps1 + lam eps2)) of a family, each one
+    numerator envelope times the shared 1/q.
 
-    Isotropic endpoints are permitted as long as q(eps1 + lam eps2) does not
-    vanish identically; the result may then take the value oo at a domain
-    endpoint.  A witness orthogonal to both base points yields the constant
-    zero function.
+    Terms with coefficient 0 or orthogonal to both base points drop out, so a
+    function without other terms is the constant zero.  An endpoint may be
+    isotropic unless q vanishes along the whole interval; a result may then
+    take the value oo at a domain endpoint.
     """
-    qw = pair.eval_q(w)
-    if qw.is_zero():
-        raise IsotropicArgument("CS witness must be anisotropic")
-    b1 = pair.eval_b(eps1, w)
-    b2 = pair.eval_b(eps2, w)
-    if b1.is_zero() and b2.is_zero():
-        return PmFunction.constant(ZERO)
-    return _cs_ratio_pm(b1, b2, pair.eval_q(eps1), pair.eval_b(eps1, eps2),
-                        pair.eval_q(eps2), qw)
+    a1, a12, a2 = pair.eval_q(eps1), pair.eval_b(eps1, eps2), pair.eval_q(eps2)
+    inv_q = None
+    out = []
+    for f in family:
+        numerator = []
+        for coeff, anchor in f.terms:
+            if coeff.is_zero():
+                continue
+            w = anchor.base
+            qw = pair.eval_q(w)
+            if qw.is_zero():
+                raise IsotropicArgument("CS witness must be anisotropic")
+            b1, b2 = pair.eval_b(eps1, w), pair.eval_b(eps2, w)
+            if inv_q is None and not (b1.is_zero() and b2.is_zero()):
+                inv_q = _inverse_q(a1, a12, a2)
+            c = coeff / qw
+            numerator += [(c * b1 * b1, 0), (c * b2 * b2, 2)]
+        out.append(_over_q(numerator, inv_q))
+    return tuple(out)
 
 
-def _cs_ratio_pm(b1: TropValue, b2: TropValue, a1: TropValue, a12: TropValue,
-                 a2: TropValue, qw: TropValue) -> PmFunction:
-    """lam -> (b1^2 + lam^2 b2^2) / ((a1 + a12 lam + a2 lam^2) qw), normalized.
-
-    Takes the Gram values b(eps1,w), b(eps2,w), q(eps1), b(eps1,eps2), q(eps2)
-    and q(w) from the caller, which evaluates each of them once.
-    """
-    numerator = PmFunction.from_monomials([(b1 * b1, 0), (b2 * b2, 2)])
-    if numerator.is_constant_zero():
-        return numerator
-    denominator = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
-    if denominator.is_constant_zero():
+def _inverse_q(a1: TropValue, a12: TropValue, a2: TropValue) -> PmFunction:
+    """lam -> 1 / (a1 + a12 lam + a2 lam^2), the inverted q(eps1 + lam eps2)."""
+    q = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
+    if q.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
-    return numerator.mul(denominator.scale(qw).invert())
+    return q.invert()
+
+
+def _over_q(numerator, inv_q: PmFunction | None) -> PmFunction:
+    """The envelope of the (coeff, degree) monomials times inv_q (from
+    :func:`_inverse_q`); inv_q may be None when every coefficient is 0."""
+    n = PmFunction.from_monomials(numerator)
+    return n if n.is_constant_zero() else n.mul(inv_q)
 
 
 @dataclass(frozen=True)
@@ -121,7 +159,7 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     qw = pair.eval_q(w)
     if qw.is_zero():
         raise IsotropicArgument("CS witness must be anisotropic")
-    f = _cs_ratio_pm(b1, b2, a1, a12, a2, qw)
+    f = _over_q([(b1 * b1 / qw, 0), (b2 * b2 / qw, 2)], _inverse_q(a1, a12, a2))
 
     quasilinear = a1 * a2 >= a12 * a12
     r = b1 / b2  # oo when b2 = 0, 0 when b1 = 0

@@ -245,13 +245,7 @@ class FrontierPair:
             raise WitnessNotInStratum("W' must lie in T")
         if sign_vector_at(self.pair, self.family, u) != self.t_prime:
             raise WitnessNotInStratum("U must lie in T'")
-        anchors = []
-        seen = set()
-        for f in self.family:
-            for _, anchor in f.terms:
-                if anchor.rep not in seen:
-                    seen.add(anchor.rep)
-                    anchors.append(anchor)
+        anchors = tuple(dict.fromkeys(a for f in self.family for a in f.anchors()))
         for y in anchors:
             if self.pair.eval_b(u.base, y.base).is_zero():
                 raise NotRegular("U is not regular for the family anchors")

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _cs_ratio_pm
+from .csfun import _inverse_q, _over_q
 from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, midpoint, t
+from .semifield import INF, ONE, TropValue, midpoint, t
 from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
 
 
@@ -87,18 +87,19 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
         case = "A"
         strict = False
         t0 = min(_ratio_or_inf(a12, b_eta_2), _ratio_or_inf(a13, b_eta_3))
-        profile = _cs_ratio_pm(a12, a13, a2, a23, a3, ONE)
+        profile = _over_q([(a12 * a12, 0), (a13 * a13, 2)], _inverse_q(a2, a23, a3))
     elif a12.is_zero():
         case = "B"
         strict = False
         t0 = INF
         if not (b_eta_2.is_zero() and b_eta_3.is_zero()):
-            profile = _cs_ratio_pm(b_eta_2, b_eta_3, a2, a23, a3, ONE)
+            profile = _over_q([(b_eta_2 * b_eta_2, 0), (b_eta_3 * b_eta_3, 2)],
+                              _inverse_q(a2, a23, a3))
     elif b_eta_3.is_zero():
         case = "C1"
         strict = False
         t0 = INF
-        profile = _cs_ratio_pm(ONE, ZERO, a2, a23, a3, ONE)  # 1 / q(eps2 + t eps3)
+        profile = _inverse_q(a2, a23, a3)  # 1 / q(eps2 + t eps3)
     else:
         cs23 = pair.cs(eps2, eps3)
         if cs23 > ONE:

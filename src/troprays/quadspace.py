@@ -103,7 +103,9 @@ class Vector:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # equal coordinates have the same reduced lattice form, and hashing
+        # its ints skips a Fraction hash (a modular inverse) per coordinate
+        return hash(self.lattice())
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

@@ -1,63 +1,27 @@
 """Partitions of the ray space by linear combinations of CS-functions.
 
-A basic function is a tropical linear combination f = sum_j gamma_j CS(Y_j, -)
-over a finite anchor set of anisotropic rays.  A finite family of basic
-functions partitions the anisotropic ray space into strata: the sets on which
-every pairwise comparison f_k vs f_l has a fixed sign.  Restricted to a
-closed ray interval the strata appear as consecutive pieces whose boundary
-rays (separators) are computed exactly from crossing parameters; endpoint
-closures are decided by exact evaluation at the crossing, never by
-convention.
+A basic function (:class:`troprays.csfun.BasicFunction`) is a tropical sum
+f = sum_j gamma_j CS(Y_j, -) over finitely many anisotropic anchor rays.  A
+finite family of them partitions the anisotropic ray space into strata: the
+sets on which every pairwise comparison f_k vs f_l has a fixed sign.
+Restricted to a closed ray interval the strata appear as consecutive pieces
+whose boundary rays (separators) are computed exactly from crossing
+parameters; endpoint closures are decided by exact evaluation at the
+crossing, never by convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import cs_restriction_pm
+from .csfun import BasicFunction, cs_restriction_pm
 from .errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
-from .pmfunc import PmFunction, sign_runs
+from .pmfunc import sign_runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, trop_sum
+from .semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint
 
 OPPOSITE = {"<": ">", ">": "<", "=": "="}
-
-
-@dataclass(frozen=True)
-class BasicFunction:
-    """f = sum_j coeff_j * CS(anchor_j, -); the empty sum is the zero function."""
-
-    terms: tuple  # of (coeff: TropValue, anchor: Ray)
-
-    @classmethod
-    def cs(cls, anchor: Ray, coeff: TropValue = ONE) -> "BasicFunction":
-        return cls(((coeff, anchor),))
-
-    @classmethod
-    def zero(cls) -> "BasicFunction":
-        return cls(())
-
-    def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
-        return trop_sum(coeff * pair.cs(anchor.base, x.base)
-                        for coeff, anchor in self.terms)
-
-    def anchors(self):
-        return tuple(anchor for _, anchor in self.terms)
-
-    def restrict(self, pair: QuadraticPair, eps1, eps2) -> PmFunction:
-        """The pm function of lam -> f(pi(lam)); terms with coefficient 0 or
-        orthogonal to both base points are the constant zero and drop out."""
-        acc = None
-        for coeff, anchor in self.terms:
-            if coeff.is_zero():
-                continue
-            piece = cs_restriction_pm(pair, eps1, eps2, anchor.base)
-            if piece.is_constant_zero():
-                continue
-            piece = piece.scale(coeff)
-            acc = piece if acc is None else acc.add(piece)
-        return acc if acc is not None else PmFunction.constant(ZERO)
 
 
 def example_family(pair: QuadraticPair, y1: Ray, y2: Ray) -> tuple:
@@ -224,8 +188,7 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     consecutive pieces.  When an end is dropped (isotropic interval endpoint)
     the adjacent piece opens there and the endpoint itself belongs to no piece.
     """
-    eps1, eps2 = interval.y1.base, interval.y2.base
-    pms = [f.restrict(pair, eps1, eps2) for f in family]
+    pms = cs_restriction_pm(pair, interval.y1.base, interval.y2.base, family)
     m = len(pms)
     pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs

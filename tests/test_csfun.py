@@ -5,13 +5,15 @@ import sys
 import pytest
 
 from troprays.csfun import (
+    BasicFunction,
     build_fw,
     cs_restriction_pm,
     q_segment_profile,
     uniqueness_classify,
 )
-from troprays.errors import IsotropicEndpoint, PerpendicularWitness
+from troprays.errors import IsotropicArgument, IsotropicEndpoint, PerpendicularWitness
 from troprays.oracle import reconstruct_cs_profile
+from troprays.pmfunc import PmFunction
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval
 from troprays.sampling import Sampler
@@ -87,8 +89,9 @@ def test_build_fw_rejects_doubly_perpendicular():
     with pytest.raises(PerpendicularWitness):
         build_fw(pair, interval, Vector.unit(3, 2))
     # the raw restriction treats it as the constant zero function
-    assert cs_restriction_pm(pair, Vector.unit(3, 0), Vector.unit(3, 1),
-                             Vector.unit(3, 2)).is_constant_zero()
+    (f,) = cs_restriction_pm(pair, Vector.unit(3, 0), Vector.unit(3, 1),
+                             (BasicFunction.cs(Ray(Vector.unit(3, 2))),))
+    assert f.is_constant_zero()
 
 
 def test_fw_matches_cs_ratio_everywhere(m1, m1_iv):
@@ -197,7 +200,7 @@ def test_uniqueness_matches_fibers(m1, m1_iv):
 def test_build_fw_equals_cs_restriction_pm(m1, m1_iv):
     w_ray = Ray(vec(0, -1))
     assert build_fw(m1, m1_iv, w_ray.base).f.equivalent(
-        cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, w_ray.base))
+        cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, (BasicFunction.cs(w_ray),))[0])
 
 
 def test_pm_restriction_matches_subinterval_geometry():
@@ -224,7 +227,7 @@ def test_pm_restriction_matches_subinterval_geometry():
             continue
         checked += 1
         restricted = build_fw(pair, interval, w).f.restrict(zeta, eta)
-        rebuilt = cs_restriction_pm(pair, z1.base, z2.base, w)
+        (rebuilt,) = cs_restriction_pm(pair, z1.base, z2.base, (BasicFunction.cs(Ray(w)),))
         assert restricted.equivalent(rebuilt)
 
 
@@ -241,7 +244,7 @@ def test_composition_with_cs_restriction(m1, m1_iv):
         assert composed.eval(lam) == min(f.eval(lam), t(3))
 
 
-# build_fw on M1's e1 witness with the CS-ratio pm replaced by a continuous
+# build_fw on M1's e1 witness with the numerator-over-q pm replaced by a continuous
 # function whose region B = [50, 60] contradicts the formulas u_w = -2, v_w = 2
 CORRUPTED_BUILD_FW = """
 import sys
@@ -254,7 +257,7 @@ from troprays.semifield import INF, ONE, ZERO, t
 
 if __debug__:
     sys.exit(3)
-csfun._cs_ratio_pm = lambda *args: PmFunction(
+csfun._over_q = lambda *args: PmFunction(
     (ZERO, t(50), t(60), INF), ((ONE, 0), (t(-50), 1), (t(10), 0)))
 try:
     csfun.build_fw(M1, m1_interval(), Vector.unit(2, 0))
@@ -271,3 +274,127 @@ def test_build_fw_self_check_survives_optimize():
                          capture_output=True, env=env)
     assert res.returncode == 0, res.stderr.decode()
 
+
+
+def per_term_restriction(pair, eps1, eps2, f):
+    """f restricted term by term from pm primitives: each term is its own
+    ratio N_j / (q q(w_j)), scaled by its coefficient and added."""
+    acc = PmFunction.constant(ZERO)
+    for coeff, anchor in f.terms:
+        if coeff.is_zero():
+            continue
+        w = anchor.base
+        qw = pair.eval_q(w)
+        if qw.is_zero():
+            raise IsotropicArgument("isotropic anchor")
+        b1, b2 = pair.eval_b(eps1, w), pair.eval_b(eps2, w)
+        numerator = PmFunction.from_monomials([(b1 * b1, 0), (b2 * b2, 2)])
+        if numerator.is_constant_zero():
+            continue
+        q = PmFunction.from_monomials([(pair.eval_q(eps1), 0),
+                                       (pair.eval_b(eps1, eps2), 1),
+                                       (pair.eval_q(eps2), 2)])
+        if q.is_constant_zero():
+            raise IsotropicArgument("q vanishes along the interval")
+        term = numerator.mul(q.scale(qw).invert()).scale(coeff)
+        acc = term if acc.is_constant_zero() else acc.add(term)
+    return acc
+
+
+def random_restriction_case(sampler):
+    """(pair, eps1, eps2, family) with isotropic e1 in one case of five, e_n
+    orthogonal to e1 and e2 in one of three, base points in span(e1, e2)
+    half the time, zero coefficients and anchors repeated from a small pool."""
+    rng = sampler.rng
+    n = rng.randint(2, 4)
+    pair = sampler.anisotropic_pair(n)
+    q_diag, b = list(pair.q_diag), [list(row) for row in pair.b]
+    if rng.random() < 0.2:
+        q_diag[0] = b[0][0] = ZERO
+    if n > 2 and rng.random() < 1 / 3:
+        for i in (0, 1):
+            b[i][n - 1] = b[n - 1][i] = ZERO
+    pair = QuadraticPair(n, tuple(q_diag), tuple(tuple(row) for row in b))
+    span = n if rng.random() < 0.5 else 2
+
+    def base_point():
+        v = sampler.vector(span, p_zero=0.3)
+        return Vector(v.coords + (ZERO,) * (n - span))
+
+    eps1 = Vector.unit(n, 0) if rng.random() < 0.5 else base_point()
+    eps2 = base_point()
+    while Ray(eps2) == Ray(eps1):
+        eps2 = base_point()
+    pool = [Ray(Vector.unit(n, n - 1))]
+    while len(pool) < 3:
+        y = Ray(sampler.vector(n, p_zero=0.3))
+        if not pair.eval_q(y.base).is_zero():
+            pool.append(y)
+    family = tuple(
+        BasicFunction(tuple((ZERO if rng.random() < 0.2 else sampler.value(), rng.choice(pool))
+                            for _ in range(rng.randint(0, 3))))
+        for _ in range(rng.randint(1, 4)))
+    return pair, eps1, eps2, family
+
+
+def test_family_restriction_equals_per_term_reference():
+    """One numerator envelope over one shared 1/q is == to the per-term sum,
+    and agrees with BasicFunction.eval at breakpoints and sampled points."""
+    sampler = Sampler(71, num_bound=4, den_bound=2)
+    seen = dict.fromkeys(("multi_term", "zero_coeff", "orthogonal", "repeated",
+                          "isotropic_end"), 0)
+    for _ in range(300):
+        pair, eps1, eps2, family = random_restriction_case(sampler)
+        pms = cs_restriction_pm(pair, eps1, eps2, family)
+        assert pms == tuple(per_term_restriction(pair, eps1, eps2, f) for f in family)
+        for f, pm in zip(family, pms):
+            params = sampler.many_parameters(6, include=pm.breakpoints[:-1])
+            for lam in params:
+                x = eps1 + lam * eps2
+                if not pair.eval_q(x).is_zero():
+                    assert pm.eval(lam) == f.eval(pair, Ray(x))
+            anchors = f.anchors()
+            seen["multi_term"] += len(anchors) > 1
+            seen["zero_coeff"] += any(c.is_zero() for c, _ in f.terms)
+            seen["repeated"] += len(set(anchors)) < len(anchors)
+            seen["orthogonal"] += any(
+                pair.eval_b(eps1, y.base).is_zero() and pair.eval_b(eps2, y.base).is_zero()
+                for y in anchors)
+        seen["isotropic_end"] += pair.eval_q(eps1).is_zero()
+    assert min(seen.values()) >= 10, seen
+
+
+def test_family_restriction_on_an_isotropic_interval():
+    """q(e1 + lam e2) = 0 for every lam: a family with a live term raises, as
+    the per-term reference does; a family without one restricts to zeros."""
+    pair = QuadraticPair.from_rows(
+        ["-inf", "-inf", "0"],
+        [["-inf", "-inf", "0"], ["-inf", "-inf", "1"], ["0", "1", "0"]])
+    e1, e2, e3 = (Vector.unit(3, i) for i in range(3))
+    live = (BasicFunction.zero(), BasicFunction.cs(Ray(e3)))
+    with pytest.raises(IsotropicArgument):
+        cs_restriction_pm(pair, e1, e2, live)
+    with pytest.raises(IsotropicArgument):
+        per_term_restriction(pair, e1, e2, live[1])
+    dead = (BasicFunction.zero(), BasicFunction.cs(Ray(e3), ZERO))
+    assert all(pm.is_constant_zero() for pm in cs_restriction_pm(pair, e1, e2, dead))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_family_restriction_gram_count(m1, m1_iv, monkeypatch, k):
+    """k one-term functions on one interval: 3 Gram evaluations per term and
+    3 for the interval."""
+    calls = []
+    for name in ("eval_q", "eval_b"):
+        original = getattr(QuadraticPair, name)
+
+        def counted(self, *args, _original=original):
+            calls.append(args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(QuadraticPair, name, counted)
+    anchors = [Ray(vec(0, -i)) for i in range(k)]
+    family = tuple(BasicFunction.cs(y, t(i)) for i, y in enumerate(anchors))
+    pms = cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, family)
+    assert len(calls) == 3 * k + 3
+    assert not any(pm.is_constant_zero() for pm in pms)

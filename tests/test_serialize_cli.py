@@ -254,6 +254,13 @@ def test_cli_infinite_coefficient_is_input_error(tmp_path):
                                "--from", "Y1", "--to", "Y2"))
 
 
+def test_cli_unwritable_dot_path_is_input_error(tmp_path):
+    out = tmp_path / "missing" / "chart.dot"
+    assert_input_error(run_cli("chart", "--model", data("m1.json"), "--b",
+                               data("family_m1.json"), "--dot", str(out)))
+    assert not out.exists()
+
+
 def test_cli_anisotropic_eps_is_input_error():
     assert_input_error(run_cli("isotropy-entry", "--model", data("m3.json"), "--b",
                                data("family_m3.json"), "--from", "Y2", "--to", "Y3",

@@ -1,6 +1,7 @@
 import pytest
 
 from chart_reference import stratum_witnesses, unpruned_chart
+from troprays.csfun import cs_restriction_pm
 from troprays.errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
 from troprays.instances import (CHART, CORNER, M1, WALL, chart_family, chart_sample,
                                 corner_family, corner_sample, m1_family, wall_family)
@@ -120,9 +121,11 @@ def test_zero_coefficient_term_drops_out(m1, m1_iv):
     eps1, eps2 = m1_iv.y1.base, m1_iv.y2.base
     f = BasicFunction.cs(ray(0, "-inf"))
     padded = BasicFunction(f.terms + ((ZERO, ray("-inf", 0)),))
-    assert padded.restrict(m1, eps1, eps2) == f.restrict(m1, eps1, eps2)
+    padded_pm, f_pm = cs_restriction_pm(m1, eps1, eps2, (padded, f))
+    assert padded_pm == f_pm
     assert padded.eval(m1, ray(0, 0)) == f.eval(m1, ray(0, 0))
-    assert BasicFunction.cs(ray(0, "-inf"), ZERO).restrict(m1, eps1, eps2).is_constant_zero()
+    (zero_pm,) = cs_restriction_pm(m1, eps1, eps2, (BasicFunction.cs(ray(0, "-inf"), ZERO),))
+    assert zero_pm.is_constant_zero()
 
 
 def test_relaxation_components_basic():
