@@ -67,8 +67,10 @@ class BasicFunction:
     def zero(cls) -> "BasicFunction":
         return cls(())
 
-    def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
-        return trop_sum(coeff * pair.cs(anchor.base, x.base)
+    def eval(self, pair: QuadraticPair, x: Ray, qx: TropValue | None = None) -> TropValue:
+        """f(x); a caller evaluating a whole family at x passes qx = q(x.base)
+        so that it is evaluated once."""
+        return trop_sum(coeff * pair.cs(anchor.base, x.base, qx)
                         for coeff, anchor in self.terms)
 
     def anchors(self):
@@ -76,16 +78,19 @@ class BasicFunction:
 
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
-                      family) -> tuple:
+                      family, anisotropic_ends: bool = False) -> tuple:
     """The pm functions lam -> f(ray(eps1 + lam eps2)) of a family, each one
     numerator envelope times the shared 1/q.
 
     Terms with coefficient 0 or orthogonal to both base points drop out, so a
     function without other terms is the constant zero.  An endpoint may be
     isotropic unless q vanishes along the whole interval; a result may then
-    take the value oo at a domain endpoint.
+    take the value oo at a domain endpoint.  With ``anisotropic_ends`` an
+    isotropic endpoint raises IsotropicArgument instead.
     """
     a1, a12, a2 = pair.eval_q(eps1), pair.eval_b(eps1, eps2), pair.eval_q(eps2)
+    if anisotropic_ends and (a1.is_zero() or a2.is_zero()):
+        raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     inv_q = None
     out = []
     for f in family:

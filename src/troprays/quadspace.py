@@ -12,24 +12,30 @@ every diagonal entry satisfies beta_ii <= alpha_i.  The JSON loader rejects
 data violating that bound; :func:`validate_pair` reports violations on
 in-memory models.  Models with beta_ii = alpha_i for all i are *balanced*.
 
-Gram evaluation runs on an integer lattice.  Vectors and models keep their
-finite exponents as integer numerators over one common denominator (the
-lcm of the exponents' denominators), and q and b take their max-plus sums
-beta_ij + x_i + y_j in Python ints over L = the lcm of the denominators
-involved.  This is exact because max-plus arithmetic commutes with scaling
-by a positive integer: L * max(a, b) = max(L a, L b) and
+The integer lattice.  A vector is stored only as (d, nums): nums[k] is d
+times the exponent of coordinate k, an int, or None for the zero
+coordinate, reduced so that gcd(d, nums) = 1.  Equal vectors thus have equal
+(d, nums), whatever built them, and ``==`` and ``hash`` compare these ints;
+the TropValue view ``coords`` is built on first use.  Models keep their Gram
+data as numerators over one denominator too.  Every operation runs in Python
+ints over L, the lcm of the denominators involved: a sum takes the
+coordinatewise max of the numerators over L = lcm(d, d'), a scaling by
+t^(p/q) adds p L/q to every numerator over L = lcm(d, q), and q and b take
+their max-plus sums beta_ij + x_i + y_j over the lcm of the model's and the
+vectors' denominators.  This is exact because max-plus arithmetic commutes
+with scaling by a positive integer: L * max(a, b) = max(L a, L b) and
 L * (a + b) = L a + L b, so the scaled maximum divided by L is the rational
-maximum itself.  Only the result becomes a Fraction.
+maximum itself.  Only Gram values and coordinate views become Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
-from .semifield import _KFINITE, ZERO, ONE, TropValue
+from .semifield import _KFINITE, ZERO, TropValue
 
 
 def _lattice(values) -> tuple:
@@ -42,26 +48,32 @@ def _lattice(values) -> tuple:
 
 
 class Vector:
-    """Immutable coordinate vector over [0, oo[; no coordinate may be oo."""
+    """Immutable coordinate vector over [0, oo[; no coordinate may be oo.
 
-    __slots__ = ("coords", "_lat")
+    Stored on the integer lattice only: ``nums[k]`` is ``d`` times the
+    exponent of coordinate k, an int, or None for the zero, and
+    gcd(d, nums) = 1.  ``coords`` is a TropValue view built on first use.
+    """
+
+    __slots__ = ("d", "nums", "_coords")
 
     def __init__(self, coords):
         coords = tuple(coords)
         for c in coords:
             if c.is_infinite():
                 raise ValueError("vector coordinates must lie in [0, oo[")
-        self.coords = coords
-        # the integer-lattice form of the coordinates, (d, nums) as built by
-        # _lattice; computed on the first Gram evaluation, since most vectors
-        # (ray representatives, interval points) never reach one
-        self._lat = None
+        # the lcm of reduced denominators leaves gcd(d, nums) = 1
+        self.d, self.nums = _lattice(coords)
+        self._coords = None
 
-    def lattice(self) -> tuple:
-        """The coordinates as (d, nums): integer numerators over d."""
-        if self._lat is None:
-            self._lat = _lattice(self.coords)
-        return self._lat
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as TropValues."""
+        if self._coords is None:
+            d = self.d
+            self._coords = tuple([ZERO if n is None else TropValue(_KFINITE, Fraction(n, d))
+                                  for n in self.nums])
+        return self._coords
 
     @classmethod
     def parse(cls, items) -> "Vector":
@@ -69,10 +81,10 @@ class Vector:
 
     @classmethod
     def unit(cls, dim: int, i: int) -> "Vector":
-        return cls(ONE if j == i else ZERO for j in range(dim))
+        return _vector(1, tuple([0 if j == i else None for j in range(dim)]))
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def __getitem__(self, i: int) -> TropValue:
         return self.coords[i]
@@ -81,34 +93,59 @@ class Vector:
         return iter(self.coords)
 
     def __add__(self, other: "Vector") -> "Vector":
-        if len(self) != len(other):
+        """The coordinatewise maximum, taken on the numerators over lcm(d, d')."""
+        xs, ys = self.nums, other.nums
+        if len(xs) != len(ys):
             raise DimensionMismatch("vector dimensions differ")
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        d = self.d
+        if other.d != d:
+            d = lcm(d, other.d)
+            sx, sy = d // self.d, d // other.d
+            xs = [None if x is None else x * sx for x in xs]
+            ys = [None if y is None else y * sy for y in ys]
+        return _vector(d, tuple([y if x is None else x if y is None or y < x else y
+                                 for x, y in zip(xs, ys)]))
 
     def scale(self, lam: TropValue) -> "Vector":
-        """lam * x; lam must lie in [0, oo[ so no coordinate becomes oo."""
+        """lam * x; lam must lie in [0, oo[ so no coordinate becomes oo.
+
+        A finite lam = p/q adds p to every numerator over lcm(d, q)."""
         if lam.is_infinite():
             raise ValueError("scalars must lie in [0, oo[")
-        return Vector(lam * c for c in self.coords)
+        if lam.is_zero():
+            return _vector(1, (None,) * len(self.nums))
+        p, q = lam.exp.numerator, lam.exp.denominator
+        d = lcm(self.d, q)
+        s, shift = d // self.d, p * (d // q)
+        return _vector(d, tuple([None if x is None else x * s + shift for x in self.nums]))
 
     def __rmul__(self, lam: TropValue) -> "Vector":
         return self.scale(lam)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return all(x is None for x in self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.coords == other.coords
+        return self.d == other.d and self.nums == other.nums
 
     def __hash__(self):
-        # equal coordinates have the same reduced lattice form, and hashing
-        # its ints skips a Fraction hash (a modular inverse) per coordinate
-        return hash(self.lattice())
+        return hash((self.d, self.nums))
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _vector(d: int, nums: tuple) -> Vector:
+    """The vector with numerators nums over d, reduced to gcd(d, nums) = 1."""
+    g = gcd(d, *[x for x in nums if x is not None])
+    if g > 1:
+        d //= g
+        nums = tuple([None if x is None else x // g for x in nums])
+    v = object.__new__(Vector)
+    v.d, v.nums, v._coords = d, nums, None
+    return v
 
 
 def vec(*items) -> Vector:
@@ -171,7 +208,7 @@ class QuadraticPair:
         """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""
         self._check_dim(x)
         d, qn, rows = self._lat
-        dx, xn = x.lattice()
+        dx, xn = x.d, x.nums
         den = lcm(d, dx)
         sg, sx = den // d, den // dx
         xs = [(i, v * sx) for i, v in enumerate(xn) if v is not None]
@@ -196,8 +233,8 @@ class QuadraticPair:
         self._check_dim(x)
         self._check_dim(y)
         d, _, rows = self._lat
-        dx, xn = x.lattice()
-        dy, yn = y.lattice()
+        dx, xn = x.d, x.nums
+        dy, yn = y.d, y.nums
         den = lcm(d, dx, dy)
         sg, sx, sy = den // d, den // dx, den // dy
         ys = [(j, v * sy) for j, v in enumerate(yn) if v is not None]
@@ -214,10 +251,12 @@ class QuadraticPair:
                         best = v
         return ZERO if best is None else TropValue(_KFINITE, Fraction(best, den))
 
-    def cs(self, x: Vector, y: Vector) -> TropValue:
-        """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic."""
+    def cs(self, x: Vector, y: Vector, qy: TropValue | None = None) -> TropValue:
+        """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic.
+        A caller that has q(y) already passes it as qy."""
         qx = self.eval_q(x)
-        qy = self.eval_q(y)
+        if qy is None:
+            qy = self.eval_q(y)
         if qx.is_zero() or qy.is_zero():
             raise IsotropicArgument("CS-ratio needs anisotropic arguments")
         bxy = self.eval_b(x, y)

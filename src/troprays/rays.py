@@ -2,9 +2,11 @@
 
 A ray is the class of a nonzero vector under independent rescaling; its
 canonical representative divides out the largest coordinate, so every rep
-has maximal coordinate e.  Rays are *pointed*: each carries the base vector
-it was formed from, so parameter values along intervals are reproducible.
-Equality and hashing ignore the base point.
+has maximal coordinate e.  On the vector's integer lattice (d, nums) this
+subtracts the largest numerator from every numerator, so forming a ray, its
+equality and its hash run in ints.  Rays are *pointed*: each carries the
+base vector it was formed from, so parameter values along intervals are
+reproducible.  Equality and hashing ignore the base point.
 
 The interval [Y1, Y2] is parametrized by pi(lam) = ray(eps1 + lam * eps2)
 for lam in [0, oo], with pi(0) = Y1 and pi(oo) = Y2.
@@ -13,8 +15,8 @@ for lam in [0, oo], with pi(0) = Y1 and pi(oo) = Y2.
 from __future__ import annotations
 
 from .errors import NotOnInterval, ZeroVector
-from .quadspace import Vector
-from .semifield import INF, ZERO, TropValue, midpoint, trop_sum
+from .quadspace import Vector, _vector
+from .semifield import INF, ZERO, TropValue, midpoint
 
 
 class Ray:
@@ -23,12 +25,12 @@ class Ray:
     __slots__ = ("rep", "base")
 
     def __init__(self, base: Vector):
-        if base.is_zero():
+        nums = base.nums
+        top = max([x for x in nums if x is not None], default=None)
+        if top is None:
             raise ZeroVector("cannot form the ray of the zero vector")
-        top = trop_sum(base.coords)
-        inv = top.inverse()
         self.base = base
-        self.rep = Vector(inv * c for c in base.coords)
+        self.rep = _vector(base.d, tuple([None if x is None else x - top for x in nums]))
 
     def with_base(self, base: Vector) -> "Ray":
         """The same ray re-pointed at `base`; base must lie on the ray."""

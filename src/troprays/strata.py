@@ -113,9 +113,10 @@ class Relaxation:
 
 def sign_vector_at(pair: QuadraticPair, family, x: Ray) -> SignVector:
     """Pairwise exact comparison of all family values at the ray x."""
-    if pair.eval_q(x.base).is_zero():
+    qx = pair.eval_q(x.base)
+    if qx.is_zero():
         raise IsotropicArgument("sign vectors live on the anisotropic ray space")
-    return _sign_vector([f.eval(pair, x) for f in family])
+    return _sign_vector([f.eval(pair, x, qx) for f in family])
 
 
 def _sign_vector(values) -> SignVector:
@@ -186,9 +187,11 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     Restricts every basic function to the interval, cuts the parameter domain
     at all pairwise crossings, and merges cells with equal sign vectors into
     consecutive pieces.  When an end is dropped (isotropic interval endpoint)
-    the adjacent piece opens there and the endpoint itself belongs to no piece.
+    the adjacent piece opens there and the endpoint itself belongs to no piece;
+    with no end dropped an isotropic endpoint raises IsotropicArgument.
     """
-    pms = cs_restriction_pm(pair, interval.y1.base, interval.y2.base, family)
+    pms = cs_restriction_pm(pair, interval.y1.base, interval.y2.base, family,
+                            anisotropic_ends=not (drop_zero_end or drop_inf_end))
     m = len(pms)
     pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs
@@ -217,9 +220,6 @@ def _assert_sign_monotone(pieces, m):
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:
     """Trace of the family's partition on [Y1, Y2] with separating rays."""
-    eps1, eps2 = interval.y1.base, interval.y2.base
-    if pair.eval_q(eps1).is_zero() or pair.eval_q(eps2).is_zero():
-        raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     trace = _trace(pair, family, interval)
     _assert_sign_monotone(trace.pieces, len(family))
     return trace

@@ -415,3 +415,55 @@ def test_corner_chart_tries_only_derivate_pairs(monkeypatch):
     assert len(chart.edges) == 7
     assert len(calls) <= 20
     assert all(tp.is_derivate_of(tv) for tv, tp in calls)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Calls of QuadraticPair.eval_q and eval_b made while the test runs."""
+    counts = {"eval_q": 0, "eval_b": 0}
+    for name in counts:
+        original = getattr(QuadraticPair, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(QuadraticPair, name, counted)
+    return counts
+
+
+def test_sign_vector_gram_count(gram_calls):
+    """q(x) once per sign vector, plus q(anchor) and b(anchor, x) per term:
+    7 Gram evaluations per ray of the three-function CORNER family."""
+    family, sample = corner_family(), corner_sample()
+    for x in sample:
+        sign_vector_at(CORNER, family, x)
+    assert gram_calls == {"eval_q": 6 + 18, "eval_b": 18}
+    assert sum(gram_calls.values()) == 42
+
+
+def test_sign_vector_rejects_isotropic_anchor():
+    pair = QuadraticPair.from_rows(["-inf", "0"], [["-inf", "1"], ["1", "0"]])
+    fam = (BasicFunction.zero(), BasicFunction.cs(Ray(Vector.unit(2, 0))))
+    with pytest.raises(IsotropicArgument):
+        sign_vector_at(pair, fam, Ray(Vector.unit(2, 1)))
+
+
+def test_stratify_interval_gram_count(m1, m1_fam, m1_iv, gram_calls):
+    """The endpoints' q, b(eps1, eps2) and each term's q(w), b(eps1, w),
+    b(eps2, w) are evaluated once: 3 + 3 * 2 for the two-function M1 family."""
+    stratify_interval(m1, m1_fam, m1_iv)
+    assert gram_calls == {"eval_q": 2 + 2, "eval_b": 1 + 4}
+    family = corner_family()
+    for k, (x, y) in enumerate(zip(corner_sample(), corner_sample()[1:]), 1):
+        stratify_interval(CORNER, family, RayInterval(x, y))
+        assert sum(gram_calls.values()) == 9 + 12 * k
+
+
+def test_stratify_interval_rejects_isotropic_endpoints():
+    pair = QuadraticPair.from_rows(["-inf", "0"], [["-inf", "1"], ["1", "0"]])
+    fam = (BasicFunction.cs(Ray(Vector.unit(2, 1))),)
+    e1, e2 = Ray(Vector.unit(2, 0)), Ray(Vector.unit(2, 1))
+    for interval in (RayInterval(e1, e2), RayInterval(e2, e1)):
+        with pytest.raises(IsotropicArgument):
+            stratify_interval(pair, fam, interval)
