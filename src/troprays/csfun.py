@@ -17,6 +17,14 @@ N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) is one envelope
 and 1/q is built once per interval.  :func:`cs_restriction_pm` restricts a
 family with 3 Gram evaluations per interval plus 3 per nonzero term.
 
+The integer lattice.  Gram values stay lattice pairs (num, den) from
+``QuadraticPair._gram`` to the pm functions: each numerator monomial has the
+exponent coeff - q(w) + 2 b(eps, w), formed in ints over the lcm of the
+denominators involved, and the envelopes of the numerator and of q are built
+by the int hull builder ``pmfunc._hull``.  Values at a ray (``_values_at``,
+behind :meth:`BasicFunction.eval` and sign vectors) are maxima over ints
+too; only the TropValue results of the public views become Fractions.
+
 Region analysis: f_w is constant on a maximal initial interval A_w and a
 maximal final interval C_w and is nowhere constant in between (B_w), unless
 B_w degenerates to a point, in which case f_w is constant everywhere.  The
@@ -28,13 +36,14 @@ of the denominator envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .errors import (IsotropicArgument, IsotropicEndpoint, PerpendicularWitness,
-                     VerificationFailed)
-from .pmfunc import PmFunction
-from .quadspace import QuadraticPair, Vector
+from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
+                     PerpendicularWitness, VerificationFailed)
+from .pmfunc import PmFunction, _hull
+from .quadspace import QuadraticPair, Vector, _value
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, trop_sum
+from .semifield import _KFINITE, INF, ONE, ZERO, TropValue
 
 
 def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
@@ -45,19 +54,25 @@ def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
     (0, 2) with breakpoint sqrt(alpha1/alpha2).
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
-    a1 = pair.eval_q(eps1)
-    a2 = pair.eval_q(eps2)
-    if a1.is_zero() or a2.is_zero():
+    gram = pair._gram
+    a1, a2 = gram(eps1), gram(eps2)
+    if a1[0] is None or a2[0] is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
-    a12 = pair.eval_b(eps1, eps2)
-    return PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
+    return _hull([(*a1, 0), (*gram(eps1, eps2), 1), (*a2, 2)])
 
 
 @dataclass(frozen=True)
 class BasicFunction:
-    """f = sum_j coeff_j * CS(anchor_j, -); the empty sum is the zero function."""
+    """f = sum_j coeff_j * CS(anchor_j, -); the empty sum is the zero function.
+
+    Coefficients lie in [0, oo[: an oo coefficient raises InfiniteCoefficient.
+    """
 
     terms: tuple  # of (coeff: TropValue, anchor: Ray)
+
+    def __post_init__(self):
+        if any(coeff.is_infinite() for coeff, _ in self.terms):
+            raise InfiniteCoefficient("basic function coefficients must lie in [0, oo[")
 
     @classmethod
     def cs(cls, anchor: Ray, coeff: TropValue = ONE) -> "BasicFunction":
@@ -67,14 +82,48 @@ class BasicFunction:
     def zero(cls) -> "BasicFunction":
         return cls(())
 
-    def eval(self, pair: QuadraticPair, x: Ray, qx: TropValue | None = None) -> TropValue:
-        """f(x); a caller evaluating a whole family at x passes qx = q(x.base)
-        so that it is evaluated once."""
-        return trop_sum(coeff * pair.cs(anchor.base, x.base, qx)
-                        for coeff, anchor in self.terms)
+    def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
+        """f(x)."""
+        if not self.terms:
+            return ZERO
+        (num,), den = _values_at(pair, (self,), x)
+        return _value(num, den)
 
     def anchors(self):
         return tuple(anchor for _, anchor in self.terms)
+
+
+def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
+    """The family's values at x on one lattice: (nums, den) with f_i(x) =
+    t^(nums[i]/den), nums[i] None for the zero.
+
+    Evaluates q(x) once and q(anchor), b(anchor, x) per term (no b for a zero
+    coefficient); each term's exponent coeff - q(anchor) + 2 b(anchor, x) is
+    formed in ints and q(x) subtracted from every maximum.  An isotropic x or
+    anchor raises IsotropicArgument.
+    """
+    gram = pair._gram
+    xb = x.base
+    qx, dx = gram(xb)
+    if qx is None:
+        raise IsotropicArgument("CS-functions live on the anisotropic ray space")
+    rows = []
+    for f in family:
+        row = []
+        for coeff, anchor in f.terms:
+            w = anchor.base
+            qw = gram(w)
+            if qw[0] is None:
+                raise IsotropicArgument("CS-ratio needs anisotropic arguments")
+            if coeff.kind == _KFINITE:
+                num, den, _ = _monomial(_over(coeff, qw), gram(w, xb), 0)
+                if num is not None:
+                    row.append((num, den))
+        rows.append(row)
+    den = lcm(dx, *[d for row in rows for _, d in row])
+    shift = qx * (den // dx)
+    return [max([n * (den // d) for n, d in row]) - shift if row else None
+            for row in rows], den
 
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
@@ -88,41 +137,62 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
     take the value oo at a domain endpoint.  With ``anisotropic_ends`` an
     isotropic endpoint raises IsotropicArgument instead.
     """
-    a1, a12, a2 = pair.eval_q(eps1), pair.eval_b(eps1, eps2), pair.eval_q(eps2)
-    if anisotropic_ends and (a1.is_zero() or a2.is_zero()):
+    gram = pair._gram
+    a1, a12, a2 = gram(eps1), gram(eps1, eps2), gram(eps2)
+    if anisotropic_ends and (a1[0] is None or a2[0] is None):
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     inv_q = None
     out = []
     for f in family:
         numerator = []
         for coeff, anchor in f.terms:
-            if coeff.is_zero():
+            if coeff.kind != _KFINITE:
                 continue
             w = anchor.base
-            qw = pair.eval_q(w)
-            if qw.is_zero():
+            qw = gram(w)
+            if qw[0] is None:
                 raise IsotropicArgument("CS witness must be anisotropic")
-            b1, b2 = pair.eval_b(eps1, w), pair.eval_b(eps2, w)
-            if inv_q is None and not (b1.is_zero() and b2.is_zero()):
+            b1, b2 = gram(eps1, w), gram(eps2, w)
+            if inv_q is None and not (b1[0] is None and b2[0] is None):
                 inv_q = _inverse_q(a1, a12, a2)
-            c = coeff / qw
-            numerator += [(c * b1 * b1, 0), (c * b2 * b2, 2)]
+            scale = _over(coeff, qw)
+            numerator += [_monomial(scale, b1, 0), _monomial(scale, b2, 2)]
         out.append(_over_q(numerator, inv_q))
     return tuple(out)
 
 
-def _inverse_q(a1: TropValue, a12: TropValue, a2: TropValue) -> PmFunction:
-    """lam -> 1 / (a1 + a12 lam + a2 lam^2), the inverted q(eps1 + lam eps2)."""
-    q = PmFunction.from_monomials([(a1, 0), (a12, 1), (a2, 2)])
+def _over(coeff: TropValue, q: tuple) -> tuple:
+    """coeff / q as a lattice value, for a finite coeff and a nonzero lattice
+    value q, on the lcm of their denominators."""
+    c, dc = coeff.exp.numerator, coeff.exp.denominator
+    qn, dq = q
+    den = lcm(dc, dq)
+    return c * (den // dc) - qn * (den // dq), den
+
+
+def _monomial(scale: tuple, b: tuple, k: int) -> tuple:
+    """The lattice monomial scale * b^2 * lam^k as (num, den, k), from the
+    lattice values scale and b; its num is None when b is the zero."""
+    (sn, sd), (bn, bd) = scale, b
+    if bn is None:
+        return None, 1, k
+    den = lcm(sd, bd)
+    return sn * (den // sd) + 2 * bn * (den // bd), den, k
+
+
+def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
+    """lam -> 1 / (a1 + a12 lam + a2 lam^2), the inverted q(eps1 + lam eps2),
+    from the lattice Gram values."""
+    q = _hull([(*a1, 0), (*a12, 1), (*a2, 2)])
     if q.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
     return q.invert()
 
 
 def _over_q(numerator, inv_q: PmFunction | None) -> PmFunction:
-    """The envelope of the (coeff, degree) monomials times inv_q (from
-    :func:`_inverse_q`); inv_q may be None when every coefficient is 0."""
-    n = PmFunction.from_monomials(numerator)
+    """The envelope of the lattice monomials (num, den, degree) times inv_q
+    (from :func:`_inverse_q`); inv_q may be None when every coefficient is 0."""
+    n = _hull(numerator)
     return n if n.is_constant_zero() else n.mul(inv_q)
 
 
@@ -152,20 +222,21 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     must agree whenever B_w is nondegenerate, or VerificationFailed is raised.
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
-    b1 = pair.eval_b(eps1, w)
-    b2 = pair.eval_b(eps2, w)
-    if b1.is_zero() and b2.is_zero():
+    gram = pair._gram
+    b1, b2 = gram(eps1, w), gram(eps2, w)
+    if b1[0] is None and b2[0] is None:
         raise PerpendicularWitness("witness is orthogonal to both base points")
-    a1 = pair.eval_q(eps1)
-    a2 = pair.eval_q(eps2)
-    if a1.is_zero() or a2.is_zero():
+    a1, a2 = gram(eps1), gram(eps2)
+    if a1[0] is None or a2[0] is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
-    a12 = pair.eval_b(eps1, eps2)
-    qw = pair.eval_q(w)
-    if qw.is_zero():
+    a12 = gram(eps1, eps2)
+    qw, dw = gram(w)
+    if qw is None:
         raise IsotropicArgument("CS witness must be anisotropic")
-    f = _over_q([(b1 * b1 / qw, 0), (b2 * b2 / qw, 2)], _inverse_q(a1, a12, a2))
+    scale = (-qw, dw)
+    f = _over_q([_monomial(scale, b1, 0), _monomial(scale, b2, 2)], _inverse_q(a1, a12, a2))
 
+    b1, b2, a1, a2, a12 = (_value(*g) for g in (b1, b2, a1, a2, a12))
     quasilinear = a1 * a2 >= a12 * a12
     r = b1 / b2  # oo when b2 = 0, 0 when b1 = 0
     if quasilinear:

@@ -69,5 +69,9 @@ class IllposedApproach(TropraysError):
     """q(eps + t*eta) vanishes for every parameter t."""
 
 
+class InfiniteCoefficient(TropraysError):
+    """A basic function was given the coefficient oo."""
+
+
 class SchemaError(TropraysError):
     """An input file violates the documented JSON schema."""

@@ -25,14 +25,26 @@ from .strata import (SignVector, derivate_piece, is_direct_derivate, sign_vector
                      stratify_interval)
 
 
+def _sign_at(pair: QuadraticPair, family, x: Ray, signs) -> SignVector:
+    """The sign vector of x, looked up in (and added to) the dict `signs`
+    keyed by the canonical representative when `signs` is given."""
+    if signs is None:
+        return sign_vector_at(pair, family, x)
+    sv = signs.get(x.rep)
+    if sv is None:
+        sv = signs[x.rep] = sign_vector_at(pair, family, x)
+    return sv
+
+
 def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, u: Ray):
+                  t_prime: SignVector, w: Ray, u: Ray, _signs=None):
     """Entrance ray of [W, U] into T' plus its interval parameter.
 
     Requires the trace of [W, U] to be exactly a half-open T piece followed
-    by a closed T' piece (case1); anything else raises NoEntrance.
+    by a closed T' piece (case1); anything else raises NoEntrance.  `_signs`
+    is a sign vector memo of the (pair, family), as :func:`_sign_at` reads it.
     """
-    if sign_vector_at(pair, family, w) != t_vec:
+    if _sign_at(pair, family, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     if u == w:
         raise NoEntrance("U is W itself")
@@ -46,17 +58,21 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
 
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, z: Ray, _memo=None) -> bool:
-    """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T."""
+                  t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None) -> bool:
+    """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
+
+    `_memo` maps (W.rep, Z.rep) to earlier answers for the same (T, T');
+    `_signs` is a sign vector memo as in :func:`entrance_data`.
+    """
     if _memo is not None:
         key = (w.rep, z.rep)
         hit = _memo.get(key)
         if hit is not None:
             return hit
-    if sign_vector_at(pair, family, w) != t_vec:
+    if _sign_at(pair, family, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     result = False
-    if sign_vector_at(pair, family, z) == t_prime:
+    if _sign_at(pair, family, z, _signs) == t_prime:
         interval = RayInterval(w, z)
         piece = derivate_piece(stratify_interval(pair, family, interval), t_vec, t_prime)
         # the T' piece may be a fat parameter interval when the fiber of Z
@@ -135,7 +151,8 @@ class FrontierPair:
         self.family = family
         self.t = t_vec
         self.t_prime = t_prime
-        self._memo = {}
+        self._memo = {}   # sector memo: (W.rep, Z.rep) -> membership
+        self._signs = {}  # sign memo: ray.rep -> sign vector
 
     @classmethod
     def certify(cls, pair, family, w: Ray, w_prime: Ray) -> "FrontierPair":
@@ -147,17 +164,18 @@ class FrontierPair:
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
 
-    # -- entrances and sectors, sharing one sector memo ---------------------------
+    # -- entrances and sectors, sharing the sector and sign memos ------------------
 
     def entrance_data(self, w: Ray, u: Ray):
-        return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u)
+        return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u,
+                             self._signs)
 
     def entrance_ray(self, w: Ray, u: Ray) -> Ray:
         return self.entrance_data(w, u)[0]
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
         return sector_member(self.pair, self.family, self.t, self.t_prime,
-                             w, z, self._memo)
+                             w, z, self._memo, self._signs)
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -182,7 +200,7 @@ class FrontierPair:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         for src in (w, w_prime):
-            if sign_vector_at(self.pair, self.family, src) != self.t:
+            if _sign_at(self.pair, self.family, src, self._signs) != self.t:
                 raise WitnessNotInStratum("source rays must lie in T")
         z_ray, _ = self.entrance_data(w, u)
         z_vec = z_ray.base
@@ -219,7 +237,7 @@ class FrontierPair:
         # budget exhausted: evaluate the limit candidate of the partial maxima
         z_inf = trace[0].vector + sigma * w.base + tau * w_prime.base
         limit = Ray(z_inf)
-        if (sign_vector_at(self.pair, self.family, limit) == self.t_prime
+        if (_sign_at(self.pair, self.family, limit, self._signs) == self.t_prime
                 and self.is_junction(w, w_prime, limit)):
             return JunctionReport("limit_junction", limit, max_iter,
                                   tuple(trace), sigma, tau, False)
@@ -241,9 +259,9 @@ class FrontierPair:
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
-        if sign_vector_at(self.pair, self.family, w_prime) != self.t:
+        if _sign_at(self.pair, self.family, w_prime, self._signs) != self.t:
             raise WitnessNotInStratum("W' must lie in T")
-        if sign_vector_at(self.pair, self.family, u) != self.t_prime:
+        if _sign_at(self.pair, self.family, u, self._signs) != self.t_prime:
             raise WitnessNotInStratum("U must lie in T'")
         anchors = tuple(dict.fromkeys(a for f in self.family for a in f.anchors()))
         for y in anchors:

@@ -25,17 +25,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _inverse_q, _over_q
+from .csfun import _inverse_q, _monomial, _over_q
 from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
-from .quadspace import QuadraticPair, Vector
+from .quadspace import QuadraticPair, Vector, _value
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, TropValue, midpoint, t
 from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
 
 
-def _ratio_or_inf(num: TropValue, den: TropValue) -> TropValue:
-    return INF if den.is_zero() else num / den
+_ONE = (0, 1)  # the unit e = t^0 as a lattice value
+
+
+def _ratio_or_inf(num: tuple, den: tuple) -> TropValue:
+    """num / den of lattice Gram values, oo when den is the zero."""
+    return INF if den[0] is None else _value(*num) / _value(*den)
 
 
 @dataclass(frozen=True)
@@ -61,47 +65,49 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
     :func:`troprays.strata.example_family`): the case analysis identifies
     strata with profile classes, which is specific to that family.
     """
-    if not pair.eval_q(eps).is_zero():
+    gram = pair._gram
+    if gram(eps)[0] is not None:
         raise ValueError("eps must be isotropic")
-    b_eps_eta = pair.eval_b(eps, eta)
-    if b_eps_eta.is_zero() and pair.eval_q(eta).is_zero():
+    if gram(eps, eta)[0] is None and gram(eta)[0] is None:
         raise IllposedApproach("q(eps + t*eta) vanishes for every t")
 
     swapped = False
     e2, e3 = y2, y3
-    a12 = pair.eval_b(eps, e2.base)
-    a13 = pair.eval_b(eps, e3.base)
-    if a12.is_zero() and not a13.is_zero():
+    a12 = gram(eps, e2.base)
+    a13 = gram(eps, e3.base)
+    if a12[0] is None and a13[0] is not None:
         swapped = True
         e2, e3 = e3, e2
         a12, a13 = a13, a12
 
     eps2, eps3 = e2.base, e3.base
-    a2, a3 = pair.eval_q(eps2), pair.eval_q(eps3)
-    a23 = pair.eval_b(eps2, eps3)
-    b_eta_2 = pair.eval_b(eta, eps2)
-    b_eta_3 = pair.eval_b(eta, eps3)
+    a2, a3 = gram(eps2), gram(eps3)
+    a23 = gram(eps2, eps3)
+    b_eta_2 = gram(eta, eps2)
+    b_eta_3 = gram(eta, eps3)
 
     profile = None
-    if not a12.is_zero() and not a13.is_zero():
+    if a12[0] is not None and a13[0] is not None:
         case = "A"
         strict = False
         t0 = min(_ratio_or_inf(a12, b_eta_2), _ratio_or_inf(a13, b_eta_3))
-        profile = _over_q([(a12 * a12, 0), (a13 * a13, 2)], _inverse_q(a2, a23, a3))
-    elif a12.is_zero():
+        profile = _over_q([_monomial(_ONE, a12, 0), _monomial(_ONE, a13, 2)],
+                          _inverse_q(a2, a23, a3))
+    elif a12[0] is None:
         case = "B"
         strict = False
         t0 = INF
-        if not (b_eta_2.is_zero() and b_eta_3.is_zero()):
-            profile = _over_q([(b_eta_2 * b_eta_2, 0), (b_eta_3 * b_eta_3, 2)],
+        if not (b_eta_2[0] is None and b_eta_3[0] is None):
+            profile = _over_q([_monomial(_ONE, b_eta_2, 0), _monomial(_ONE, b_eta_3, 2)],
                               _inverse_q(a2, a23, a3))
-    elif b_eta_3.is_zero():
+    elif b_eta_3[0] is None:
         case = "C1"
         strict = False
         t0 = INF
         profile = _inverse_q(a2, a23, a3)  # 1 / q(eps2 + t eps3)
     else:
         cs23 = pair.cs(eps2, eps3)
+        a12, a2, a3, a23, b_eta_3 = (_value(*g) for g in (a12, a2, a3, a23, b_eta_3))
         if cs23 > ONE:
             case = "C2a"
             t0 = (a12 * a2) / (a23 * b_eta_3)

@@ -154,42 +154,16 @@ class PmFunction:
 
     @classmethod
     def from_monomials(cls, terms) -> "PmFunction":
-        """Upper envelope (tropical sum) of monomials; zero coeffs are dropped.
-
-        One pass over the monomials sorted by degree keeps the lines
-        c + k x of the upper hull; consecutive hull lines meet at the
-        breakpoints.
-        """
-        best = {}
+        """Upper envelope (tropical sum) of (coeff, degree) monomials; zero
+        coeffs are dropped."""
+        lattice = []
         for coeff, degree in terms:
             if coeff.is_zero():
                 continue
             if not coeff.is_finite():
                 raise ValueError("monomial coefficients must be finite and nonzero")
-            degree = int(degree)
-            if degree not in best or best[degree] < coeff.exp:
-                best[degree] = coeff.exp
-        if not best:
-            return _ZERO_FN
-        degrees = sorted(best)
-        D = lcm(*[e.denominator for e in best.values()])
-        hull = []
-        for k in degrees:
-            e = best[k]
-            c = e.numerator * (D // e.denominator)
-            # the last hull line is dropped when the new, steeper line
-            # overtakes the one before it no later than the last one does
-            while len(hull) > 1:
-                (c0, k0), (c1, k1) = hull[-2], hull[-1]
-                if (c0 - c) * (k1 - k0) > (c0 - c1) * (k - k0):
-                    break
-                hull.pop()
-            hull.append((c, k))
-        runs = _Runs()
-        for (c, k), (c1, k1) in zip(hull, hull[1:]):
-            runs.cell(_crossing(c, k, c1, k1), (c, k))
-        runs.cell(None, hull[-1])
-        return _function(D, runs)
+            lattice.append((coeff.exp.numerator, coeff.exp.denominator, int(degree)))
+        return _hull(lattice)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -428,6 +402,41 @@ def _make(d, xs, cs, ks) -> PmFunction:
     return f
 
 
+def _hull(monomials) -> PmFunction:
+    """Upper envelope of the lattice monomials (num, den, degree): the
+    coefficient is t^(num/den), and a num of None is the zero, dropped.
+
+    One pass over the monomials sorted by degree, on the lcm of their
+    denominators, keeps the lines c + k x of the upper hull; consecutive
+    hull lines meet at the breakpoints.
+    """
+    monomials = [m for m in monomials if m[0] is not None]
+    if not monomials:
+        return _ZERO_FN
+    D = lcm(*[den for _, den, _ in monomials])
+    best = {}
+    for num, den, k in monomials:
+        c = num * (D // den)
+        if k not in best or best[k] < c:
+            best[k] = c
+    hull = []
+    for k in sorted(best):
+        c = best[k]
+        # the last hull line is dropped when the new, steeper line
+        # overtakes the one before it no later than the last one does
+        while len(hull) > 1:
+            (c0, k0), (c1, k1) = hull[-2], hull[-1]
+            if (c0 - c) * (k1 - k0) > (c0 - c1) * (k - k0):
+                break
+            hull.pop()
+        hull.append((c, k))
+    runs = _Runs()
+    for (c, k), (c1, k1) in zip(hull, hull[1:]):
+        runs.cell(_crossing(c, k, c1, k1), (c, k))
+    runs.cell(None, hull[-1])
+    return _function(D, runs)
+
+
 def _constant(kind) -> PmFunction:
     f = object.__new__(PmFunction)
     f._set_constant(kind)
@@ -513,21 +522,17 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
     table = [next(live_rows) if f.kind == _KFINITE
              else ((), (far if f.kind == _KINF else -far,), (0,)) for f in fns]
 
-    def signs(values):
-        return "".join(["=><"[(a > b) - (a < b)]
-                        for k, a in enumerate(values) for b in values[k + 1:]])
-
     def at(v):
         values = []
         for xs, cs, ks in table:
             j = bisect_left(xs, v)
             values.append(cs[j] + ks[j] * v)
-        return signs(values)
+        return _signs(values)
 
     def at_end(j):
         # j = 0 at 0, j = -1 at oo; a nonzero degree sends the value to 0 or oo
-        return signs([cs[j] if not ks[j] else far if (ks[j] > 0) == (j < 0) else -far
-                      for _, cs, ks in table])
+        return _signs([cs[j] if not ks[j] else far if (ks[j] > 0) == (j < 0) else -far
+                       for _, cs, ks in table])
 
     n = len(points)
     runs = _Runs()
@@ -543,6 +548,13 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
     DL = D * L
     bounds = [ZERO, *[_tv(p, DL) for p in points], INF]
     return [(bounds[lo], lc, bounds[hi], hc, label) for lo, lc, hi, hc, label in runs]
+
+
+def _signs(values) -> str:
+    """The pairwise signs "<", "=", ">" of values[k] against values[l], k < l,
+    ordered by k, then l."""
+    return "".join(["=><"[(a > b) - (a < b)]
+                    for k, a in enumerate(values) for b in values[k + 1:]])
 
 
 class _Runs(list):

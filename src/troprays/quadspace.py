@@ -25,7 +25,10 @@ their max-plus sums beta_ij + x_i + y_j over the lcm of the model's and the
 vectors' denominators.  This is exact because max-plus arithmetic commutes
 with scaling by a positive integer: L * max(a, b) = max(L a, L b) and
 L * (a + b) = L a + L b, so the scaled maximum divided by L is the rational
-maximum itself.  Only Gram values and coordinate views become Fractions.
+maximum itself.  The one Gram primitive ``QuadraticPair._gram`` returns
+such a lattice pair (num, den), and the CS layers (csfun, strata) work on
+these ints; only the TropValue views ``eval_q``, ``eval_b``, ``cs`` and
+``coords`` build Fractions.
 """
 
 from __future__ import annotations
@@ -148,6 +151,11 @@ def _vector(d: int, nums: tuple) -> Vector:
     return v
 
 
+def _value(num, den: int) -> TropValue:
+    """The TropValue of a lattice value num/den (None for the zero)."""
+    return ZERO if num is None else TropValue(_KFINITE, Fraction(num, den))
+
+
 def vec(*items) -> Vector:
     """Build a vector from exponents / "-inf" strings; test-friendly."""
     return Vector.parse(items)
@@ -200,45 +208,44 @@ class QuadraticPair:
     def balanced(self) -> bool:
         return all(self.b[i][i] == self.q_diag[i] for i in range(self.dim))
 
-    def _check_dim(self, x: Vector):
-        if len(x) != self.dim:
-            raise DimensionMismatch("vector has length %d, model dimension is %d" % (len(x), self.dim))
+    def _gram(self, x: Vector, y: Vector | None = None) -> tuple:
+        """The lattice Gram value (num, den): q(x) when y is None, else b(x, y).
 
-    def eval_q(self, x: Vector) -> TropValue:
-        """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""
-        self._check_dim(x)
+        num is den times the exponent of the value, an int, or None for the
+        zero; den is the lcm of the model's and the vectors' denominators.
+        q(x) is the max over alpha_i x_i^2 and beta_ij x_i x_j (i < j), b(x, y)
+        the max over beta_ij x_i y_j (all i, j).  Every Gram evaluation of the
+        library runs here.
+        """
+        for v in (x,) if y is None else (x, y):
+            if len(v.nums) != self.dim:
+                raise DimensionMismatch(f"vector has length {len(v.nums)}, "
+                                        f"model dimension is {self.dim}")
         d, qn, rows = self._lat
         dx, xn = x.d, x.nums
-        den = lcm(d, dx)
-        sg, sx = den // d, den // dx
-        xs = [(i, v * sx) for i, v in enumerate(xn) if v is not None]
         best = None
-        for k, (i, xi) in enumerate(xs):
-            qi = qn[i]
-            if qi is not None:
-                v = qi * sg + xi + xi
-                if best is None or best < v:
-                    best = v
-            row = rows[i]
-            for j, xj in xs[k + 1:]:
-                bij = row[j]
-                if bij is not None:
-                    v = bij * sg + xi + xj
+        if y is None:
+            den = lcm(d, dx)
+            sg, sx = den // d, den // dx
+            xs = [(i, v * sx) for i, v in enumerate(xn) if v is not None]
+            for k, (i, xi) in enumerate(xs):
+                qi = qn[i]
+                if qi is not None:
+                    v = qi * sg + xi + xi
                     if best is None or best < v:
                         best = v
-        return ZERO if best is None else TropValue(_KFINITE, Fraction(best, den))
-
-    def eval_b(self, x: Vector, y: Vector) -> TropValue:
-        """b(x, y) = max over beta_ij x_i y_j (all i, j)."""
-        self._check_dim(x)
-        self._check_dim(y)
-        d, _, rows = self._lat
-        dx, xn = x.d, x.nums
+                row = rows[i]
+                for j, xj in xs[k + 1:]:
+                    bij = row[j]
+                    if bij is not None:
+                        v = bij * sg + xi + xj
+                        if best is None or best < v:
+                            best = v
+            return best, den
         dy, yn = y.d, y.nums
         den = lcm(d, dx, dy)
         sg, sx, sy = den // d, den // dx, den // dy
         ys = [(j, v * sy) for j, v in enumerate(yn) if v is not None]
-        best = None
         for xi, row in zip(xn, rows):
             if xi is None:
                 continue
@@ -249,24 +256,33 @@ class QuadraticPair:
                     v = bij * sg + xi + yj
                     if best is None or best < v:
                         best = v
-        return ZERO if best is None else TropValue(_KFINITE, Fraction(best, den))
+        return best, den
 
-    def cs(self, x: Vector, y: Vector, qy: TropValue | None = None) -> TropValue:
-        """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic.
-        A caller that has q(y) already passes it as qy."""
-        qx = self.eval_q(x)
-        if qy is None:
-            qy = self.eval_q(y)
-        if qx.is_zero() or qy.is_zero():
+    def eval_q(self, x: Vector) -> TropValue:
+        """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""
+        return _value(*self._gram(x))
+
+    def eval_b(self, x: Vector, y: Vector) -> TropValue:
+        """b(x, y) = max over beta_ij x_i y_j (all i, j)."""
+        return _value(*self._gram(x, y))
+
+    def cs(self, x: Vector, y: Vector) -> TropValue:
+        """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic."""
+        (qx, dx), (qy, dy) = self._gram(x), self._gram(y)
+        if qx is None or qy is None:
             raise IsotropicArgument("CS-ratio needs anisotropic arguments")
-        bxy = self.eval_b(x, y)
-        return (bxy * bxy) / (qx * qy)
+        b, db = self._gram(x, y)
+        if b is None:
+            return ZERO
+        den = lcm(dx, dy, db)
+        return TropValue(_KFINITE, Fraction(2 * b * (den // db) - qx * (den // dx)
+                                            - qy * (den // dy), den))
 
     def is_isotropic(self, x: Vector) -> bool:
         """True iff x is nonzero and q(x) = 0."""
         if x.is_zero():
             raise ZeroVector("the zero vector is neither isotropic nor anisotropic")
-        return self.eval_q(x).is_zero()
+        return self._gram(x)[0] is None
 
 
 @dataclass

@@ -8,18 +8,23 @@ Restricted to a closed ray interval the strata appear as consecutive pieces
 whose boundary rays (separators) are computed exactly from crossing
 parameters; endpoint closures are decided by exact evaluation at the
 crossing, never by convention.
+
+Sign vectors are labelled on the integer lattice: at a ray the family values
+are ints over one denominator (``csfun._values_at``), on a trace the
+restricted pm functions share one lattice (``pmfunc.sign_runs``), and both
+label the pairs with ``pmfunc._signs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import BasicFunction, cs_restriction_pm
-from .errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
-from .pmfunc import sign_runs
+from .csfun import BasicFunction, _values_at, cs_restriction_pm
+from .errors import NotStrictPair, VerificationFailed, WitnessNotInStratum
+from .pmfunc import _signs, sign_runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint
+from .semifield import INF, ONE, ZERO, TropValue, midpoint
 
 OPPOSITE = {"<": ">", ">": "<", "=": "="}
 
@@ -112,17 +117,14 @@ class Relaxation:
 
 
 def sign_vector_at(pair: QuadraticPair, family, x: Ray) -> SignVector:
-    """Pairwise exact comparison of all family values at the ray x."""
-    qx = pair.eval_q(x.base)
-    if qx.is_zero():
-        raise IsotropicArgument("sign vectors live on the anisotropic ray space")
-    return _sign_vector([f.eval(pair, x, qx) for f in family])
+    """Pairwise exact comparison of all family values at the ray x.
 
-
-def _sign_vector(values) -> SignVector:
-    m = len(values)
-    return SignVector(m, [compare_sign(values[k], values[l])
-                          for k in range(m) for l in range(k + 1, m)])
+    The values are compared as ints on one lattice (the zero below every
+    finite value); an isotropic x or anchor raises IsotropicArgument.
+    """
+    nums, _ = _values_at(pair, family, x)
+    low = min([n for n in nums if n is not None], default=0) - 1
+    return SignVector(len(nums), _signs([low if n is None else n for n in nums]))
 
 
 @dataclass(frozen=True)
@@ -206,16 +208,16 @@ def _assert_sign_monotone(pieces, m):
     """Each pair's sign sequence along the trace is monotone with half-open
     boundary structure; CS-families always satisfy this, so a violation
     here means corrupted inputs."""
-    for k in range(m):
-        for l in range(k + 1, m):
-            signs = [p.signs.sign(k, l) for p in pieces]
-            order = {"<": 0, "=": 1, ">": 2}
-            ranks = [order[s] for s in signs]
-            ascending = all(a <= b for a, b in zip(ranks, ranks[1:]))
-            descending = all(a >= b for a, b in zip(ranks, ranks[1:]))
-            if not (ascending or descending):
-                raise VerificationFailed(
-                    f"sign pattern of pair ({k},{l}) is not monotone: {signs}")
+    order = {"<": 0, "=": 1, ">": 2}
+    pairs = ((k, l) for k in range(m) for l in range(k + 1, m))
+    # column i holds the signs of pair i (in pair_index order) along the trace
+    for (k, l), signs in zip(pairs, zip(*[p.signs.signs for p in pieces])):
+        ranks = [order[s] for s in signs]
+        ascending = all(a <= b for a, b in zip(ranks, ranks[1:]))
+        descending = all(a >= b for a, b in zip(ranks, ranks[1:]))
+        if not (ascending or descending):
+            raise VerificationFailed(
+                f"sign pattern of pair ({k},{l}) is not monotone: {list(signs)}")
 
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from troprays import serialize
 from troprays.csfun import (
     BasicFunction,
     build_fw,
@@ -11,13 +12,14 @@ from troprays.csfun import (
     q_segment_profile,
     uniqueness_classify,
 )
-from troprays.errors import IsotropicArgument, IsotropicEndpoint, PerpendicularWitness
+from troprays.errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
+                             PerpendicularWitness, SchemaError, TropraysError)
 from troprays.oracle import reconstruct_cs_profile
 from troprays.pmfunc import PmFunction
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval
 from troprays.sampling import Sampler
-from troprays.semifield import INF, ZERO, t
+from troprays.semifield import INF, ONE, ZERO, t
 
 
 def test_q_profile_m1(m1, m1_iv):
@@ -381,20 +383,28 @@ def test_family_restriction_on_an_isotropic_interval():
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_family_restriction_gram_count(m1, m1_iv, monkeypatch, k):
+def test_family_restriction_gram_count(m1, m1_iv, gram_calls, k):
     """k one-term functions on one interval: 3 Gram evaluations per term and
     3 for the interval."""
-    calls = []
-    for name in ("eval_q", "eval_b"):
-        original = getattr(QuadraticPair, name)
-
-        def counted(self, *args, _original=original):
-            calls.append(args)
-            return _original(self, *args)
-
-        monkeypatch.setattr(QuadraticPair, name, counted)
     anchors = [Ray(vec(0, -i)) for i in range(k)]
     family = tuple(BasicFunction.cs(y, t(i)) for i, y in enumerate(anchors))
     pms = cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, family)
-    assert len(calls) == 3 * k + 3
+    assert sum(gram_calls.values()) == 3 * k + 3
     assert not any(pm.is_constant_zero() for pm in pms)
+
+
+def test_basic_function_rejects_infinite_coefficient(m1, m1_iv):
+    """An oo coefficient is rejected when the function is built, by the
+    library constructors as by the family loader, whose message is kept."""
+    assert issubclass(InfiniteCoefficient, TropraysError)
+    with pytest.raises(InfiniteCoefficient):
+        BasicFunction.cs(m1_iv.y1, INF)
+    with pytest.raises(InfiniteCoefficient):
+        BasicFunction(((ONE, m1_iv.y1), (INF, m1_iv.y2)))
+    assert BasicFunction.cs(m1_iv.y1, ZERO).eval(m1, m1_iv.y2) == ZERO
+    doc = {"rays": {"Y1": ["0", "-inf"]},
+           "functions": [{"terms": [{"coeff": "0", "anchor": "Y1"}]},
+                         {"terms": [{"coeff": "+inf", "anchor": "Y1"}]}]}
+    with pytest.raises(SchemaError) as info:
+        serialize.family_from_json(doc, m1)
+    assert str(info.value) == "function 1 has an infinite coefficient"

@@ -417,21 +417,6 @@ def test_corner_chart_tries_only_derivate_pairs(monkeypatch):
     assert all(tp.is_derivate_of(tv) for tv, tp in calls)
 
 
-@pytest.fixture
-def gram_calls(monkeypatch):
-    """Calls of QuadraticPair.eval_q and eval_b made while the test runs."""
-    counts = {"eval_q": 0, "eval_b": 0}
-    for name in counts:
-        original = getattr(QuadraticPair, name)
-
-        def counted(self, *args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(QuadraticPair, name, counted)
-    return counts
-
-
 def test_sign_vector_gram_count(gram_calls):
     """q(x) once per sign vector, plus q(anchor) and b(anchor, x) per term:
     7 Gram evaluations per ray of the three-function CORNER family."""
