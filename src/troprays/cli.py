@@ -57,10 +57,16 @@ def _load_context(args):
     return pair, rays, functions, samples
 
 
-def _emit(args, document, lines):
+def _emit(args, pair, document, lines, header=""):
+    """Write the command's document: under --json with the keys command,
+    model_hash and seed added, else as text lines after the line
+    "model <hash>" + header."""
+    digest = model_hash(pair)
     if args.json:
-        sys.stdout.write(dumps(document))
+        sys.stdout.write(dumps({"command": args.command, "model_hash": digest,
+                                "seed": args.seed, **document}))
     else:
+        sys.stdout.write(f"model {digest}{header}\n")
         for line in lines:
             sys.stdout.write(line + "\n")
     return 0
@@ -70,37 +76,32 @@ def cmd_validate(args):
     pair, _, _, _ = _load_context(args)
     report = validate_pair(pair, samples=args.samples, rng=args.seed)
     doc = {
-        "command": "validate",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "ok": report.ok,
         "balanced": report.balanced,
         "pairs_checked": report.pairs_checked,
         "failures": [f"{x!r} {y!r}" for x, y, _, _ in report.failures],
     }
     lines = [
-        f"model {model_hash(pair)} seed {args.seed}",
         f"companion identity: {'pass' if report.ok else 'FAIL'} "
         f"({report.pairs_checked} pairs)",
         f"balanced: {'yes' if report.balanced else 'no'}",
     ]
-    _emit(args, doc, lines)
+    _emit(args, pair, doc, lines, f" seed {args.seed}")
     return 0 if report.ok else 1
 
 
 def cmd_eval(args):
     pair, _, _, _ = _load_context(args)
     x = _resolve_vector(args.vec, pair.dim)
-    doc = {"command": "eval", "model_hash": model_hash(pair), "seed": args.seed,
-           "q": str(pair.eval_q(x))}
-    lines = [f"model {model_hash(pair)}", f"q(x) = {pair.eval_q(x)}"]
+    doc = {"q": str(pair.eval_q(x))}
+    lines = [f"q(x) = {pair.eval_q(x)}"]
     if args.vec2:
         y = _resolve_vector(args.vec2, pair.dim)
         doc["b"] = str(pair.eval_b(x, y))
         lines.append(f"b(x,y) = {pair.eval_b(x, y)}")
         doc["cs"] = str(pair.cs(x, y))
         lines.append(f"CS(x,y) = {pair.cs(x, y)}")
-    return _emit(args, doc, lines)
+    return _emit(args, pair, doc, lines)
 
 
 def _interval_from_args(args, pair, rays) -> RayInterval:
@@ -119,9 +120,6 @@ def cmd_interval_profile(args):
     w = _resolve_vector(args.witness, pair.dim)
     profile = build_fw(pair, interval, w)
     doc = {
-        "command": "interval-profile",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "interval": {"y1": ray_to_json(interval.y1), "y2": ray_to_json(interval.y2)},
         "witness": serialize.vector_to_json(w),
         "pm": serialize.pm_to_json(profile.f),
@@ -134,14 +132,13 @@ def cmd_interval_profile(args):
         },
     }
     lines = [
-        f"model {model_hash(pair)}",
         f"f_w = {profile.f!r}",
         f"reduced degrees: {profile.reduced_degrees()}",
         f"A = [{profile.region_a[0]}, {profile.region_a[1]}]",
         f"B = [{profile.region_b[0]}, {profile.region_b[1]}]",
         f"C = [{profile.region_c[0]}, {profile.region_c[1]}]",
     ]
-    return _emit(args, doc, lines)
+    return _emit(args, pair, doc, lines)
 
 
 def cmd_compare(args):
@@ -152,31 +149,20 @@ def cmd_compare(args):
     pf, pg = cs_restriction_pm(pair, interval.y1.base, interval.y2.base,
                                (functions[args.f], functions[args.g]))
     pieces = pf.compare(pg)
-    doc = {
-        "command": "compare",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
-        "pieces": [serialize.sign_piece_to_json(p) for p in pieces],
-    }
-    lines = [f"model {model_hash(pair)}"] + [str(p) for p in pieces]
-    return _emit(args, doc, lines)
+    doc = {"pieces": [serialize.sign_piece_to_json(p) for p in pieces]}
+    return _emit(args, pair, doc, [str(p) for p in pieces])
 
 
 def cmd_stratify(args):
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     trace = stratify_interval(pair, functions, interval)
-    doc = {
-        "command": "stratify",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
-        "trace": serialize.trace_to_json(trace),
-    }
-    lines = [f"model {model_hash(pair)}", "pieces:"]
+    doc = {"trace": serialize.trace_to_json(trace)}
+    lines = ["pieces:"]
     lines += ["  " + str(p) for p in trace.pieces]
     lines.append("separators:")
     lines += [f"  {par} -> {r!r}" for par, r in trace.boundaries]
-    return _emit(args, doc, lines)
+    return _emit(args, pair, doc, lines)
 
 
 def cmd_chart(args):
@@ -191,14 +177,7 @@ def cmd_chart(args):
                 fh.write(dot + "\n")
         except OSError as ex:
             raise SchemaError(f"cannot write --dot {args.dot}: {ex.strerror}") from ex
-    doc = {
-        "command": "chart",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
-        "chart": serialize.chart_to_json(chart),
-    }
-    lines = [f"model {model_hash(pair)}", dot]
-    return _emit(args, doc, lines)
+    return _emit(args, pair, {"chart": serialize.chart_to_json(chart)}, [dot])
 
 
 def _frontier_from_args(args, pair, rays, functions):
@@ -215,9 +194,6 @@ def cmd_junction(args):
     fp, w, w2, u = _frontier_from_args(args, pair, rays, functions)
     report = fp.junction_process(w, w2, u, max_iter=args.max_iter)
     doc = {
-        "command": "junction",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "outcome": report.outcome,
         "steps": report.steps,
         "stop_criterion_held": report.stop_criterion_held,
@@ -227,13 +203,12 @@ def cmd_junction(args):
         "trace": [{"k": s.k, "lambda": str(s.lam), "ray": ray_to_json(s.ray)}
                   for s in report.trace],
     }
-    lines = [f"model {model_hash(pair)}",
-             "k      lambda    Z_k"]
+    lines = ["k      lambda    Z_k"]
     for s in report.trace:
         lines.append(f"{s.k:<6} {str(s.lam):<9} {s.ray!r}")
     lines.append(f"outcome: {report.outcome}"
                  + (f" at {report.ray!r}" if report.ray else ""))
-    _emit(args, doc, lines)
+    _emit(args, pair, doc, lines)
     return 0 if report.outcome != "gorge" else 1
 
 
@@ -243,25 +218,19 @@ def cmd_butterfly(args):
     try:
         bf = fp.construct_butterfly(w, w2, u)
     except VerificationFailed as ex:
-        doc = {"command": "butterfly", "model_hash": model_hash(pair),
-               "seed": args.seed, "verified": False, "reason": str(ex)}
-        _emit(args, doc, [f"model {model_hash(pair)}", f"no butterfly: {ex}"])
+        _emit(args, pair, {"verified": False, "reason": str(ex)}, [f"no butterfly: {ex}"])
         return 1
     doc = {
-        "command": "butterfly",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "verified": True,
         "w": ray_to_json(bf.w), "w1": ray_to_json(bf.w1),
         "z": ray_to_json(bf.z), "z1": ray_to_json(bf.z1),
         "c": str(bf.c), "d": str(bf.d),
     }
     lines = [
-        f"model {model_hash(pair)}",
         f"butterfly verified: ({bf.w!r}, {bf.w1!r}, {bf.z!r}, {bf.z1!r})",
         f"bounds c = {bf.c}, d = {bf.d}",
     ]
-    return _emit(args, doc, lines)
+    return _emit(args, pair, doc, lines)
 
 
 def cmd_isotropy_entry(args):
@@ -282,9 +251,6 @@ def cmd_isotropy_entry(args):
             sv = sign_vector_at(pair, functions, Ray(eps + t_val * eta))
         rows.append((str(t_val), str(sv), sv == approach.entrance))
     doc = {
-        "command": "isotropy-entry",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "case": approach.case,
         "swapped": approach.swapped,
         "t0": str(approach.t0),
@@ -295,7 +261,6 @@ def cmd_isotropy_entry(args):
         "samples": [{"t": a, "signs": b, "match": c} for a, b, c in rows],
     }
     lines = [
-        f"model {model_hash(pair)}",
         f"case {approach.case}{' (swapped)' if approach.swapped else ''}",
         f"t0 = {approach.t0} ({'strict' if approach.strict else 'inclusive'})",
         f"entrance sign vector: {approach.entrance}",
@@ -305,7 +270,7 @@ def cmd_isotropy_entry(args):
         lines.append(f"{a:<9} {b:<10} {'yes' if c else 'NO'}")
     lines.append(f"stability over {stability.samples_checked} samples: "
                  f"{'pass' if stability.ok else 'FAIL'}")
-    _emit(args, doc, lines)
+    _emit(args, pair, doc, lines)
     return 0 if stability.ok else 1
 
 
@@ -314,18 +279,15 @@ def cmd_oracle(args):
     results = run_suite(pair, args.seed, args.samples)
     total = sum(len(v) for v in results.values())
     doc = {
-        "command": "oracle",
-        "model_hash": model_hash(pair),
-        "seed": args.seed,
         "samples": args.samples,
         "failures": {k: v for k, v in results.items() if v},
         "ok": total == 0,
     }
-    lines = [f"model {model_hash(pair)} seed {args.seed} samples {args.samples}"]
+    lines = []
     for name in sorted(results):
         status = "pass" if not results[name] else f"FAIL ({len(results[name])})"
         lines.append(f"{name}: {status}")
-    _emit(args, doc, lines)
+    _emit(args, pair, doc, lines, f" seed {args.seed} samples {args.samples}")
     return 0 if total == 0 else 1
 
 

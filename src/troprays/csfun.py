@@ -41,9 +41,9 @@ from math import lcm
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
 from .pmfunc import PmFunction, _hull
-from .quadspace import QuadraticPair, Vector, _value
+from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
-from .semifield import _KFINITE, INF, ONE, ZERO, TropValue
+from .semifield import _KFINITE, INF, ONE, ZERO, TropValue, _value
 
 
 def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:

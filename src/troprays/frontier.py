@@ -24,6 +24,8 @@ from .semifield import ZERO, TropValue
 from .strata import (SignVector, derivate_piece, is_direct_derivate, sign_vector_at,
                      stratify_interval)
 
+SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
+
 
 def _sign_at(pair: QuadraticPair, family, x: Ray, signs) -> SignVector:
     """The sign vector of x, looked up in (and added to) the dict `signs`
@@ -246,8 +248,7 @@ class FrontierPair:
 
     # -- butterflies -----------------------------------------------------------------
 
-    def construct_butterfly(self, w: Ray, w_prime: Ray, u: Ray,
-                            scale_budget: int = 24) -> ButterflyResult:
+    def construct_butterfly(self, w: Ray, w_prime: Ray, u: Ray) -> ButterflyResult:
         """Entrance plus regularity bounds yield a candidate quadruple, which
         is then re-verified against the butterfly definition by direct
         stratification; sufficiency of the bounds is never trusted.
@@ -255,7 +256,8 @@ class FrontierPair:
         The boundary vector z may be taken at any scale on its ray; the bound
         arithmetic is scale-sensitive (a large z stalls inside its own fibers)
         so representatives t^0 z, t^-1 z, ... are tried until a candidate
-        passes the exact verification.
+        passes the exact verification, up to the scale budget
+        (``scale_budget`` = ``SCALE_BUDGET`` representatives).
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
@@ -268,7 +270,7 @@ class FrontierPair:
             if self.pair.eval_b(u.base, y.base).is_zero():
                 raise NotRegular("U is not regular for the family anchors")
         z_ray, _ = self.entrance_data(w, u)
-        for k in range(scale_budget):
+        for k in range(SCALE_BUDGET):
             z = TropValue.finite(-k) * z_ray.base
             c, d = regularity_bounds(self.pair, anchors, z, w.base, w_prime.base)
             w1 = Ray(w.base + c * w_prime.base)

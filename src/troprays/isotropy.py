@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from .csfun import _inverse_q, _monomial, _over_q
 from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
-from .quadspace import QuadraticPair, Vector, _value
+from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, TropValue, midpoint, t
+from .semifield import INF, ONE, TropValue, _value, midpoint, t
 from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
 
 

@@ -47,15 +47,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadSubinterval, DiscontinuousInput, UndefinedProduct
-from .semifield import _KFINITE, _KINF, _KZERO, INF, ZERO, TropValue
-
-
-def _tv(num: int, den: int) -> TropValue:
-    return TropValue(_KFINITE, Fraction(num, den))
+from .semifield import _KFINITE, _KINF, _KZERO, INF, ZERO, TropValue, _lattice, _value
 
 
 class PmFunction:
@@ -83,9 +78,7 @@ class PmFunction:
                 raise ValueError("0/oo coefficients only in constant functions")
             self._set_constant(segments[0][0].kind)
             return
-        exps = [b.exp for b in breakpoints[1:-1]] + [c.exp for c, _ in segments]
-        d = lcm(*[e.denominator for e in exps])
-        nums = [e.numerator * (d // e.denominator) for e in exps]
+        d, nums = _lattice([*breakpoints[1:-1], *(c for c, _ in segments)])
         cut = len(breakpoints) - 2
         self._set(d, tuple(nums[:cut]), tuple(nums[cut:]),
                   tuple(k for _, k in segments))
@@ -105,8 +98,8 @@ class PmFunction:
             right = cs[s + 1] + ks[s + 1] * x
             if left != right:
                 raise DiscontinuousInput(
-                    f"segments disagree at breakpoint {_tv(x, d)}: "
-                    f"{_tv(left, d)} != {_tv(right, d)}")
+                    f"segments disagree at breakpoint {_value(x, d)}: "
+                    f"{_value(left, d)} != {_value(right, d)}")
             prev = x
         self.kind = _KFINITE
         self.d, self.xs, self.cs, self.ks = d, xs, cs, ks
@@ -124,7 +117,7 @@ class PmFunction:
         """(0, b_1, ..., b_{r-1}, oo) as TropValues."""
         if self._bps is None:
             d = self.d
-            self._bps = (ZERO, *[_tv(x, d) for x in self.xs], INF)
+            self._bps = (ZERO, *[_value(x, d) for x in self.xs], INF)
         return self._bps
 
     @property
@@ -135,7 +128,7 @@ class PmFunction:
                 self._segs = ((ZERO if self.kind == _KZERO else INF, 0),)
             else:
                 d = self.d
-                self._segs = tuple([(_tv(c, d), k) for c, k in zip(self.cs, self.ks)])
+                self._segs = tuple([(_value(c, d), k) for c, k in zip(self.cs, self.ks)])
         return self._segs
 
     # -- constructors --------------------------------------------------------
@@ -188,14 +181,14 @@ class PmFunction:
             at_inf = lam.kind == _KINF
             k = self.ks[-1] if at_inf else self.ks[0]
             if k == 0:
-                return _tv(self.cs[-1] if at_inf else self.cs[0], self.d)
+                return _value(self.cs[-1] if at_inf else self.cs[0], self.d)
             return INF if (k > 0) == at_inf else ZERO
         p, q = lam.exp.numerator, lam.exp.denominator
         d = self.d
         pd = p * d
         # the cell of lam = p/q: the breakpoints x/d below it are those with x < pd/q
         s = bisect_left(self.xs, -(-pd // q))
-        return _tv(self.cs[s] * q + self.ks[s] * pd, d * q)
+        return _value(self.cs[s] * q + self.ks[s] * pd, d * q)
 
     def __call__(self, lam: TropValue) -> TropValue:
         return self.eval(lam)
@@ -287,7 +280,7 @@ class PmFunction:
         values = [self.eval(ZERO), self.eval(INF)]
         inner = [c + k * x for x, c, k in zip(self.xs, self.cs, self.ks)]
         if inner:
-            values += [_tv(min(inner), self.d), _tv(max(inner), self.d)]
+            values += [_value(min(inner), self.d), _value(max(inner), self.d)]
         return min(values), max(values)
 
     # -- composition and restriction -----------------------------------------------
@@ -476,7 +469,7 @@ def crossing_points(f: PmFunction, g: PmFunction) -> list:
         if kf != kg:
             n, den = _crossing(cf, kf, cg, kg)
             if (lo is None or lo * den < n) and (hi is None or n < hi * den):
-                out.append(_tv(n, den * D))
+                out.append(_value(n, den * D))
     return out
 
 
@@ -546,7 +539,7 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
     if inf_end:
         runs.cell(n + 1, at_end(-1), n + 1, True)
     DL = D * L
-    bounds = [ZERO, *[_tv(p, DL) for p in points], INF]
+    bounds = [ZERO, *[_value(p, DL) for p in points], INF]
     return [(bounds[lo], lc, bounds[hi], hc, label) for lo, lc, hi, hc, label in runs]
 
 

@@ -34,20 +34,10 @@ these ints; only the TropValue views ``eval_q``, ``eval_b``, ``cs`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
-from .semifield import _KFINITE, ZERO, TropValue
-
-
-def _lattice(values) -> tuple:
-    """(d, nums): d is the lcm of the finite exponents' denominators and
-    nums[k] = d * exponent of values[k], an int, or None for the zero."""
-    exps = [v.exp for v in values]
-    d = lcm(*[e.denominator for e in exps if e is not None])
-    return d, tuple([None if e is None else e.numerator * (d // e.denominator)
-                     for e in exps])
+from .semifield import ZERO, TropValue, _lattice, _value
 
 
 class Vector:
@@ -74,8 +64,7 @@ class Vector:
         """The coordinates as TropValues."""
         if self._coords is None:
             d = self.d
-            self._coords = tuple([ZERO if n is None else TropValue(_KFINITE, Fraction(n, d))
-                                  for n in self.nums])
+            self._coords = tuple([_value(n, d) for n in self.nums])
         return self._coords
 
     @classmethod
@@ -149,11 +138,6 @@ def _vector(d: int, nums: tuple) -> Vector:
     v = object.__new__(Vector)
     v.d, v.nums, v._coords = d, nums, None
     return v
-
-
-def _value(num, den: int) -> TropValue:
-    """The TropValue of a lattice value num/den (None for the zero)."""
-    return ZERO if num is None else TropValue(_KFINITE, Fraction(num, den))
 
 
 def vec(*items) -> Vector:
@@ -275,8 +259,7 @@ class QuadraticPair:
         if b is None:
             return ZERO
         den = lcm(dx, dy, db)
-        return TropValue(_KFINITE, Fraction(2 * b * (den // db) - qx * (den // dx)
-                                            - qy * (den // dy), den))
+        return _value(2 * b * (den // db) - qx * (den // dx) - qy * (den // dy), den)
 
     def is_isotropic(self, x: Vector) -> bool:
         """True iff x is nonzero and q(x) = 0."""

@@ -9,14 +9,23 @@ base vector it was formed from, so parameter values along intervals are
 reproducible.  Equality and hashing ignore the base point.
 
 The interval [Y1, Y2] is parametrized by pi(lam) = ray(eps1 + lam * eps2)
-for lam in [0, oo], with pi(0) = Y1 and pi(oo) = Y2.
+for lam in [0, oo], with pi(0) = Y1 and pi(oo) = Y2, and its rays are
+ordered by the parameter where they are first reached.  ``locate`` finds
+that parameter with the engine that cuts the CS strata along the same
+parameter, ``pmfunc.sign_runs``: for 0 < lam < oo, pi(lam) = Z exactly
+where the zero coordinates of Z stay zero and the pm functions
+(eps1_i + lam eps2_i) / z_i over its finite coordinates all agree, so the
+first run of pairwise "=" signs begins at the answer.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import NotOnInterval, ZeroVector
+from .pmfunc import _hull, sign_runs
 from .quadspace import Vector, _vector
-from .semifield import INF, ZERO, TropValue, midpoint
+from .semifield import INF, ZERO, TropValue
 
 
 class Ray:
@@ -83,67 +92,32 @@ class RayInterval:
     def locate(self, z: Ray) -> TropValue | None:
         """The smallest lam with pi(lam) = z, or None when z is off the interval.
 
-        The fiber of pi over z is a convex subset of [0, oo], so "smallest"
-        is well defined.  Candidates are found piecewise: between consecutive
-        coordinate switch points eps1_i / eps2_j the canonical representative
-        of pi(lam) is coordinatewise monomial in lam, hence either constant
-        or injective there.  Every candidate is verified by re-evaluating pi.
+        The fiber of pi over z is a closed convex subset of [0, oo], so
+        "smallest" is well defined.  For finite lam > 0, pi(lam) = z exactly
+        when every zero coordinate of z is zero in eps1 and eps2 and the
+        ratios r_i(lam) = (eps1_i + lam eps2_i) / z_i over the finite
+        coordinates of z all agree.  Each r_i is a two-monomial pm function
+        on the common lattice of eps1, eps2 and z, so the fiber is a union of
+        the runs of ``sign_runs`` labelled only "=": the answer is the lower
+        end of the first such run, re-verified by pi, else oo when pi(oo) = z.
         """
         if z == self.y1:
             return ZERO
-        eps1, eps2 = self.y1.base, self.y2.base
-        cuts = set()
-        for a in eps1.coords:
-            if not a.is_finite():
-                continue
-            for b in eps2.coords:
-                if b.is_finite():
-                    cuts.add(a / b)
-        bounds = [ZERO] + sorted(cuts) + [INF]
-        target = z.rep
-        n = len(eps1)
-        for k in range(len(bounds) - 1):
-            lo, hi = bounds[k], bounds[k + 1]
-            if not lo < hi:
-                continue
-            mid = midpoint(lo, hi)
-            # dominant term of each coordinate on this piece: (coeff, degree)
-            shape = []
-            best_val, best_idx = ZERO, -1
-            for i in range(n):
-                const = eps1.coords[i]
-                lin = mid * eps2.coords[i]
-                if const >= lin:
-                    coeff, deg, val = const, 0, const
-                else:
-                    coeff, deg, val = eps2.coords[i], 1, lin
-                shape.append((coeff, deg))
-                if val > best_val:
-                    best_val, best_idx = val, i
-            if best_idx < 0:
-                continue
-            top_coeff, top_deg = shape[best_idx]
-            candidate = None
-            constant_piece = True
-            for i in range(n):
-                coeff, deg = shape[i]
-                d = deg - top_deg
-                if coeff.is_zero() or d == 0:
-                    continue
-                constant_piece = False
-                ti = target.coords[i]
-                if ti.is_zero():
-                    continue
-                # (coeff/top_coeff) * lam^d = target_i  with d in {-1, +1}
-                sol = (ti * top_coeff / coeff) ** (1 if d > 0 else -1)
-                candidate = sol
-                break
-            if constant_piece:
-                candidate = lo
-            if candidate is None or not (lo <= candidate <= hi):
-                continue
-            if self.pi(candidate) == z:
-                return candidate
+        vectors = (self.y1.base, self.y2.base, z.rep)
+        d = lcm(*[v.d for v in vectors])
+        eps1, eps2, target = [[None if x is None else x * (d // v.d) for x in v.nums]
+                              for v in vectors]
+        ratios = []
+        for a, b, c in zip(eps1, eps2, target):
+            if c is not None:
+                ratios.append(_hull([(None if a is None else a - c, d, 0),
+                                     (None if b is None else b - c, d, 1)]))
+            elif a is not None or b is not None:
+                break  # a coordinate of pi(lam) that is nonzero for finite lam > 0
+        else:
+            for lo, _, _, _, signs in sign_runs(ratios):
+                if "<" not in signs and ">" not in signs and self.pi(lo) == z:
+                    return lo
         if self.pi(INF) == z:
             return INF
         return None

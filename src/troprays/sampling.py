@@ -99,6 +99,3 @@ class Sampler:
 
     def choice(self, seq):
         return self.rng.choice(seq)
-
-    def shuffle(self, seq):
-        self.rng.shuffle(seq)

@@ -9,11 +9,16 @@ variants, never extreme rationals; the product 0*oo is undefined and raises
 
 Addition is the tropical maximum, written ``a + b``.  All values are
 immutable and hashable.
+
+The layers above compute on integer numerators over one denominator (the
+integer lattice); they convert TropValues to it with ``_lattice`` and back
+with ``_value``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import UndefinedProduct
 
@@ -157,6 +162,20 @@ class TropValue:
 ZERO = TropValue(_KZERO)
 INF = TropValue(_KINF)
 ONE = TropValue(_KFINITE, Fraction(0))  # the idempotent unit e = t^0
+
+
+def _value(num, den: int) -> TropValue:
+    """The TropValue of a lattice value num/den (None for the zero)."""
+    return ZERO if num is None else TropValue(_KFINITE, Fraction(num, den))
+
+
+def _lattice(values) -> tuple:
+    """(d, nums): d is the lcm of the finite exponents' denominators and
+    nums[k] = d * exponent of values[k], an int, or None for the zero."""
+    exps = [v.exp for v in values]
+    d = lcm(*[e.denominator for e in exps if e is not None])
+    return d, tuple([None if e is None else e.numerator * (d // e.denominator)
+                     for e in exps])
 
 
 def t(exp) -> TropValue:

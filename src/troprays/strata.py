@@ -169,12 +169,6 @@ class StrataTrace:
     pieces: tuple  # of TracePiece
     boundaries: tuple  # of (TropValue, Ray), length len(pieces) + 1
 
-    def piece_of(self, lam: TropValue) -> TracePiece:
-        for piece in self.pieces:
-            if piece.contains(lam):
-                return piece
-        raise ValueError("parameter not covered by the trace")
-
     def separator_rays(self) -> tuple:
         return tuple(r for _, r in self.boundaries)
 

@@ -37,6 +37,9 @@ README = [
      "--from", "Y2", "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0"),
     ("oracle", *M1, "--samples", "500", "--seed", "7"),
 ]
+FAILURES = [
+    ("butterfly", *M1_FAM, "--w", "W", "--w2", "W2", "--u", "Z"),
+]
 MODELS = [
     ("validate", "--model", "data/m3.json"),
     ("eval", "--model", "data/m3.json", "--vec", "0,0,-inf", "--vec2=-inf,0,0"),
@@ -45,7 +48,7 @@ MODELS = [
     ("eval", "--model", "data/wall.json", "--vec", "0,-1,-2", "--vec2=-inf,0,-3"),
     ("oracle", "--model", "data/wall.json", "--samples", "100", "--seed", "3"),
 ]
-COMMANDS = [list(argv) + extra for argv in README + MODELS for extra in ([], ["--json"])]
+COMMANDS = [list(argv) + extra for argv in README + FAILURES + MODELS for extra in ([], ["--json"])]
 
 
 def run(argv, tmp):

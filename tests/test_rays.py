@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
+import rays_reference
+import troprays.rays as rays_module
 from troprays.errors import NotOnInterval, ZeroVector
-from troprays.quadspace import Vector, vec
+from troprays.quadspace import Vector, _vector, vec
 from troprays.rays import Ray, RayInterval, ray
 from troprays.sampling import Sampler
 from troprays.semifield import INF, ZERO, t
@@ -151,3 +155,91 @@ def test_locate_inverts_pi_everywhere():
         assert found is not None
         assert interval.pi(found) == z
         assert found <= lam
+
+
+def locate_cases(seed, count):
+    """Seeded (interval, target) pairs: dimensions 2-5, about a third of the
+    coordinates zero, exponent denominators up to 4.  Each interval comes
+    with its endpoints as targets, points pi(lam) (lam = 0 and oo
+    included), random rays, and interval points with one coordinate zeroed
+    or moved."""
+    sampler = Sampler(seed, num_bound=6, den_bound=4)
+    while count > 0:
+        n = sampler.rng.randint(2, 5)
+        y1, y2 = Ray(sampler.vector(n, p_zero=0.35)), Ray(sampler.vector(n, p_zero=0.35))
+        if y1 == y2:
+            continue
+        interval = RayInterval(y1, y2)
+        targets = [y1, y2, interval.pi(sampler.parameter(0.1, 0.1)),
+                   Ray(sampler.vector(n, p_zero=0.35))]
+        base = interval.pi(sampler.value()).rep
+        nums = list(base.nums)
+        k = sampler.rng.randrange(n)
+        nums[k] = None if nums[k] is not None and sampler.rng.random() < 0.5 \
+            else sampler.rng.randint(-8, 2)
+        if any(x is not None for x in nums):
+            targets.append(Ray(_vector(base.d, tuple(nums))))
+        count -= len(targets)
+        for z in targets:
+            yield interval, z
+
+
+LOCATE_EDGES = [
+    # fat fiber at Y1: pi(lam) = Y1 for every lam <= e
+    (RayInterval(Ray(vec(0, -3)), Ray(vec(0, "-inf"))), ray(0, -4)),
+    # fat fiber at Y2: pi(lam) = Y2 from lam = t^(-2) on
+    (RayInterval(Ray(vec(0, -2)), Ray(vec(2, 2))), ray(0, 0)),
+    # Y2 reached only at oo
+    (RayInterval(Ray(vec(0, "-inf")), Ray(vec("-inf", 0))), ray("-inf", 0)),
+    # zero coordinates in eps1, eps2 and z, fractional answer t^(-7/3)
+    (RayInterval(Ray(vec(0, "-inf", "-1/3")), Ray(vec("-inf", 0, "-inf"))),
+     ray(0, "-7/3", "-1/3")),
+    # a zero coordinate of z where eps1 is nonzero: off the interval
+    (RayInterval(Ray(vec(0, "-inf", "-1/3")), Ray(vec("-inf", 0, "-inf"))),
+     ray(0, "-7/3", "-inf")),
+    # a zero coordinate of z where only eps2 is nonzero: only Y1 has it
+    (RayInterval(Ray(vec(0, "-inf", "-1/3")), Ray(vec("-inf", 0, "-inf"))),
+     ray(0, "-inf", "-1/3")),
+    # off the interval with every coordinate finite
+    (RayInterval(Ray(vec(0, -1, "1/2")), Ray(vec(-2, 0, "-3/4"))), ray(0, 5, 0)),
+]
+
+
+def test_locate_matches_frozen_reference():
+    seen = Counter()
+    for interval, z in [*LOCATE_EDGES, *locate_cases(17, 3000)]:
+        found = interval.locate(z)
+        assert found == rays_reference.locate(interval, z), (interval, z)
+        seen["on" if found is not None else "off"] += 1
+        for name, v in (("eps1", interval.y1.base), ("eps2", interval.y2.base), ("z", z.rep)):
+            if None in v.nums:
+                seen["zero in " + name] += 1
+        if found is not None and found.is_finite() and found.exp.denominator > 1:
+            seen["fractional"] += 1
+        if z == interval.y2:
+            seen["Y2 only at oo" if found == INF else "fat fiber at Y2"] += 1
+        if z == interval.y1:
+            last = rays_reference.locate(interval.reversed(), z)
+            if last is not None and last.is_finite():
+                seen["fat fiber at Y1"] += 1
+    assert len(seen) == 9 and min(seen.values()) >= 5, seen
+
+
+def test_locate_zero_coordinate_leaves_only_infinity(monkeypatch):
+    # a zero coordinate of z that eps1 or eps2 fills is zero in no pi(lam)
+    # with 0 < lam < oo, so only pi(oo) is tried and no sign runs are cut
+    calls = []
+    real = rays_module.sign_runs
+
+    def counted(fns):
+        calls.append(fns)
+        return real(fns)
+
+    monkeypatch.setattr(rays_module, "sign_runs", counted)
+    interval = RayInterval(Ray(vec(0, "-inf", "-1/3")), Ray(vec("-inf", 0, "-inf")))
+    assert interval.locate(ray(0, "-7/3", "-inf")) is None
+    assert interval.locate(ray("-inf", 0, "-inf")) == INF
+    assert RayInterval(Ray(vec(0, "-inf")), Ray(vec("-inf", 0))).locate(ray("-inf", 0)) == INF
+    assert calls == []
+    assert interval.locate(ray(0, "-7/3", "-1/3")) == t("-7/3")
+    assert len(calls) == 1
