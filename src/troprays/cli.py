@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import serialize
-from .errors import SchemaError, TropraysError, VerificationFailed, ZeroVector
+from .errors import (IsotropicArgument, SchemaError, TropraysError, VerificationFailed,
+                     ZeroVector)
 from .csfun import build_fw, cs_restriction_pm
 from .frontier import FrontierPair
 from .isotropy import entrance_stratum, stability_check
@@ -94,14 +95,15 @@ def cmd_eval(args):
     pair, _, _, _ = _load_context(args)
     x = _resolve_vector(args.vec, pair.dim)
     doc = {"q": str(pair.eval_q(x))}
-    lines = [f"q(x) = {pair.eval_q(x)}"]
     if args.vec2:
         y = _resolve_vector(args.vec2, pair.dim)
         doc["b"] = str(pair.eval_b(x, y))
-        lines.append(f"b(x,y) = {pair.eval_b(x, y)}")
-        doc["cs"] = str(pair.cs(x, y))
-        lines.append(f"CS(x,y) = {pair.cs(x, y)}")
-    return _emit(args, pair, doc, lines)
+        try:
+            doc["cs"] = str(pair.cs(x, y))
+        except IsotropicArgument as ex:
+            raise SchemaError(f"CS(x,y) is undefined: {ex}") from ex
+    labels = {"q": "q(x)", "b": "b(x,y)", "cs": "CS(x,y)"}
+    return _emit(args, pair, doc, [f"{labels[k]} = {v}" for k, v in doc.items()])
 
 
 def _interval_from_args(args, pair, rays) -> RayInterval:

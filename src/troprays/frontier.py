@@ -38,20 +38,34 @@ def _sign_at(pair: QuadraticPair, family, x: Ray, signs) -> SignVector:
     return sv
 
 
+def _trace_of(pair: QuadraticPair, family, interval: RayInterval, traces):
+    """The trace of `interval`, looked up in (and added to) the dict `traces`
+    when given.  The key is the pair of pointed bases, not of rays: the
+    trace's parameters depend on the scale of eps1 and eps2."""
+    if traces is None:
+        return stratify_interval(pair, family, interval)
+    key = (interval.y1.base, interval.y2.base)
+    trace = traces.get(key)
+    if trace is None:
+        trace = traces[key] = stratify_interval(pair, family, interval)
+    return trace
+
+
 def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, u: Ray, _signs=None):
+                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _traces=None):
     """Entrance ray of [W, U] into T' plus its interval parameter.
 
     Requires the trace of [W, U] to be exactly a half-open T piece followed
     by a closed T' piece (case1); anything else raises NoEntrance.  `_signs`
-    is a sign vector memo of the (pair, family), as :func:`_sign_at` reads it.
+    is a sign vector memo of the (pair, family), as :func:`_sign_at` reads it,
+    and `_traces` a trace memo as :func:`_trace_of` reads it.
     """
     if _sign_at(pair, family, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     if u == w:
         raise NoEntrance("U is W itself")
     interval = RayInterval(w, u)
-    piece = derivate_piece(stratify_interval(pair, family, interval), t_vec, t_prime)
+    piece = derivate_piece(_trace_of(pair, family, interval, _traces), t_vec, t_prime)
     if piece is None:
         raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
     if not piece.lo_closed:
@@ -60,11 +74,12 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
 
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None) -> bool:
+                  t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None,
+                  _traces=None) -> bool:
     """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
 
     `_memo` maps (W.rep, Z.rep) to earlier answers for the same (T, T');
-    `_signs` is a sign vector memo as in :func:`entrance_data`.
+    `_signs` and `_traces` are memos as in :func:`entrance_data`.
     """
     if _memo is not None:
         key = (w.rep, z.rep)
@@ -76,7 +91,7 @@ def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
     result = False
     if _sign_at(pair, family, z, _signs) == t_prime:
         interval = RayInterval(w, z)
-        piece = derivate_piece(stratify_interval(pair, family, interval), t_vec, t_prime)
+        piece = derivate_piece(_trace_of(pair, family, interval, _traces), t_vec, t_prime)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
         result = (piece is not None and piece.lo_closed
@@ -153,8 +168,10 @@ class FrontierPair:
         self.family = family
         self.t = t_vec
         self.t_prime = t_prime
-        self._memo = {}   # sector memo: (W.rep, Z.rep) -> membership
-        self._signs = {}  # sign memo: ray.rep -> sign vector
+        self._memo = {}    # sector memo: (W.rep, Z.rep) -> membership
+        self._signs = {}   # sign memo: ray.rep -> sign vector
+        self._traces = {}  # trace memo: (y1.base, y2.base) -> stratify_interval
+        self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
 
     @classmethod
     def certify(cls, pair, family, w: Ray, w_prime: Ray) -> "FrontierPair":
@@ -166,18 +183,18 @@ class FrontierPair:
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
 
-    # -- entrances and sectors, sharing the sector and sign memos ------------------
+    # -- entrances and sectors, sharing the sector, sign and trace memos ----------
 
     def entrance_data(self, w: Ray, u: Ray):
         return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u,
-                             self._signs)
+                             self._signs, self._traces)
 
     def entrance_ray(self, w: Ray, u: Ray) -> Ray:
         return self.entrance_data(w, u)[0]
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
         return sector_member(self.pair, self.family, self.t, self.t_prime,
-                             w, z, self._memo, self._signs)
+                             w, z, self._memo, self._signs, self._traces)
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -253,11 +270,11 @@ class FrontierPair:
         is then re-verified against the butterfly definition by direct
         stratification; sufficiency of the bounds is never trusted.
 
-        The boundary vector z may be taken at any scale on its ray; the bound
-        arithmetic is scale-sensitive (a large z stalls inside its own fibers)
-        so representatives t^0 z, t^-1 z, ... are tried until a candidate
-        passes the exact verification, up to the scale budget
-        (``scale_budget`` = ``SCALE_BUDGET`` representatives).
+        The boundary vector z may be taken at any scale t^-k z on its ray.  Every
+        term of :func:`regularity_bounds` scales by t^-k, so c(k) = t^-k c(0) and
+        Z1 = ray(z + c(0) w') is one ray at every k: Z1 = Z is rejected at once,
+        else k = 0, 1, ... is tried (only W1 = ray(w + c(k) w') moves, toward W)
+        until a candidate passes, up to ``scale_budget`` = ``SCALE_BUDGET``.
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
@@ -275,7 +292,9 @@ class FrontierPair:
             c, d = regularity_bounds(self.pair, anchors, z, w.base, w_prime.base)
             w1 = Ray(w.base + c * w_prime.base)
             z1 = Ray(z + c * w_prime.base)
-            if w1 == w or z1 == z_ray:
+            if k == 0 and z1 == z_ray:
+                break  # then Z1 = Z at every scale
+            if w1 == w:
                 continue
             if self.is_butterfly(w, w1, z_ray, z1):
                 return ButterflyResult(w, w1, z_ray, z1, c, d)
@@ -288,15 +307,36 @@ class FrontierPair:
 
         An empty U yields the whole P_pool (empty intersection).
         """
-        rays_u = list(rays_u)
-        if any(w not in u_pool for w in rays_u):
-            raise ValueError("U must be a subset of U_pool")
-        return tuple(z for z in p_pool
-                     if all(self.sector_member(w, z) for w in rays_u))
+        return self._galois(rays_u, u_pool, p_pool, False)
 
     def galois_S(self, rays_p, u_pool, p_pool) -> tuple:
-        rays_p = list(rays_p)
-        if any(z not in p_pool for z in rays_p):
-            raise ValueError("P must be a subset of P_pool")
-        return tuple(w for w in u_pool
-                     if all(self.sector_member(w, z) for z in rays_p))
+        return self._galois(rays_p, u_pool, p_pool, True)
+
+    def _galois(self, query, u_pool, p_pool, dual: bool) -> tuple:
+        """Rays of P_pool related to all of a U-query (L) or, when `dual`, rays
+        of U_pool related to all of a P-query (S), read off the sector relation
+        on U_pool x P_pool: one rep -> bitmask dict per pool, a W's row of
+        P_pool indices and a Z's column of U_pool indices, each filled through
+        the sector memo on first use.  Masks are ANDed in query order until
+        none is left, as a short-circuiting per-ray test would evaluate them."""
+        pools = (tuple(u_pool), tuple(p_pool))
+        masks = self._relations.get(pools)
+        if masks is None:
+            masks = self._relations[pools] = tuple(dict.fromkeys(x.rep for x in pool)
+                                                   for pool in pools)
+        own, image = masks[dual], pools[not dual]
+        query = list(query)
+        if any(x.rep not in own for x in query):
+            raise ValueError("P must be a subset of P_pool" if dual
+                             else "U must be a subset of U_pool")
+        related = (1 << len(image)) - 1
+        for x in query:
+            if not related:
+                break
+            mask = own[x.rep]
+            if mask is None:
+                mask = own[x.rep] = sum(
+                    1 << i for i, y in enumerate(image)
+                    if (self.sector_member(y, x) if dual else self.sector_member(x, y)))
+            related &= mask
+        return tuple(y for i, y in enumerate(image) if related >> i & 1)

@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
+from troprays import frontier
 from troprays.errors import (
     NoEntrance,
     NotRegular,
+    TropraysError,
     VerificationFailed,
     WitnessNotInStratum,
 )
-from troprays.frontier import FrontierPair, regularity_bounds
+from troprays.frontier import FrontierPair, regularity_bounds, sector_member
 from troprays.instances import WALL, wall_family, wall_scenario
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval, ray
@@ -319,6 +321,230 @@ def test_galois_antitone_and_extensive(wall_frontier):
         ls = wall_frontier.galois_L(
             wall_frontier.galois_S(subset_p, u_pool, p_pool), u_pool, p_pool)
         assert set(subset_p) <= set(ls)
+
+
+def fresh_wall_frontier():
+    fam = wall_family()
+    w, _, u = wall_scenario()
+    return FrontierPair(WALL, fam, sign_vector_at(WALL, fam, w),
+                        sign_vector_at(WALL, fam, u))
+
+
+def seeded_wall_pools(fp, seed, extra=3):
+    """Criterion 11's pools plus `extra` seeded rays of T and of T' each."""
+    u_pool, p_pool = galois_pools(fp)
+    sampler = Sampler(seed)
+    for pool, stratum in ((u_pool, fp.t), (p_pool, fp.t_prime)):
+        target = len(pool) + extra
+        while len(pool) < target:
+            x = Ray(sampler.vector(3, p_zero=0.3))
+            try:
+                if sign_vector_at(WALL, fp.family, x) == stratum and x not in pool:
+                    pool.append(x)
+            except TropraysError:
+                continue
+    return u_pool, p_pool
+
+
+def galois_by_definition(fp, query, u_pool, p_pool, dual):
+    """L (or S when `dual`) as short-circuiting tests of the sector
+    definition, each evaluated afresh with no memo; an error is returned as
+    its type."""
+    def member(w, z):
+        return sector_member(fp.pair, fp.family, fp.t, fp.t_prime, w, z)
+    query = list(query)
+    try:
+        if any(x not in (p_pool if dual else u_pool) for x in query):
+            raise ValueError("query outside its pool")
+        if dual:
+            return tuple(w for w in u_pool if all(member(w, z) for z in query))
+        return tuple(z for z in p_pool if all(member(w, z) for w in query))
+    except (ValueError, WitnessNotInStratum) as ex:
+        return type(ex)
+
+
+def galois_by_relation(fp, query, u_pool, p_pool, dual):
+    try:
+        if dual:
+            return fp.galois_S(query, u_pool, p_pool)
+        return fp.galois_L(query, u_pool, p_pool)
+    except (ValueError, WitnessNotInStratum) as ex:
+        return type(ex)
+
+
+def galois_queries(u_pool, p_pool, orders=False):
+    """(query, dual) for every U- and P-query of at most two rays (ordered
+    when `orders`), and the whole pools."""
+    pick = itertools.permutations if orders else itertools.combinations
+    for dual, pool in ((False, u_pool), (True, p_pool)):
+        for r in (0, 1, 2):
+            for query in pick(pool, r):
+                yield query, dual
+        yield tuple(pool), dual
+
+
+@pytest.fixture
+def counted_sectors(monkeypatch):
+    """Sector evaluations made through FrontierPair, memo hits included."""
+    calls = []
+    original = frontier.sector_member
+
+    def counted(*args):
+        calls.append(args[4:6])
+        return original(*args)
+
+    monkeypatch.setattr(frontier, "sector_member", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_galois_relation_matches_definition(seed, counted_sectors):
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, seed)
+    images = set()
+    for query, dual in galois_queries(u_pool, p_pool):
+        got = galois_by_relation(fp, query, u_pool, p_pool, dual)
+        assert got == galois_by_definition(fp, query, u_pool, p_pool, dual)
+        images.add(got)
+    assert len(images) > 4  # the relation is neither empty nor full
+    # empty pools: L into an empty P_pool and S into an empty U_pool
+    assert fp.galois_L(u_pool[:1], u_pool, []) == ()
+    assert fp.galois_S(p_pool[:1], [], p_pool) == ()
+    assert fp.galois_L([], [], p_pool) == tuple(p_pool)
+    # a repeated pass over the same pools evaluates no sector
+    del counted_sectors[:]
+    for query, dual in galois_queries(u_pool, p_pool):
+        galois_by_relation(fp, query, u_pool, p_pool, dual)
+    assert counted_sectors == []
+
+
+def test_galois_relation_keeps_duplicates_in_pool_order():
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 3)
+    # the same rays again, at other bases, inside each pool
+    u_dup = u_pool[:2] + [Ray(t(-2) * u_pool[0].base)] + u_pool[2:]
+    p_dup = p_pool + [Ray(t(5) * p_pool[1].base)]
+    for query, dual in galois_queries(u_dup, p_dup):
+        got = galois_by_relation(fp, query, u_dup, p_dup, dual)
+        assert got == galois_by_definition(fp, query, u_dup, p_dup, dual)
+        image = u_dup if dual else p_dup
+        assert [x.base for x in got] == [x.base for x in image if x in got]
+    assert fp.galois_L([], u_dup, p_dup) == tuple(p_dup)
+    assert fp.galois_S([], u_dup, p_dup) == tuple(u_dup)
+
+
+def test_galois_non_member_raises_before_any_sector(counted_sectors):
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 1)
+    outsider = Ray(vec(0, -7, "-inf"))
+    with pytest.raises(ValueError, match="U must be a subset of U_pool"):
+        fp.galois_L([u_pool[0], outsider], u_pool, p_pool)
+    with pytest.raises(ValueError, match="P must be a subset of P_pool"):
+        fp.galois_S([p_pool[0], outsider], u_pool, p_pool)
+    assert counted_sectors == []
+
+
+def test_galois_witness_outside_t_raises_where_the_definition_does():
+    """A U_pool ray outside T raises only once a short-circuiting test
+    reaches it: in L when the rays before it in the query leave some pool
+    candidate, in S for every nonempty P-query."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 2)
+    bad = p_pool[0]  # a ray of T'
+    u_bad = u_pool[:2] + [bad] + u_pool[2:]
+    # the P_pool rays outside some sector, so that an L-query can run dry
+    sparse = [z for z in p_pool
+              if galois_by_definition(fp, [z], u_pool, p_pool, True) != tuple(u_pool)]
+    outcomes = set()
+    for pool in (p_pool, sparse, []):
+        for query, dual in galois_queries(u_bad, pool, orders=True):
+            got = galois_by_relation(fp, query, u_bad, pool, dual)
+            assert got == galois_by_definition(fp, query, u_bad, pool, dual), query
+            outcomes.add((dual, bad in query, got is WitnessNotInStratum))
+    # L-queries holding the ray outside T both raise and do not raise
+    assert {(False, True, True), (False, True, False), (True, False, True)} <= outcomes
+
+
+def test_entrance_trace_memo_is_keyed_by_pointed_bases():
+    """[W, U] and [W, t^-3 U] are the same ray interval with different
+    parameters: ray(w + lam t^-3 u) = pi(t^-3 lam), so the entrance parameter
+    of the second is t^3 times that of the first, even on one memo."""
+    fp = fresh_wall_frontier()
+    w, _, u = wall_scenario()
+    z, lam = fp.entrance_data(w, u)
+    scaled = Ray(t(-3) * u.base)
+    assert scaled == u and scaled.base != u.base
+    z_scaled, lam_scaled = fp.entrance_data(w, scaled)
+    assert lam.is_finite()
+    assert z_scaled == z
+    assert lam_scaled == t(3) * lam
+
+
+def butterfly_candidates(seed, wanted):
+    """Seeded inputs that reach the scale loop of the butterfly construction:
+    (frontier, W, W', U, entrance ray Z of [W, U], family anchors) with
+    W != W', U and Z regular, on balanced dimension-3 models with anchors
+    e1, e2."""
+    sampler = Sampler(seed)
+    fam = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
+           BasicFunction.cs(Ray(Vector.unit(3, 1))))
+    anchors = tuple(a for f in fam for a in f.anchors())
+    found = []
+    while len(found) < wanted:
+        pair = sampler.anisotropic_pair(3, balanced=True)
+        groups = {}
+        for _ in range(10):
+            x = Ray(sampler.vector(3, p_zero=0.3))
+            groups.setdefault(str(sign_vector_at(pair, fam, x)), []).append(x)
+        if len(groups.get("<", [])) < 2 or "=" not in groups:
+            continue
+        (w, w_prime), u = groups["<"][:2], groups["="][0]
+        if w == w_prime or any(pair.eval_b(u.base, y.base).is_zero() for y in anchors):
+            continue
+        fp = FrontierPair(pair, fam, sign_vector_at(pair, fam, w),
+                          sign_vector_at(pair, fam, u))
+        try:
+            z_ray, _ = fp.entrance_data(w, u)
+            regularity_bounds(pair, anchors, z_ray.base, w.base, w_prime.base)
+        except TropraysError:
+            continue
+        found.append((fp, w, w_prime, u, z_ray, anchors))
+    return found
+
+
+def first_candidate_ray(fp, w, w_prime, z_ray, anchors):
+    """Z1 = ray(z + c(0) w') at the first scale of the butterfly construction."""
+    c0, _ = regularity_bounds(fp.pair, anchors, z_ray.base, w.base, w_prime.base)
+    return Ray(z_ray.base + c0 * w_prime.base)
+
+
+def test_butterfly_bounds_scale_with_the_boundary_vector():
+    """c(k) = t^-k c(0) and d(k) = t^-k d(0) at scale t^-k z, so the
+    candidate Z1 = ray(t^-k z + c(k) w') is one ray for every k."""
+    same_z = 0
+    for fp, w, w_prime, _, z_ray, anchors in butterfly_candidates(7, 12):
+        c0, d0 = regularity_bounds(fp.pair, anchors, z_ray.base, w.base, w_prime.base)
+        z1 = first_candidate_ray(fp, w, w_prime, z_ray, anchors)
+        same_z += z1 == z_ray
+        for k in range(1, 4):
+            z = t(-k) * z_ray.base
+            c, d = regularity_bounds(fp.pair, anchors, z, w.base, w_prime.base)
+            assert c == t(-k) * c0 and d == t(-k) * d0
+            assert Ray(z + c * w_prime.base) == z1
+    assert 0 < same_z < 12
+
+
+def test_butterfly_with_fixed_z1_is_rejected_at_the_first_scale(monkeypatch):
+    fp, w, w_prime, u, z_ray, anchors = next(
+        cand for cand in butterfly_candidates(7, 12)
+        if first_candidate_ray(*cand[:3], *cand[4:]) == cand[4])
+    calls = []
+    original = frontier.regularity_bounds
+    monkeypatch.setattr(frontier, "regularity_bounds",
+                        lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(VerificationFailed, match="fails the butterfly test"):
+        fp.construct_butterfly(w, w_prime, u)
+    assert len(calls) == 1
 
 
 def test_gorge_report_shape_with_stubbed_boundary(wall_frontier, monkeypatch):

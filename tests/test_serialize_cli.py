@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from troprays import serialize
+from troprays import cli, serialize
 from troprays.errors import SchemaError
 from troprays.instances import M1, M3
 from troprays.pmfunc import PmFunction
@@ -169,6 +169,21 @@ def test_cli_eval_values():
     doc = json.loads(res.stdout)
     assert doc["q"] == "6"
     assert doc["b"] == "5"
+
+
+def test_cli_eval_evaluates_each_value_once(capsys, gram_calls):
+    code = cli.main(["eval", "--model", data("m1.json"), "--vec", "0,3",
+                     "--vec2", "0,-inf"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "q(x) = 6", "b(x,y) = 5", "CS(x,y) = 4"]
+    # q(x), b(x, y), and CS(x, y) from q(x), q(y), b(x, y)
+    assert gram_calls == {"eval_q": 1 + 2, "eval_b": 1 + 1}
+
+
+def test_cli_eval_cs_of_isotropic_vector_is_input_error():
+    assert_input_error(run_cli("eval", "--model", data("m3.json"), "--vec=0,-inf,-inf",
+                               "--vec2", "0,0,0"))
 
 
 def test_cli_oracle_small():
