@@ -23,7 +23,7 @@ exponent coeff - q(w) + 2 b(eps, w), formed in ints over the lcm of the
 denominators involved, and the envelopes of the numerator and of q are built
 by the int hull builder ``pmfunc._hull``.  Values at a ray (``_values_at``,
 behind :meth:`BasicFunction.eval` and sign vectors) are maxima over ints
-too; only the TropValue results of the public views become Fractions.
+too, and the public views return them as TropValues, reduced int pairs.
 
 Region analysis: f_w is constant on a maximal initial interval A_w and a
 maximal final interval C_w and is nowhere constant in between (B_w), unless
@@ -164,10 +164,9 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
 def _over(coeff: TropValue, q: tuple) -> tuple:
     """coeff / q as a lattice value, for a finite coeff and a nonzero lattice
     value q, on the lcm of their denominators."""
-    c, dc = coeff.exp.numerator, coeff.exp.denominator
     qn, dq = q
-    den = lcm(dc, dq)
-    return c * (den // dc) - qn * (den // dq), den
+    den = lcm(coeff.den, dq)
+    return coeff.num * (den // coeff.den) - qn * (den // dq), den
 
 
 def _monomial(scale: tuple, b: tuple, k: int) -> tuple:

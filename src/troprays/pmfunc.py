@@ -18,8 +18,8 @@ The integer lattice.  In log scale the monomial t^c * lam^k is the line
 c + k x in the exponent x of lam.  A function keeps its interior breakpoints
 and its coefficients as integer numerators over one denominator d (``xs``
 and ``cs``) and its degrees as ints (``ks``); every operation runs on these
-Python ints and only the TropValue views ``breakpoints`` and ``segments``,
-built on first use, hold Fractions.
+Python ints; the TropValue views ``breakpoints`` and ``segments`` are built
+on first use.
 
 - Two functions are compared on the lattice of D = lcm of their
   denominators.  This is exact because max-plus comparison commutes with
@@ -31,8 +31,8 @@ built on first use, hold Fractions.
   lives on the lattice D * L, L the lcm of the degree gaps of its crossings;
   its other numerators are multiplied by L.
 - An open cell between lattice points a and b over D is probed at its
-  midpoint, the integer a + b over the doubled lattice 2D, so no probe needs
-  a Fraction.
+  midpoint, the integer a + b over the doubled lattice 2D, so every probe
+  is an int.
 - Every function is reduced: gcd(d, xs, cs) = 1, so d is the lcm of the
   reduced denominators of its breakpoints and coefficients.  Equal functions
   (equal breakpoints and segments) therefore have equal (d, xs, cs, ks),
@@ -137,13 +137,13 @@ class PmFunction:
     def constant(cls, value: TropValue) -> "PmFunction":
         if not value.is_finite():
             return _ZERO_FN if value.is_zero() else _INF_FN
-        return _make(value.exp.denominator, (), (value.exp.numerator,), (0,))
+        return _make(value.den, (), (value.num,), (0,))
 
     @classmethod
     def monomial(cls, coeff: TropValue, degree: int) -> "PmFunction":
         if not coeff.is_finite():
             raise ValueError("monomial coefficients must be finite and nonzero")
-        return _make(coeff.exp.denominator, (), (coeff.exp.numerator,), (int(degree),))
+        return _make(coeff.den, (), (coeff.num,), (int(degree),))
 
     @classmethod
     def from_monomials(cls, terms) -> "PmFunction":
@@ -151,11 +151,9 @@ class PmFunction:
         coeffs are dropped."""
         lattice = []
         for coeff, degree in terms:
-            if coeff.is_zero():
-                continue
-            if not coeff.is_finite():
+            if coeff.is_infinite():
                 raise ValueError("monomial coefficients must be finite and nonzero")
-            lattice.append((coeff.exp.numerator, coeff.exp.denominator, int(degree)))
+            lattice.append((coeff.num, coeff.den, int(degree)))
         return _hull(lattice)
 
     # -- basic queries ---------------------------------------------------------
@@ -183,7 +181,7 @@ class PmFunction:
             if k == 0:
                 return _value(self.cs[-1] if at_inf else self.cs[0], self.d)
             return INF if (k > 0) == at_inf else ZERO
-        p, q = lam.exp.numerator, lam.exp.denominator
+        p, q = lam.num, lam.den
         d = self.d
         pd = p * d
         # the cell of lam = p/q: the breakpoints x/d below it are those with x < pd/q
@@ -195,10 +193,6 @@ class PmFunction:
 
     def reduced_degrees(self) -> tuple:
         return self.normalize().ks
-
-    def attains_infinity(self) -> bool:
-        """True when the function takes the value oo at a domain endpoint."""
-        return _KINF in self._ends()
 
     # -- normal form -------------------------------------------------------------
 
@@ -240,7 +234,7 @@ class PmFunction:
             raise ValueError("scaling coefficients must be finite and nonzero")
         if self.kind != _KFINITE:
             return self
-        p, q = c.exp.numerator, c.exp.denominator
+        p, q = c.num, c.den
         D = lcm(self.d, q)
         s, shift = D // self.d, p * (D // q)
         return _make(D, tuple([x * s for x in self.xs]),
@@ -333,11 +327,9 @@ class PmFunction:
             return self
         if zeta.is_zero() and eta.is_infinite():
             return self.normalize()
-        finite = [v.exp for v in (zeta, eta) if v.is_finite()]
-        D = lcm(self.d, *[e.denominator for e in finite])
+        D = lcm(self.d, *[v.den for v in (zeta, eta) if v.is_finite()])
         xs, cs, ks = _on(self, D)
-        z, e = [None if not v.is_finite() else v.exp.numerator * (D // v.exp.denominator)
-                for v in (zeta, eta)]
+        z, e = [v.num * (D // v.den) if v.is_finite() else None for v in (zeta, eta)]
 
         def value(x):
             j = bisect_left(xs, x)

@@ -16,19 +16,19 @@ The integer lattice.  A vector is stored only as (d, nums): nums[k] is d
 times the exponent of coordinate k, an int, or None for the zero
 coordinate, reduced so that gcd(d, nums) = 1.  Equal vectors thus have equal
 (d, nums), whatever built them, and ``==`` and ``hash`` compare these ints;
-the TropValue view ``coords`` is built on first use.  Models keep their Gram
-data as numerators over one denominator too.  Every operation runs in Python
-ints over L, the lcm of the denominators involved: a sum takes the
-coordinatewise max of the numerators over L = lcm(d, d'), a scaling by
-t^(p/q) adds p L/q to every numerator over L = lcm(d, q), and q and b take
-their max-plus sums beta_ij + x_i + y_j over the lcm of the model's and the
-vectors' denominators.  This is exact because max-plus arithmetic commutes
-with scaling by a positive integer: L * max(a, b) = max(L a, L b) and
-L * (a + b) = L a + L b, so the scaled maximum divided by L is the rational
-maximum itself.  The one Gram primitive ``QuadraticPair._gram`` returns
+the TropValue view ``coords`` and the hash are built on first use.  Models
+keep their Gram data as numerators over one denominator too.  Every
+operation runs in Python ints over L, the lcm of the denominators involved:
+a sum takes the coordinatewise max of the numerators over L = lcm(d, d'), a
+scaling by t^(p/q) adds p L/q to every numerator over L = lcm(d, q), and q
+and b take their max-plus sums beta_ij + x_i + y_j over the lcm of the
+model's and the vectors' denominators.  This is exact because max-plus
+arithmetic commutes with scaling by a positive integer: L * max(a, b) =
+max(L a, L b) and L * (a + b) = L a + L b, so the scaled maximum divided by
+L is the rational maximum itself.  The one Gram primitive ``QuadraticPair._gram`` returns
 such a lattice pair (num, den), and the CS layers (csfun, strata) work on
-these ints; only the TropValue views ``eval_q``, ``eval_b``, ``cs`` and
-``coords`` build Fractions.
+these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and ``coords``
+build TropValues, themselves reduced int pairs.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ class Vector:
 
     Stored on the integer lattice only: ``nums[k]`` is ``d`` times the
     exponent of coordinate k, an int, or None for the zero, and
-    gcd(d, nums) = 1.  ``coords`` is a TropValue view built on first use.
+    gcd(d, nums) = 1.  ``coords`` is a TropValue view and ``_hash`` the
+    hash, both built on first use.
     """
 
-    __slots__ = ("d", "nums", "_coords")
+    __slots__ = ("d", "nums", "_coords", "_hash")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -57,7 +58,7 @@ class Vector:
                 raise ValueError("vector coordinates must lie in [0, oo[")
         # the lcm of reduced denominators leaves gcd(d, nums) = 1
         self.d, self.nums = _lattice(coords)
-        self._coords = None
+        self._coords = self._hash = None
 
     @property
     def coords(self) -> tuple:
@@ -106,7 +107,7 @@ class Vector:
             raise ValueError("scalars must lie in [0, oo[")
         if lam.is_zero():
             return _vector(1, (None,) * len(self.nums))
-        p, q = lam.exp.numerator, lam.exp.denominator
+        p, q = lam.num, lam.den
         d = lcm(self.d, q)
         s, shift = d // self.d, p * (d // q)
         return _vector(d, tuple([None if x is None else x * s + shift for x in self.nums]))
@@ -123,7 +124,9 @@ class Vector:
         return self.d == other.d and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.d, self.nums))
+        if self._hash is None:
+            self._hash = hash((self.d, self.nums))
+        return self._hash
 
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -136,7 +139,7 @@ def _vector(d: int, nums: tuple) -> Vector:
         d //= g
         nums = tuple([None if x is None else x // g for x in nums])
     v = object.__new__(Vector)
-    v.d, v.nums, v._coords = d, nums, None
+    v.d, v.nums, v._coords, v._hash = d, nums, None, None
     return v
 
 
