@@ -14,8 +14,12 @@ exposed separately as :func:`q_segment_profile`.
 A basic function f = sum_j c_j CS(Y_j, -) restricts to f = N / q: all terms
 share the denominator q(eps1 + lam eps2), so the numerator
 N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) is one envelope
-and 1/q is built once per interval.  :func:`cs_restriction_pm` restricts a
-family with 3 Gram evaluations per interval plus 3 per nonzero term.
+(``_numerators``) and 1/q is built once per interval.
+:func:`cs_restriction_pm` restricts a family with 3 Gram evaluations per
+interval plus 3 per nonzero term.  Traces (``strata._trace``) compare the
+numerators alone: q is finite and nonzero on ]0, oo[, at 0 when q(eps1) != 0
+and, read through lam^2, at oo when q(eps2) != 0, so dividing by it changes
+no sign; at oo each numerator's last degree is lowered by 2.
 
 The integer lattice.  Gram values stay lattice pairs (num, den) from
 ``QuadraticPair._gram`` to the pm functions: each numerator monomial has the
@@ -137,11 +141,30 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
     take the value oo at a domain endpoint.  With ``anisotropic_ends`` an
     isotropic endpoint raises IsotropicArgument instead.
     """
-    gram = pair._gram
-    a1, a12, a2 = gram(eps1), gram(eps1, eps2), gram(eps2)
+    numerators, (a1, a12, a2) = _numerators(pair, eps1, eps2, family)
     if anisotropic_ends and (a1[0] is None or a2[0] is None):
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     inv_q = None
+    out = []
+    for n in numerators:
+        if not n.is_constant_zero():
+            if inv_q is None:
+                inv_q = _inverse_q(a1, a12, a2)
+            n = n.mul(inv_q)
+        out.append(n)
+    return tuple(out)
+
+
+def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
+    """(numerators, (a1, a12, a2)): the envelope N of each function of the
+    family, f = N / q on the interval, and the lattice Gram values of
+    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
+
+    3 Gram evaluations for the interval and 3 per term with a nonzero
+    coefficient; an isotropic witness raises IsotropicArgument.
+    """
+    gram = pair._gram
+    a1, a12, a2 = gram(eps1), gram(eps1, eps2), gram(eps2)
     out = []
     for f in family:
         numerator = []
@@ -152,13 +175,11 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
             qw = gram(w)
             if qw[0] is None:
                 raise IsotropicArgument("CS witness must be anisotropic")
-            b1, b2 = gram(eps1, w), gram(eps2, w)
-            if inv_q is None and not (b1[0] is None and b2[0] is None):
-                inv_q = _inverse_q(a1, a12, a2)
             scale = _over(coeff, qw)
-            numerator += [_monomial(scale, b1, 0), _monomial(scale, b2, 2)]
-        out.append(_over_q(numerator, inv_q))
-    return tuple(out)
+            numerator += [_monomial(scale, gram(eps1, w), 0),
+                          _monomial(scale, gram(eps2, w), 2)]
+        out.append(_hull(numerator))
+    return tuple(out), (a1, a12, a2)
 
 
 def _over(coeff: TropValue, q: tuple) -> tuple:

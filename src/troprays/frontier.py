@@ -273,8 +273,10 @@ class FrontierPair:
         The boundary vector z may be taken at any scale t^-k z on its ray.  Every
         term of :func:`regularity_bounds` scales by t^-k, so c(k) = t^-k c(0) and
         Z1 = ray(z + c(0) w') is one ray at every k: Z1 = Z is rejected at once,
-        else k = 0, 1, ... is tried (only W1 = ray(w + c(k) w') moves, toward W)
-        until a candidate passes, up to ``scale_budget`` = ``SCALE_BUDGET``.
+        else k = 0, 1, ... is tried until a candidate passes, up to
+        ``SCALE_BUDGET`` scales.  Only W1 = ray(w + c(k) w') moves, toward W,
+        and the first W1 = W rejects: as W != W', W1 = W means c(k) w' <= w
+        coordinatewise, which then holds at every later k since c decreases.
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
@@ -295,7 +297,7 @@ class FrontierPair:
             if k == 0 and z1 == z_ray:
                 break  # then Z1 = Z at every scale
             if w1 == w:
-                continue
+                break  # then W1 = W at every later scale
             if self.is_butterfly(w, w1, z_ray, z1):
                 return ButterflyResult(w, w1, z_ray, z1, c, d)
         raise VerificationFailed("candidate quadruple fails the butterfly test")

@@ -162,20 +162,34 @@ def _interval_params(pair, interval, w, sampler, count):
     return profile, sampler.many_parameters(count, include=profile.f.breakpoints)
 
 
+def _draw_admissible(pair: QuadraticPair, sampler: Sampler, interval=None) -> tuple:
+    """(interval, w) of one f_w check, drawn in this order: the interval
+    unless given (distinct, anisotropic ends), then w (anisotropic, not
+    orthogonal to both ends).  A failed draw reads None; no w follows a
+    failed interval."""
+    n = pair.dim
+    if interval is None:
+        y1 = Ray(sampler.vector(n, p_zero=0.0))
+        y2 = Ray(sampler.vector(n, p_zero=0.0))
+        if y1 == y2 or pair.eval_q(y1.base).is_zero() or pair.eval_q(y2.base).is_zero():
+            return None, None
+        interval = RayInterval(y1, y2)
+    w = sampler.vector(n)
+    if pair.eval_q(w).is_zero() or (pair.eval_b(interval.y1.base, w).is_zero()
+                                    and pair.eval_b(interval.y2.base, w).is_zero()):
+        return interval, None
+    return interval, w
+
+
 def check_fw_oracle(pair: QuadraticPair, sampler: Sampler, witnesses: int,
                     count: int) -> list:
     failures = []
-    n = pair.dim
-    y1 = Ray(sampler.vector(n, p_zero=0.0))
-    y2 = Ray(sampler.vector(n, p_zero=0.0))
-    if y1 == y2 or pair.eval_q(y1.base).is_zero() or pair.eval_q(y2.base).is_zero():
-        return failures
-    interval = RayInterval(y1, y2)
+    interval = None
     for _ in range(witnesses):
-        w = sampler.vector(n)
-        if pair.eval_q(w).is_zero():
-            continue
-        if pair.eval_b(y1.base, w).is_zero() and pair.eval_b(y2.base, w).is_zero():
+        interval, w = _draw_admissible(pair, sampler, interval)
+        if interval is None:
+            break
+        if w is None:
             continue
         profile, params = _interval_params(pair, interval, w, sampler, count)
         for lam in params:
@@ -199,18 +213,9 @@ def check_pm_identity(sampler: Sampler, count: int) -> list:
 
 def check_regions(pair: QuadraticPair, sampler: Sampler, count: int) -> list:
     failures = []
-    n = pair.dim
     for _ in range(count):
-        y1 = Ray(sampler.vector(n, p_zero=0.0))
-        y2 = Ray(sampler.vector(n, p_zero=0.0))
-        if (y1 == y2 or pair.eval_q(y1.base).is_zero()
-                or pair.eval_q(y2.base).is_zero()):
-            continue
-        interval = RayInterval(y1, y2)
-        w = sampler.vector(n)
-        if pair.eval_q(w).is_zero():
-            continue
-        if pair.eval_b(y1.base, w).is_zero() and pair.eval_b(y2.base, w).is_zero():
+        interval, w = _draw_admissible(pair, sampler)
+        if w is None:
             continue
         profile = build_fw(pair, interval, w)
         rebuilt = reconstruct_cs_profile(pair, interval, w)

@@ -465,13 +465,20 @@ def crossing_points(f: PmFunction, g: PmFunction) -> list:
     return out
 
 
-def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
+def sign_runs(fns, zero_end: bool = True, inf_end: bool = True,
+              divisor_degree: int = 0) -> list:
     """Maximal runs of constant pairwise signs of the functions along [0, oo].
 
     Returns (lo, lo_closed, hi, hi_closed, signs) runs with TropValue ends,
     where signs is a string with one of "<", "=", ">" per pair k < l of
     `fns`, ordered by k, then l.  Without `zero_end` (`inf_end`) the point 0
     (oo) belongs to no run and the first (last) run is open there.
+
+    With `divisor_degree` d the runs are those of the ratios f / p for any
+    pm function p that is finite and nonzero on ]0, oo[ (and at 0 with
+    `zero_end`) and has degree d at oo: dividing by p keeps every sign on
+    [0, oo[, and at oo each function other than the constant 0 and oo is
+    read with its last degree lowered by d.
 
     The runs are cut at the zeros of f_k - f_l: crossings inside the cells
     of the common refinement and the ends of cells where two functions
@@ -516,8 +523,11 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
 
     def at_end(j):
         # j = 0 at 0, j = -1 at oo; a nonzero degree sends the value to 0 or oo
-        return _signs([cs[j] if not ks[j] else far if (ks[j] > 0) == (j < 0) else -far
-                       for _, cs, ks in table])
+        values = []
+        for f, (_, cs, ks) in zip(fns, table):
+            k = ks[j] - divisor_degree if j and f.kind == _KFINITE else ks[j]
+            values.append(cs[j] if not k else far if (k > 0) == (j < 0) else -far)
+        return _signs(values)
 
     n = len(points)
     runs = _Runs()

@@ -148,6 +148,15 @@ def vec(*items) -> Vector:
     return Vector.parse(items)
 
 
+def _entry(v) -> TropValue:
+    """A Gram entry of :meth:`QuadraticPair.from_rows` as a TropValue."""
+    if isinstance(v, TropValue):
+        return v
+    if isinstance(v, (str, int)):
+        return TropValue.parse(str(v))
+    raise SchemaError(f"Gram entry {v!r} is not a str, an int or a TropValue")
+
+
 @dataclass(frozen=True)
 class QuadraticPair:
     """Gram data for a quadratic form q with bilinear companion b."""
@@ -184,11 +193,10 @@ class QuadraticPair:
 
     @classmethod
     def from_rows(cls, q_diag, b_rows) -> "QuadraticPair":
-        q_diag = tuple(TropValue.parse(str(v)) if isinstance(v, (str, int)) else v for v in q_diag)
-        b = tuple(
-            tuple(TropValue.parse(str(v)) if isinstance(v, (str, int)) else v for v in row)
-            for row in b_rows
-        )
+        """Gram data from entries that are each a str, an int or a TropValue;
+        any other entry (a float, say) raises SchemaError."""
+        q_diag = tuple(_entry(v) for v in q_diag)
+        b = tuple(tuple(_entry(v) for v in row) for row in b_rows)
         return cls(len(q_diag), q_diag, b)
 
     @property

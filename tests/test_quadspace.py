@@ -62,6 +62,22 @@ def test_asymmetric_companion_rejected():
         QuadraticPair.from_rows(["0", "0"], [["0", "2"], ["1", "0"]])
 
 
+@pytest.mark.parametrize("q_diag, b_rows", [
+    ([1.5], [[1]]),
+    ([1], [[1.5]]),
+    (["0", None], [["0", "0"], ["0", "0"]]),
+])
+def test_from_rows_rejects_entries_of_other_types(q_diag, b_rows):
+    with pytest.raises(SchemaError, match="not a str, an int or a TropValue"):
+        QuadraticPair.from_rows(q_diag, b_rows)
+
+
+def test_from_rows_reads_str_int_and_tropvalue_entries():
+    pair = QuadraticPair.from_rows([t(1), "1/2"], [[1, "-inf"], ["-inf", "0.5"]])
+    assert pair.q_diag == (t(1), t(Fraction(1, 2)))
+    assert pair.b == ((t(1), ZERO), (ZERO, t(Fraction(1, 2))))
+
+
 def test_validate_passes_on_m1(m1):
     report = validate_pair(m1, samples=1000, rng=5)
     assert report.ok

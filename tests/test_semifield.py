@@ -116,3 +116,15 @@ def test_add_mul_distributes(a, b, c):
     if c.is_infinite() and (a.is_zero() or b.is_zero()):
         return
     assert (a + b) * c == a * c + b * c
+
+
+def test_float_exponents_are_rejected():
+    """A float's binary expansion never enters the exact stack; decimal
+    strings are exact and stay valid."""
+    for make in (t, TropValue.finite):
+        with pytest.raises(TypeError, match="float"):
+            make(0.1)
+        with pytest.raises(TypeError, match="float"):
+            make(2.0)
+    assert t("0.5") == TropValue.parse("0.5") == t(Fraction(1, 2))
+    assert str(t("0.1")) == "1/10"
