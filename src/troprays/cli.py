@@ -11,15 +11,14 @@ import argparse
 import sys
 
 from . import serialize
-from .errors import (IsotropicArgument, SchemaError, TropraysError, VerificationFailed,
-                     ZeroVector)
+from .errors import IsotropicArgument, SchemaError, TropraysError, VerificationFailed
 from .csfun import build_fw, cs_restriction_pm
 from .frontier import FrontierPair
 from .isotropy import entrance_stratum, stability_check
 from .oracle import run_suite
 from .quadspace import validate_pair
 from .rays import Ray, RayInterval
-from .semifield import TropValue, t
+from .semifield import t
 from .serialize import (
     dumps,
     load_json_file,
@@ -34,17 +33,11 @@ from .quadspace import Vector
 def _resolve_ray(spec: str, rays: dict, dim: int) -> Ray:
     if spec in rays:
         return rays[spec]
-    try:
-        return Ray(_resolve_vector(spec, dim))
-    except ZeroVector as ex:
-        raise SchemaError(f"ray {spec!r} is the zero vector") from ex
+    return serialize._ray_of_dim(spec.split(","), dim, f"ray {spec!r}")
 
 
 def _resolve_vector(spec: str, dim: int) -> Vector:
-    try:
-        vec = Vector(TropValue.parse(p) for p in spec.split(","))
-    except (ValueError, ZeroDivisionError) as ex:
-        raise SchemaError(f"cannot parse vector {spec!r}: {ex}") from ex
+    vec = serialize.vector_from_json(spec.split(","))
     if len(vec) != dim:
         raise SchemaError(f"vector {spec!r} has dimension {len(vec)}, expected {dim}")
     return vec

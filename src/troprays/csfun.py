@@ -130,20 +130,16 @@ def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
             for row in rows], den
 
 
-def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector,
-                      family, anisotropic_ends: bool = False) -> tuple:
+def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
     """The pm functions lam -> f(ray(eps1 + lam eps2)) of a family, each one
     numerator envelope times the shared 1/q.
 
     Terms with coefficient 0 or orthogonal to both base points drop out, so a
     function without other terms is the constant zero.  An endpoint may be
     isotropic unless q vanishes along the whole interval; a result may then
-    take the value oo at a domain endpoint.  With ``anisotropic_ends`` an
-    isotropic endpoint raises IsotropicArgument instead.
+    take the value oo at a domain endpoint.
     """
     numerators, (a1, a12, a2) = _numerators(pair, eps1, eps2, family)
-    if anisotropic_ends and (a1[0] is None or a2[0] is None):
-        raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     inv_q = None
     out = []
     for n in numerators:

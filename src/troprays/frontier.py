@@ -225,7 +225,6 @@ class FrontierPair:
         z_vec = z_ray.base
         sigma, tau = ZERO, ZERO
         trace = [JunctionStep(0, ZERO, z_ray, z_vec)]
-        lambdas = [ZERO]
         sources = (w.base, w_prime.base)  # step k perturbs by sources[k % 2]
 
         def next_scalar(k: int, z_k: Vector) -> TropValue:
@@ -234,7 +233,6 @@ class FrontierPair:
 
         for k in range(1, max_iter + 1):
             lam = next_scalar(k, z_vec)
-            lambdas.append(lam)
             step_vec = z_vec + lam * sources[k % 2]
             step_ray = Ray(step_vec)
             if k % 2:
@@ -271,7 +269,8 @@ class FrontierPair:
         stratification; sufficiency of the bounds is never trusted.
 
         The boundary vector z may be taken at any scale t^-k z on its ray.  Every
-        term of :func:`regularity_bounds` scales by t^-k, so c(k) = t^-k c(0) and
+        term of :func:`regularity_bounds` scales by t^-k, so the bounds are
+        computed once, c(k) = t^-k c(0) and d(k) = t^-k d(0), and
         Z1 = ray(z + c(0) w') is one ray at every k: Z1 = Z is rejected at once,
         else k = 0, 1, ... is tried until a candidate passes, up to
         ``SCALE_BUDGET`` scales.  Only W1 = ray(w + c(k) w') moves, toward W,
@@ -289,17 +288,15 @@ class FrontierPair:
             if self.pair.eval_b(u.base, y.base).is_zero():
                 raise NotRegular("U is not regular for the family anchors")
         z_ray, _ = self.entrance_data(w, u)
+        c, d = regularity_bounds(self.pair, anchors, z_ray.base, w.base, w_prime.base)
+        z1 = Ray(z_ray.base + c * w_prime.base)
         for k in range(SCALE_BUDGET):
-            z = TropValue.finite(-k) * z_ray.base
-            c, d = regularity_bounds(self.pair, anchors, z, w.base, w_prime.base)
-            w1 = Ray(w.base + c * w_prime.base)
-            z1 = Ray(z + c * w_prime.base)
-            if k == 0 and z1 == z_ray:
-                break  # then Z1 = Z at every scale
-            if w1 == w:
-                break  # then W1 = W at every later scale
+            s = TropValue.finite(-k)
+            w1 = Ray(w.base + (s * c) * w_prime.base)
+            if z1 == z_ray or w1 == w:
+                break  # Z1 = Z at every scale, W1 = W at every later one
             if self.is_butterfly(w, w1, z_ray, z1):
-                return ButterflyResult(w, w1, z_ray, z1, c, d)
+                return ButterflyResult(w, w1, z_ray, Ray(s * z1.base), s * c, s * d)
         raise VerificationFailed("candidate quadruple fails the butterfly test")
 
     # -- pool-restricted Galois operators ------------------------------------------------

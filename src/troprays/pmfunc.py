@@ -280,80 +280,33 @@ class PmFunction:
     # -- composition and restriction -----------------------------------------------
 
     def compose(self, inner: "PmFunction") -> "PmFunction":
-        """The composite self(inner(lam)), again piecewise monomial.
-
-        On cells where the inner function has degree i != 0 it maps the cell
-        bijectively onto its value range (root closure), so breakpoints of the
-        outer function pull back exactly through lam = (u/coeff)^(1/i).
-        """
-        f = inner
-        if f.kind != _KFINITE:
-            return PmFunction.constant(self.eval(ZERO if f.kind == _KZERO else INF))
-        if self.kind != _KFINITE:
-            return self
-        D, (ux, uc, uk), (fx, fc, _) = _common(self, f)
-        # pulled-back points (u - gamma)/i lie on D * L; probes on its double
-        L = lcm(*[abs(i) for i in f.ks if i])
-        ux2 = [u * 2 * L for u in ux]
-        runs = _Runs()
-        bounds = [None, *[x * L for x in fx], None]
-        for s, (gamma, i) in enumerate(zip(fc, f.ks)):
-            lo, hi = bounds[s], bounds[s + 1]
-            if i == 0:
-                seg = bisect_left(ux, gamma)
-                runs.cell(_point(hi), ((uc[seg] + uk[seg] * gamma) * L, 0))
-                continue
-            # the values gamma + i x over the cell, as (lowest, highest) over D
-            ends = [None if x is None else gamma + i * (x // L) for x in (lo, hi)]
-            vlo, vhi = ends if i > 0 else ends[::-1]
-            cuts = sorted((u - gamma) * (L // i) for u in ux
-                          if (vlo is None or vlo < u) and (vhi is None or u < vhi))
-            for a, b in zip([lo, *cuts], [*cuts, hi]):
-                seg = bisect_left(ux2, gamma * 2 * L + i * _probe(a, b))
-                k = uk[seg]
-                runs.cell(_point(b), ((uc[seg] + k * gamma) * L, k * i))
-        return _function(D * L, runs)
+        """The composite self(inner(lam)), again piecewise monomial."""
+        if inner.kind != _KFINITE:
+            return PmFunction.constant(self.eval(ZERO if inner.kind == _KZERO else INF))
+        return _compose(self, inner.d, inner.xs, inner.cs, inner.ks)
 
     def restrict(self, zeta: TropValue, eta: TropValue) -> "PmFunction":
-        """The function of the subinterval [pi(zeta), pi(eta)] in its own parameter.
+        """The function of the subinterval [pi(zeta), pi(eta)] in its own parameter:
+        the composite with the clamp mu -> max(zeta, min(mu*eta, eta)).
 
-        g(mu) = f(zeta) for mu <= zeta/eta, f(mu*eta) for zeta/eta <= mu <= e,
-        f(eta) for mu >= e; an infinite eta means the second base point is the
-        original one, giving g(mu) = f(max(zeta, mu)).
+        An infinite eta means the second base point is the original one,
+        giving the clamp mu -> max(zeta, mu).
         """
         if not zeta < eta:
             raise BadSubinterval("restriction needs zeta < eta")
-        if self.kind != _KFINITE:
-            return self
-        if zeta.is_zero() and eta.is_infinite():
-            return self.normalize()
-        D = lcm(self.d, *[v.den for v in (zeta, eta) if v.is_finite()])
-        xs, cs, ks = _on(self, D)
+        D = lcm(*[v.den for v in (zeta, eta) if v.is_finite()])
         z, e = [v.num * (D // v.den) if v.is_finite() else None for v in (zeta, eta)]
-
-        def value(x):
-            j = bisect_left(xs, x)
-            return cs[j] + ks[j] * x
-
-        runs = _Runs()
-        if e is None:
-            runs.cell(_point(z), (value(z), 0))
-            for j, k in enumerate(ks):
-                hi = xs[j] if j < len(xs) else None
-                if hi is None or hi > z:
-                    runs.cell(_point(hi), (cs[j], k))
-            return _function(D, runs)
+        # the clamp in log scale: the constant z up to z - e, the line e + x
+        # (x when eta = oo) up to 0, the constant e after
+        line = 0 if e is None else e
+        xs, cells = [], [(line, 1)]
         if z is not None:
-            runs.cell(_point(z - e), (value(z), 0))
-        for j, k in enumerate(ks):
-            a = xs[j - 1] if j else None
-            b = xs[j] if j < len(xs) else None
-            lo = z if a is None else a if z is None else max(a, z)
-            hi = e if b is None else min(b, e)
-            if lo is None or lo < hi:
-                runs.cell(_point(hi - e), (cs[j] + k * e, k))
-        runs.cell(None, (value(e), 0))
-        return _function(D, runs)
+            xs.append(z - line)
+            cells.insert(0, (z, 0))
+        if e is not None:
+            xs.append(0)
+            cells.append((e, 0))
+        return _compose(self, D, xs, *zip(*cells))
 
     # -- comparison ------------------------------------------------------------------
 
@@ -385,6 +338,42 @@ def _make(d, xs, cs, ks) -> PmFunction:
     f = object.__new__(PmFunction)
     f._set(d, xs, cs, ks)
     return f
+
+
+def _compose(f: PmFunction, d, xs, cs, ks) -> PmFunction:
+    """f(h(lam)) for the finite inner function h with lattice data (d, xs, cs, ks).
+
+    On cells where h has degree i != 0 it maps the cell bijectively onto its
+    value range (root closure), so breakpoints of f pull back exactly through
+    lam = (u/coeff)^(1/i).
+    """
+    if f.kind != _KFINITE:
+        return f
+    D = lcm(f.d, d)
+    ux, uc, uk = _on(f, D)
+    s = D // d
+    # pulled-back points (u - gamma)/i lie on D * L; probes on its double
+    L = lcm(*[abs(i) for i in ks if i])
+    ux2 = [u * 2 * L for u in ux]
+    runs = _Runs()
+    bounds = [None, *[x * s * L for x in xs], None]
+    for j, (gamma, i) in enumerate(zip(cs, ks)):
+        gamma *= s
+        lo, hi = bounds[j], bounds[j + 1]
+        if i == 0:
+            seg = bisect_left(ux, gamma)
+            runs.cell(_point(hi), ((uc[seg] + uk[seg] * gamma) * L, 0))
+            continue
+        # the values gamma + i x over the cell, as (lowest, highest) over D
+        ends = [None if x is None else gamma + i * (x // L) for x in (lo, hi)]
+        vlo, vhi = ends if i > 0 else ends[::-1]
+        cuts = sorted((u - gamma) * (L // i) for u in ux
+                      if (vlo is None or vlo < u) and (vhi is None or u < vhi))
+        for a, b in zip([lo, *cuts], [*cuts, hi]):
+            seg = bisect_left(ux2, gamma * 2 * L + i * _probe(a, b))
+            k = uk[seg]
+            runs.cell(_point(b), ((uc[seg] + k * gamma) * L, k * i))
+    return _function(D * L, runs)
 
 
 def _hull(monomials) -> PmFunction:

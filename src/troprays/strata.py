@@ -179,9 +179,6 @@ class StrataTrace:
     def separator_rays(self) -> tuple:
         return tuple(r for _, r in self.boundaries)
 
-    def strata(self) -> tuple:
-        return tuple(p.signs for p in self.pieces)
-
 
 def _trace(pair: QuadraticPair, family, interval: RayInterval,
            drop_zero_end=False, drop_inf_end=False) -> StrataTrace:

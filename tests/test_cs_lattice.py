@@ -91,10 +91,8 @@ def compare(pair, y1, y2, x, family) -> dict:
     for i, f in enumerate(family):
         runs[f"eval{i}"] = (lambda f=f: f.eval(pair, x),
                             lambda f=f: ref.basic_eval(pair, f, x))
-    for ends in (False, True):
-        runs[f"restriction{int(ends)}"] = (
-            lambda ends=ends: cs_restriction_pm(pair, eps1, eps2, family, ends),
-            lambda ends=ends: ref.cs_restriction_pm(pair, eps1, eps2, family, ends))
+    runs["restriction0"] = (lambda: cs_restriction_pm(pair, eps1, eps2, family),
+                            lambda: ref.cs_restriction_pm(pair, eps1, eps2, family))
     if y1 != y2:
         interval = RayInterval(y1, y2)
         anchors = dict.fromkeys(a for f in family for a in f.anchors())
@@ -164,7 +162,6 @@ def test_isotropic_endpoint():
     family = (cs_of(MIXED), cs_of(E2))
     got = compare(EDGE, E1, MIXED, Ray(vec(0, 0, "-inf")), family)
     assert got["restriction0"][0] is None
-    assert got["restriction1"][0] is IsotropicArgument
     assert got["build_fw0"][0] is IsotropicEndpoint
 
 

@@ -600,9 +600,10 @@ def butterfly_selection(seed, construct, wanted=3):
 
 
 def test_butterfly_scale_loop_stops_at_the_first_w1_equal_w(monkeypatch):
-    """Stopping at the first W1 = W keeps every butterfly and every rejection
-    of the frontier set-up, and computes fewer regularity bounds: 352 -> 289
-    at seed 3 and 80 -> 58 at seed 11; seed 5 meets no W1 = W (38 both ways)."""
+    """Stopping at the first W1 = W, with the regularity bounds computed once
+    per candidate, keeps every butterfly and every rejection of the frontier
+    set-up, and computes fewer bounds than scanning every scale: 352 -> 46 at
+    seed 3, 38 -> 8 at seed 5 and 80 -> 24 at seed 11."""
     calls = []
     original = frontier.regularity_bounds
     monkeypatch.setattr(frontier, "regularity_bounds",
@@ -615,7 +616,7 @@ def test_butterfly_scale_loop_stops_at_the_first_w1_equal_w(monkeypatch):
         calls.clear()
         assert kept == butterfly_selection(seed, scan_every_scale), seed
         counts.append((stopping, len(calls)))
-    assert counts == [(289, 352), (38, 38), (58, 80)]
+    assert counts == [(46, 352), (8, 38), (24, 80)]
 
 
 def test_gorge_report_shape_with_stubbed_boundary(wall_frontier, monkeypatch):

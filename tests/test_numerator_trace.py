@@ -33,8 +33,10 @@ DROPS = ((False, False), (True, False), (False, True), (True, True))
 
 def ratio_trace(pair, family, interval, drop_zero_end=False, drop_inf_end=False):
     """The trace as it was built on the ratios: (pieces, boundaries)."""
-    pms = cs_restriction_pm(pair, interval.y1.base, interval.y2.base, family,
-                            anisotropic_ends=not (drop_zero_end or drop_inf_end))
+    if not (drop_zero_end or drop_inf_end) and any(
+            pair._gram(y.base)[0] is None for y in (interval.y1, interval.y2)):
+        raise IsotropicArgument("use the isotropy module for isotropic endpoints")
+    pms = cs_restriction_pm(pair, interval.y1.base, interval.y2.base, family)
     pieces = [(signs, lo, lo_closed, hi, hi_closed) for lo, lo_closed, hi, hi_closed, signs
               in sign_runs(pms, not drop_zero_end, not drop_inf_end)]
     boundaries = [(ZERO, interval.y1), *[(p[1], interval.pi(p[1])) for p in pieces[1:]],

@@ -198,6 +198,26 @@ def test_restrict_to_infinite_end():
             assert g.eval(mu) == f.eval(max(zeta, mu))
 
 
+exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(t)
+
+
+@settings(max_examples=200)
+@given(pm_functions(), st.sampled_from(("pm", "zero", "inf")),
+       st.one_of(st.just(ZERO), exponents), st.one_of(st.just(INF), exponents))
+def test_restriction_is_composition_with_the_clamp(f, kind, zeta, eta):
+    """f.restrict(zeta, eta) is f after the clamp mu -> max(zeta, min(mu eta, eta)),
+    or mu -> max(zeta, mu) when eta = oo, built from public constructors."""
+    if not zeta < eta:
+        return
+    f = {"pm": f, "zero": PmFunction.constant(ZERO), "inf": PmFunction.constant(INF)}[kind]
+    if eta == INF:
+        line = PmFunction.monomial(ONE, 1)
+    else:
+        line = PmFunction.monomial(eta, 1).min_(PmFunction.constant(eta))
+    clamp = PmFunction.constant(zeta).add(line)
+    assert f.restrict(zeta, eta).equivalent(f.compose(clamp))
+
+
 def test_compare_crossing_worked():
     f = PmFunction.monomial(ONE, 2)
     g = PmFunction.constant(t(4))

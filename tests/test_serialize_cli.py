@@ -249,6 +249,29 @@ def test_cli_zero_vector_ray_argument_is_input_error():
                                data("family_m1.json"), "--from=-inf,-inf", "--to", "Y2"))
 
 
+# each option's command on m1 (dimension 2) with the spec left to fill in; eval
+# asks for CS(x, y), which a zero vector x leaves undefined
+SPEC_COMMANDS = {
+    "--vec": ("eval", "--model", data("m1.json"), "--vec2", "0,0"),
+    "--from": ("stratify", "--model", data("m1.json"), "--b", data("family_m1.json"),
+               "--to", "Y2"),
+    "--w": ("junction", "--model", data("m1.json"), "--b", data("family_m1.json"),
+            "--w2", "W2", "--u", "Z"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(SPEC_COMMANDS))
+@pytest.mark.parametrize("spec", ["0,abc", "0,+inf", "0,0,0", "-inf,-inf"])
+def test_cli_malformed_spec_is_input_error(option, spec, capsys):
+    """An unparsable value, a +inf coordinate, the wrong dimension and the
+    zero vector exit 2 with one stderr line, raising nothing out of main."""
+    assert cli.main([*SPEC_COMMANDS[option], f"{option}={spec}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("input error: ")
+
+
 def test_cli_zero_vector_family_ray_is_input_error(tmp_path):
     family = family_file(tmp_path, rays={"Y1": ["0", "-inf"], "Y2": ["-inf", "0"],
                                          "O": ["-inf", "-inf"]})
