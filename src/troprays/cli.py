@@ -230,13 +230,12 @@ def cmd_butterfly(args):
 
 def cmd_isotropy_entry(args):
     pair, rays, functions, _ = _load_context(args)
-    y2 = _resolve_ray(getattr(args, "from"), rays, pair.dim)
-    y3 = _resolve_ray(args.to, rays, pair.dim)
+    interval = _interval_from_args(args, pair, rays)
     eps = _resolve_vector(args.eps, pair.dim)
     if eps.is_zero() or not pair.is_isotropic(eps):
         raise SchemaError(f"--eps {args.eps} is not an isotropic vector")
     eta = _resolve_vector(args.eta, pair.dim)
-    approach = entrance_stratum(pair, functions, y2, y3, eps, eta)
+    approach = entrance_stratum(pair, functions, interval.y1, interval.y2, eps, eta)
     samples = [approach.t_checked * t(-k) for k in range(args.samples)]
     stability = stability_check(pair, functions, approach, samples)
     rows = []

@@ -139,16 +139,9 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -
     isotropic unless q vanishes along the whole interval; a result may then
     take the value oo at a domain endpoint.
     """
-    numerators, (a1, a12, a2) = _numerators(pair, eps1, eps2, family)
-    inv_q = None
-    out = []
-    for n in numerators:
-        if not n.is_constant_zero():
-            if inv_q is None:
-                inv_q = _inverse_q(a1, a12, a2)
-            n = n.mul(inv_q)
-        out.append(n)
-    return tuple(out)
+    numerators, q = _numerators(pair, eps1, eps2, family)
+    inv_q = None if all(n.is_constant_zero() for n in numerators) else _inverse_q(*q)
+    return tuple(_over_q(n, inv_q) for n in numerators)
 
 
 def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
@@ -205,10 +198,9 @@ def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
     return q.invert()
 
 
-def _over_q(numerator, inv_q: PmFunction | None) -> PmFunction:
-    """The envelope of the lattice monomials (num, den, degree) times inv_q
-    (from :func:`_inverse_q`); inv_q may be None when every coefficient is 0."""
-    n = _hull(numerator)
+def _over_q(n: PmFunction, inv_q: PmFunction | None) -> PmFunction:
+    """The numerator envelope n times inv_q (from :func:`_inverse_q`); inv_q
+    may be None when n is the constant zero."""
     return n if n.is_constant_zero() else n.mul(inv_q)
 
 
@@ -250,7 +242,8 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     if qw is None:
         raise IsotropicArgument("CS witness must be anisotropic")
     scale = (-qw, dw)
-    f = _over_q([_monomial(scale, b1, 0), _monomial(scale, b2, 2)], _inverse_q(a1, a12, a2))
+    f = _over_q(_hull([_monomial(scale, b1, 0), _monomial(scale, b2, 2)]),
+                _inverse_q(a1, a12, a2))
 
     b1, b2, a1, a2, a12 = (_value(*g) for g in (b1, b2, a1, a2, a12))
     quasilinear = a1 * a2 >= a12 * a12

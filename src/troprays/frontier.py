@@ -21,7 +21,7 @@ from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStra
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import (SignVector, derivate_piece, is_direct_derivate, sign_vector_at,
+from .strata import (SignVector, derivate_boundary, is_direct_derivate, sign_vector_at,
                      stratify_interval)
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
@@ -38,16 +38,16 @@ def _sign_at(pair: QuadraticPair, family, x: Ray, signs) -> SignVector:
     return sv
 
 
-def _trace_of(pair: QuadraticPair, family, interval: RayInterval, traces):
-    """The trace of `interval`, looked up in (and added to) the dict `traces`
+def _trace_of(pair: QuadraticPair, family, y1: Ray, y2: Ray, traces):
+    """The trace of [Y1, Y2], looked up in (and added to) the dict `traces`
     when given.  The key is the pair of pointed bases, not of rays: the
-    trace's parameters depend on the scale of eps1 and eps2."""
+    trace's parameters and separators depend on the scale of eps1 and eps2."""
     if traces is None:
-        return stratify_interval(pair, family, interval)
-    key = (interval.y1.base, interval.y2.base)
+        return stratify_interval(pair, family, RayInterval(y1, y2))
+    key = (y1.base, y2.base)
     trace = traces.get(key)
     if trace is None:
-        trace = traces[key] = stratify_interval(pair, family, interval)
+        trace = traces[key] = stratify_interval(pair, family, RayInterval(y1, y2))
     return trace
 
 
@@ -56,21 +56,22 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
     """Entrance ray of [W, U] into T' plus its interval parameter.
 
     Requires the trace of [W, U] to be exactly a half-open T piece followed
-    by a closed T' piece (case1); anything else raises NoEntrance.  `_signs`
-    is a sign vector memo of the (pair, family), as :func:`_sign_at` reads it,
-    and `_traces` a trace memo as :func:`_trace_of` reads it.
+    by a closed T' piece (case1), whose separator is the entrance; anything
+    else raises NoEntrance.  `_signs` is a sign vector memo of the (pair,
+    family), as :func:`_sign_at` reads it, and `_traces` a trace memo as
+    :func:`_trace_of` reads it.
     """
     if _sign_at(pair, family, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     if u == w:
         raise NoEntrance("U is W itself")
-    interval = RayInterval(w, u)
-    piece = derivate_piece(_trace_of(pair, family, interval, _traces), t_vec, t_prime)
-    if piece is None:
+    entry = derivate_boundary(_trace_of(pair, family, w, u, _traces), t_vec, t_prime)
+    if entry is None:
         raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
-    if not piece.lo_closed:
+    closed, (lam, z) = entry
+    if not closed:
         raise NoEntrance("boundary case2: T' piece is open at its first ray")
-    return interval.pi(piece.lo), piece.lo
+    return z, lam
 
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
@@ -90,12 +91,10 @@ def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     result = False
     if _sign_at(pair, family, z, _signs) == t_prime:
-        interval = RayInterval(w, z)
-        piece = derivate_piece(_trace_of(pair, family, interval, _traces), t_vec, t_prime)
+        entry = derivate_boundary(_trace_of(pair, family, w, z, _traces), t_vec, t_prime)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
-        result = (piece is not None and piece.lo_closed
-                  and interval.pi(piece.lo) == z)
+        result = entry is not None and entry[0] and entry[1][1] == z
     if _memo is not None:
         _memo[key] = result
     return result
@@ -222,35 +221,34 @@ class FrontierPair:
             if _sign_at(self.pair, self.family, src, self._signs) != self.t:
                 raise WitnessNotInStratum("source rays must lie in T")
         z_ray, _ = self.entrance_data(w, u)
-        z_vec = z_ray.base
         sigma, tau = ZERO, ZERO
-        trace = [JunctionStep(0, ZERO, z_ray, z_vec)]
-        sources = (w.base, w_prime.base)  # step k perturbs by sources[k % 2]
+        trace = [JunctionStep(0, ZERO, z_ray, z_ray.base)]
+        sources = (w, w_prime)  # step k perturbs by sources[k % 2]
 
-        def next_scalar(k: int, z_k: Vector) -> TropValue:
-            _, mu = self.entrance_data(Ray(sources[k % 2]), Ray(z_k))
+        def next_scalar(k: int, z_k: Ray) -> TropValue:
+            _, mu = self.entrance_data(sources[k % 2], z_k)
             return mu.inverse()
 
         for k in range(1, max_iter + 1):
-            lam = next_scalar(k, z_vec)
-            step_vec = z_vec + lam * sources[k % 2]
+            z_k = trace[-1].ray  # pointed at the vector z_k
+            lam = next_scalar(k, z_k)
+            step_vec = z_k.base + lam * sources[k % 2].base
             step_ray = Ray(step_vec)
             if k % 2:
                 tau = max(tau, lam)
             else:
                 sigma = max(sigma, lam)
             trace.append(JunctionStep(k, lam, step_ray, step_vec))
-            if step_ray == Ray(z_vec):
+            if step_ray == z_k:
                 # ray repeated: the scalar stop criterion lambda_{k+2} <= lambda_k
                 # must hold from the now-stationary vector; verify, don't trust
-                lam_two_ahead = next_scalar(k + 2, step_vec)
+                lam_two_ahead = next_scalar(k + 2, step_ray)
                 held = lam_two_ahead <= lam
                 junction = step_ray
                 if not self.is_junction(w, w_prime, junction):
                     raise VerificationFailed("stopped ray fails the junction test")
                 return JunctionReport("junction", junction, k - 1, tuple(trace),
                                       sigma, tau, held)
-            z_vec = step_vec
         # budget exhausted: evaluate the limit candidate of the partial maxima
         z_inf = trace[0].vector + sigma * w.base + tau * w_prime.base
         limit = Ray(z_inf)

@@ -188,7 +188,8 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     at all pairwise crossings, and merges cells with equal sign vectors into
     consecutive pieces.  When an end is dropped (isotropic interval endpoint)
     the adjacent piece opens there and the endpoint itself belongs to no piece;
-    a kept end with an isotropic endpoint raises IsotropicArgument.
+    a kept end with an isotropic endpoint raises IsotropicArgument.  Every
+    trace, with dropped ends or not, runs :func:`_assert_sign_monotone`.
 
     The signs are read off the numerators N_k of f_k = N_k / q, never off the
     ratios, and that loses nothing.  Claim: with q(lam) = a1 + a12 lam +
@@ -220,6 +221,7 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs
                    in sign_runs(numerators, not drop_zero_end, not drop_inf_end, 2))
+    _assert_sign_monotone(pieces, m)
     boundaries = [(ZERO, interval.y1)]
     boundaries += [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
     boundaries.append((INF, interval.y2))
@@ -244,9 +246,7 @@ def _assert_sign_monotone(pieces, m):
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:
     """Trace of the family's partition on [Y1, Y2] with separating rays."""
-    trace = _trace(pair, family, interval)
-    _assert_sign_monotone(trace.pieces, len(family))
-    return trace
+    return _trace(pair, family, interval)
 
 
 def relaxation_components(t_vec: SignVector, relaxed, realized=None):
@@ -298,16 +298,14 @@ def minimal_relaxation(t_vec: SignVector, t_prime: SignVector) -> Relaxation | N
     return Relaxation(t_vec.m, tuple(signs))
 
 
-def derivate_piece(trace: StrataTrace, t_vec: SignVector,
-                   t_prime: SignVector) -> TracePiece | None:
-    """The T' piece of a trace that is one T piece followed by one T' piece,
-    else None.
-
-    The T' piece is closed at its first ray in case1 and open there in case2.
-    """
+def derivate_boundary(trace: StrataTrace, t_vec: SignVector,
+                      t_prime: SignVector) -> tuple | None:
+    """(closed, (lam, Z)) for a trace that is one T piece followed by one T'
+    piece, else None: (lam, Z) is the separator at the T' piece's first ray,
+    which that piece holds (`closed`, case1) or not (case2)."""
     pieces = trace.pieces
     if len(pieces) == 2 and pieces[0].signs == t_vec and pieces[1].signs == t_prime:
-        return pieces[1]
+        return pieces[1].lo_closed, trace.boundaries[1]
     return None
 
 
@@ -325,11 +323,11 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     if sign_vector_at(pair, family, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
-    trace = stratify_interval(pair, family, RayInterval(w, w_prime))
-    piece = derivate_piece(trace, t_vec, t_prime)
-    if piece is None:
+    entry = derivate_boundary(stratify_interval(pair, family, RayInterval(w, w_prime)),
+                              t_vec, t_prime)
+    if entry is None:
         return "not_neighbors"
-    return "case1" if piece.lo_closed else "case2"
+    return "case1" if entry[0] else "case2"
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,10 @@ def test_regularity_bounds_not_regular(m1):
     z = Vector.unit(3, 2)  # b(z, e1) = 0
     with pytest.raises(NotRegular):
         regularity_bounds(pair, [Ray(Vector.unit(3, 0))], z, z, z)
+    isotropic = QuadraticPair.from_rows(["-inf", "0"], [["-inf", "1"], ["1", "0"]])
+    e1 = Vector.unit(2, 0)  # q(e1) = 0
+    with pytest.raises(NotRegular, match="anisotropic"):
+        regularity_bounds(isotropic, [Ray(Vector.unit(2, 1))], e1, e1, e1)
 
 
 def test_junction_process_m1_worked(m1_frontier):
@@ -131,6 +135,10 @@ def test_junction_process_m1_worked(m1_frontier):
 def test_junction_process_w_equals_wprime(m1_frontier):
     report = m1_frontier.junction_process(ray(0, -5), ray(0, -5), ray(0, 0))
     assert report.outcome == "junction" and report.steps == 0
+    with pytest.raises(ValueError, match="max_iter"):
+        m1_frontier.junction_process(ray(0, -5), ray(0, -3), ray(0, 0), max_iter=0)
+    with pytest.raises(WitnessNotInStratum):  # W' = ray(0, 0) lies in T'
+        m1_frontier.junction_process(ray(0, -5), ray(0, 0), ray(0, 0))
 
 
 def test_junction_process_wall_multistep(wall_frontier):
@@ -235,9 +243,13 @@ def test_butterfly_impossible_in_two_dims(m1_frontier):
 
 
 def test_butterfly_degenerate_sources_rejected(wall_frontier):
-    w, _, u = wall_scenario()
+    w, w_prime, u = wall_scenario()
     with pytest.raises(VerificationFailed):
         wall_frontier.construct_butterfly(w, w, u)
+    with pytest.raises(WitnessNotInStratum, match="W' must lie in T"):
+        wall_frontier.construct_butterfly(w, u, u)
+    with pytest.raises(WitnessNotInStratum, match="U must lie in T'"):
+        wall_frontier.construct_butterfly(w, w_prime, w)
 
 
 def test_butterfly_requires_regular_target(m1, m1_fam):
@@ -478,6 +490,25 @@ def test_entrance_trace_memo_is_keyed_by_pointed_bases():
     assert lam.is_finite()
     assert z_scaled == z
     assert lam_scaled == t(3) * lam
+
+
+def test_entrance_and_sector_read_the_trace_separator(monkeypatch):
+    """A fresh entrance computation forms rays only inside its trace, one per
+    separator between pieces, and returns the separator it built; a sector
+    memo miss on the same, now memoised, trace forms none."""
+    pi_calls = []
+    pi = RayInterval.pi
+    monkeypatch.setattr(RayInterval, "pi",
+                        lambda self, lam: pi_calls.append(lam) or pi(self, lam))
+    fp = fresh_wall_frontier()
+    w, _, u = wall_scenario()
+    z, lam = fp.entrance_data(w, u)
+    (trace,) = fp._traces.values()
+    assert len(pi_calls) == len(trace.pieces) - 1
+    assert trace.boundaries[1] == (lam, z) and trace.boundaries[1][1] is z
+    del pi_calls[:]
+    assert fp.sector_member(w, u) == (z == u)
+    assert pi_calls == []
 
 
 def butterfly_candidates(seed, wanted):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from troprays.errors import IllposedApproach, NoAnisotropicInterior
@@ -90,6 +92,10 @@ def test_entrance_case_a_bound():
     report = stability_check(pair, fam, approach,
                              [t(k) for k in range(-8, 2)] + [approach.t0])
     assert report.ok
+    # 0, oo and samples past the inclusive bound are skipped, t0 itself is not
+    report = stability_check(pair, fam, approach,
+                             [ZERO, INF, t(2), approach.t0, t(-1)])
+    assert report.ok and set(report.observed) == {approach.t0, t(-1)}
 
 
 def test_entrance_case_a_infinite_denominators():
@@ -165,6 +171,11 @@ def test_stability_detects_change_across_threshold(m3_setup):
     # forcing a sample beyond the bound into a fake approach shows the change
     beyond = sign_vector_at(pair, fam, Ray(e1 + t(2) * e3))
     assert beyond != approach.entrance
+    unbounded = dataclasses.replace(approach, t0=INF, strict=False)
+    report = stability_check(pair, fam, unbounded, inside + [t(2), t(5)])
+    assert not report.ok
+    assert report.first_violation == (t(2), beyond)
+    assert report.samples_checked == len(inside) + 1  # stops there: t^5 unchecked
 
 
 def test_stability_case_c1_wide_range():

@@ -1,8 +1,10 @@
-"""Smoke runs of the search scripts under scripts/, which import the library
+"""Smoke runs of the scripts under scripts/, which import the library
 the way a user does and are otherwise exercised by nothing."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 from troprays.instances import CORNER
 
@@ -31,3 +33,16 @@ def test_gorge_search_runs(capsys):
     out = capsys.readouterr().out
     assert "('junction', 1)" in out
     assert "no non-stopping process found" in out
+
+
+def test_workload_digests_prints_one_stable_line_per_seed():
+    """One stratify-sweep seed prints one line, the same line on a second run."""
+    script = os.path.join(SCRIPTS, "workload_digests.py")
+    runs = [subprocess.run([sys.executable, script, "stratify-sweep", "--seeds", "1"],
+                           capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 1
+    name, seed, digest = lines[0].split()
+    assert (name, seed, len(digest)) == ("stratify-sweep", "1", 16)
+    assert runs[1].stdout == runs[0].stdout

@@ -221,6 +221,11 @@ def test_cli_scalar_q_diag_is_input_error(tmp_path):
 def test_cli_degenerate_interval_is_input_error():
     assert_input_error(run_cli("stratify", "--model", data("m1.json"), "--b",
                                data("family_m1.json"), "--from", "Y1", "--to", "Y1"))
+    res = run_cli("isotropy-entry", "--model", data("m3.json"), "--b",
+                  data("family_m3.json"), "--from", "Y2", "--to", "Y2",
+                  "--eps=0,-inf,-inf", "--eta=-inf,-inf,0")
+    assert_input_error(res)
+    assert res.stderr.decode().startswith("input error: bad interval --from Y2 --to Y2: ")
 
 
 def test_cli_zero_max_iter_is_input_error():

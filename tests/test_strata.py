@@ -1,6 +1,7 @@
 import pytest
 
 from chart_reference import stratum_witnesses, unpruned_chart
+from troprays import strata
 from troprays.csfun import cs_restriction_pm
 from troprays.errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
 from troprays.instances import (CHART, CORNER, M1, WALL, chart_family, chart_sample,
@@ -60,6 +61,13 @@ def test_pair_index_and_opposite():
     assert sv.sign(1, 0) == ">"
     assert sv.sign(1, 2) == ">"
     assert sv.sign(2, 1) == "<"
+    assert list(sv.pairs()) == [((0, 1), "<"), ((0, 2), "="), ((1, 2), ">")]
+    assert repr(sv) == "<f0<f1, f0=f2, f1>f2>"
+    with pytest.raises(ValueError, match="wrong number"):
+        SignVector(3, ("<", "="))
+    with pytest.raises(ValueError, match="0 <= k < l < m"):
+        sv.sign(1, 1)
+    assert not SignVector(2, ("=",)).is_derivate_of(sv)  # different m
 
 
 def test_stratify_m1_worked(m1, m1_fam, m1_iv):
@@ -74,12 +82,22 @@ def test_stratify_m1_worked(m1, m1_fam, m1_iv):
     rays = trace.separator_rays()
     assert rays[0] == m1_iv.y1 and rays[-1] == m1_iv.y2
     assert rays[1] == rays[2] == ray(0, 0)
+    # closure at the ends: [0, e[ holds 0 but not e, ]e, oo] holds oo but not e
+    assert first.contains(ZERO) and not first.contains(t(0))
+    assert last.contains(INF) and not last.contains(t(0))
+    assert middle.contains(t(0))
 
 
-def test_non_monotone_sign_pattern_is_verification_failure():
+def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, monkeypatch):
     pieces = [TracePiece(SignVector(2, [s]), ZERO, True, ZERO, True) for s in "<><"]
     with pytest.raises(VerificationFailed, match="not monotone"):
         _assert_sign_monotone(pieces, 2)
+    # every trace runs the check, one with an end dropped too
+    runs = [(ZERO, True, t(0), False, "<"), (t(0), True, t(0), True, ">"),
+            (t(0), False, INF, True, "<")]
+    monkeypatch.setattr(strata, "sign_runs", lambda *args: runs)
+    with pytest.raises(VerificationFailed, match="not monotone"):
+        strata._trace(m1, m1_fam, m1_iv, drop_zero_end=True)
 
 
 def test_stratify_single_stratum(m1, m1_fam):
@@ -133,6 +151,7 @@ def test_relaxation_components_basic():
     comps = relaxation_components(sv, [(0, 1)])
     assert {str(c) for c in comps} == {"<", "="}
     assert relaxation_components(sv, []) == [sv]
+    assert relaxation_components(sv, [(1, 0)]) == comps  # a pair given as (l, k)
     with pytest.raises(NotStrictPair):
         relaxation_components(SignVector(2, ("=",)), [(0, 1)])
 
@@ -155,6 +174,14 @@ def test_minimal_relaxation():
     assert minimal_relaxation(a, c) is None
     r = minimal_relaxation(a, b)
     assert r.satisfied_by(a) and r.satisfied_by(b) and not r.satisfied_by(c)
+    assert str(r) == "<="
+    assert not r.satisfied_by(SignVector(3, ("<", "<", "<")))  # different m
+    ge = Relaxation(3, (">=", "<", "="))
+    assert str(ge) == ">=,<,="
+    assert ge.satisfied_by(SignVector(3, (">", "<", "=")))
+    assert ge.satisfied_by(SignVector(3, ("=", "<", "=")))
+    assert not ge.satisfied_by(SignVector(3, ("<", "<", "=")))  # fails >=
+    assert not ge.satisfied_by(SignVector(3, (">", "=", "=")))  # strict sign differs
 
 
 def test_is_direct_derivate_cases(m1, m1_fam):
@@ -168,6 +195,8 @@ def test_is_direct_derivate_cases(m1, m1_fam):
         is_direct_derivate(m1, m1_fam, lt, lt, ray(0, -5), ray(0, -7))
     with pytest.raises(WitnessNotInStratum):
         is_direct_derivate(m1, m1_fam, lt, eq, ray(0, 3), ray(0, 0))
+    with pytest.raises(WitnessNotInStratum, match="W' does not satisfy T'"):
+        is_direct_derivate(m1, m1_fam, lt, eq, ray(0, -5), ray(0, -6))
 
 
 def test_neighbor_criterion_witness_independent(m1, m1_fam):
