@@ -13,19 +13,23 @@ exposed separately as :func:`q_segment_profile`.
 
 A basic function f = sum_j c_j CS(Y_j, -) restricts to f = N / q: all terms
 share the denominator q(eps1 + lam eps2), so the numerator
-N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) is one envelope
-(``_numerators``) and 1/q is built once per interval.
-:func:`cs_restriction_pm` restricts a family with 3 Gram evaluations per
-interval plus 3 per nonzero term.  Traces (``strata._trace``) compare the
-numerators alone: q is finite and nonzero on ]0, oo[, at 0 when q(eps1) != 0
-and, read through lam^2, at oo when q(eps2) != 0, so dividing by it changes
-no sign; at oo each numerator's last degree is lowered by 2.
+N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) has at most
+two monomials, the row N = max(A, B lam^2) with A the largest of the
+degree-0 coefficients and B of the degree-2 ones (``_numerators``).
+:func:`cs_restriction_pm` hulls each row and multiplies it by 1/q, built
+once per interval, with 3 Gram evaluations per interval plus 3 per nonzero
+term.  Traces (``strata._trace``) cut the rows alone with the int kernel
+``pmfunc.row_runs``: q is finite and nonzero on ]0, oo[, at 0 when
+q(eps1) != 0 and, read through lam^2, at oo when q(eps2) != 0, so dividing
+by it changes no sign; at oo each row reads B.  ``build_fw`` and the
+isotropy profiles build their one-witness ratio from the same row
+(``_cs_ratio_pm``).
 
 The integer lattice.  Gram values stay lattice pairs (num, den) from
-``QuadraticPair._gram`` to the pm functions: each numerator monomial has the
-exponent coeff - q(w) + 2 b(eps, w), formed in ints over the lcm of the
-denominators involved, and the envelopes of the numerator and of q are built
-by the int hull builder ``pmfunc._hull``.  Values at a ray (``_values_at``,
+``QuadraticPair._gram`` to the rows: each numerator monomial has the
+exponent coeff - q(w) + 2 b(eps, w), formed in ints, and a family's rows
+share the lcm of the denominators involved; the envelopes of a row and of q
+are built by the int hull builder ``pmfunc._hull``.  Values at a ray (``_values_at``,
 behind :meth:`BasicFunction.eval` and sign vectors) are maxima over ints
 too, and the public views return them as TropValues, reduced int pairs.
 
@@ -44,7 +48,7 @@ from math import lcm
 
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
-from .pmfunc import PmFunction, _hull
+from .pmfunc import _ZERO_FN, PmFunction, _hull
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import _KFINITE, INF, ONE, ZERO, TropValue, _value
@@ -101,10 +105,12 @@ def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
     """The family's values at x on one lattice: (nums, den) with f_i(x) =
     t^(nums[i]/den), nums[i] None for the zero.
 
-    Evaluates q(x) once and q(anchor), b(anchor, x) per term (no b for a zero
-    coefficient); each term's exponent coeff - q(anchor) + 2 b(anchor, x) is
-    formed in ints and q(x) subtracted from every maximum.  An isotropic x or
-    anchor raises IsotropicArgument.
+    Evaluates q(x) once and q(anchor), b(anchor, x) per term with a nonzero
+    coefficient; a term with coefficient 0 drops out before its anchor is
+    looked at, as in traces.  Each term's exponent coeff - q(anchor) +
+    2 b(anchor, x) is formed in ints and q(x) subtracted from every maximum.
+    An isotropic x or an isotropic anchor of a live term raises
+    IsotropicArgument.
     """
     gram = pair._gram
     xb = x.base
@@ -115,14 +121,15 @@ def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
     for f in family:
         row = []
         for coeff, anchor in f.terms:
+            if coeff.kind != _KFINITE:
+                continue
             w = anchor.base
             qw = gram(w)
             if qw[0] is None:
                 raise IsotropicArgument("CS-ratio needs anisotropic arguments")
-            if coeff.kind == _KFINITE:
-                num, den, _ = _monomial(_over(coeff, qw), gram(w, xb), 0)
-                if num is not None:
-                    row.append((num, den))
+            num, den = _monomial(_over(coeff, qw), gram(w, xb))
+            if num is not None:
+                row.append((num, den))
         rows.append(row)
     den = lcm(dx, *[d for row in rows for _, d in row])
     shift = qx * (den // dx)
@@ -132,31 +139,31 @@ def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
     """The pm functions lam -> f(ray(eps1 + lam eps2)) of a family, each one
-    numerator envelope times the shared 1/q.
+    numerator row hulled and multiplied by the shared 1/q.
 
     Terms with coefficient 0 or orthogonal to both base points drop out, so a
     function without other terms is the constant zero.  An endpoint may be
     isotropic unless q vanishes along the whole interval; a result may then
     take the value oo at a domain endpoint.
     """
-    numerators, q = _numerators(pair, eps1, eps2, family)
-    inv_q = None if all(n.is_constant_zero() for n in numerators) else _inverse_q(*q)
-    return tuple(_over_q(n, inv_q) for n in numerators)
+    rows, den, q = _numerators(pair, eps1, eps2, family)
+    inv_q = None if all(row == _ZERO_ROW for row in rows) else _inverse_q(*q)
+    return tuple(_row_pm(row, den, inv_q) for row in rows)
 
 
 def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
-    """(numerators, (a1, a12, a2)): the envelope N of each function of the
-    family, f = N / q on the interval, and the lattice Gram values of
-    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
+    """(rows, den, (a1, a12, a2)): the numerator row of each function of the
+    family over den (see :func:`_rows`), f = N / q on the interval, and the
+    lattice Gram values of q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
 
     3 Gram evaluations for the interval and 3 per term with a nonzero
     coefficient; an isotropic witness raises IsotropicArgument.
     """
     gram = pair._gram
     a1, a12, a2 = gram(eps1), gram(eps1, eps2), gram(eps2)
-    out = []
+    functions = []
     for f in family:
-        numerator = []
+        terms = []
         for coeff, anchor in f.terms:
             if coeff.kind != _KFINITE:
                 continue
@@ -164,11 +171,29 @@ def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tupl
             qw = gram(w)
             if qw[0] is None:
                 raise IsotropicArgument("CS witness must be anisotropic")
-            scale = _over(coeff, qw)
-            numerator += [_monomial(scale, gram(eps1, w), 0),
-                          _monomial(scale, gram(eps2, w), 2)]
-        out.append(_hull(numerator))
-    return tuple(out), (a1, a12, a2)
+            terms.append((_over(coeff, qw), gram(eps1, w), gram(eps2, w)))
+        functions.append(terms)
+    return (*_rows(functions), (a1, a12, a2))
+
+
+def _rows(functions) -> tuple:
+    """(rows, den): for each function, given by its terms (scale, b1, b2),
+    the numerator sum of scale (b1^2 + b2^2 lam^2) over its terms as the row
+    (A, B) of ints over den, N = max(t^(A/den), t^(B/den) lam^2), the
+    two-monomial row ``pmfunc.row_runs`` cuts at degree 2; A or B is None
+    for the zero.  Scales and Gram values are lattice pairs."""
+    monomials = [[(_monomial(s, b1), _monomial(s, b2)) for s, b1, b2 in terms]
+                 for terms in functions]
+    den = lcm(*[d for terms in monomials for m in terms for _, d in m])
+    rows = []
+    for terms in monomials:
+        a = [n * (den // d) for (n, d), _ in terms if n is not None]
+        b = [n * (den // d) for _, (n, d) in terms if n is not None]
+        rows.append((max(a, default=None), max(b, default=None)))
+    return rows, den
+
+
+_ZERO_ROW = (None, None)
 
 
 def _over(coeff: TropValue, q: tuple) -> tuple:
@@ -179,14 +204,14 @@ def _over(coeff: TropValue, q: tuple) -> tuple:
     return coeff.num * (den // coeff.den) - qn * (den // dq), den
 
 
-def _monomial(scale: tuple, b: tuple, k: int) -> tuple:
-    """The lattice monomial scale * b^2 * lam^k as (num, den, k), from the
-    lattice values scale and b; its num is None when b is the zero."""
+def _monomial(scale: tuple, b: tuple) -> tuple:
+    """The lattice value scale * b^2 as (num, den), from the lattice values
+    scale and b; its num is None when b is the zero."""
     (sn, sd), (bn, bd) = scale, b
     if bn is None:
-        return None, 1, k
+        return None, 1
     den = lcm(sd, bd)
-    return sn * (den // sd) + 2 * bn * (den // bd), den, k
+    return sn * (den // sd) + 2 * bn * (den // bd), den
 
 
 def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
@@ -198,10 +223,20 @@ def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
     return q.invert()
 
 
-def _over_q(n: PmFunction, inv_q: PmFunction | None) -> PmFunction:
-    """The numerator envelope n times inv_q (from :func:`_inverse_q`); inv_q
-    may be None when n is the constant zero."""
-    return n if n.is_constant_zero() else n.mul(inv_q)
+def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
+    """The numerator row (A, B) over den (from :func:`_rows`) hulled and
+    multiplied by inv_q (from :func:`_inverse_q`); inv_q may be None for the
+    zero row."""
+    if row == _ZERO_ROW:
+        return _ZERO_FN
+    return _hull([(row[0], den, 0), (row[1], den, 2)]).mul(inv_q)
+
+
+def _cs_ratio_pm(scale: tuple, b1: tuple, b2: tuple, q: tuple) -> PmFunction:
+    """scale (b1^2 + b2^2 lam^2) / q(lam) as a pm function, for lattice values
+    scale, b1, b2 and the Gram triple q = (a1, a12, a2) of q(lam)."""
+    (row,), den = _rows([[(scale, b1, b2)]])
+    return _row_pm(row, den, _inverse_q(*q))
 
 
 @dataclass(frozen=True)
@@ -241,9 +276,7 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     qw, dw = gram(w)
     if qw is None:
         raise IsotropicArgument("CS witness must be anisotropic")
-    scale = (-qw, dw)
-    f = _over_q(_hull([_monomial(scale, b1, 0), _monomial(scale, b2, 2)]),
-                _inverse_q(a1, a12, a2))
+    f = _cs_ratio_pm((-qw, dw), b1, b2, (a1, a12, a2))
 
     b1, b2, a1, a2, a12 = (_value(*g) for g in (b1, b2, a1, a2, a12))
     quasilinear = a1 * a2 >= a12 * a12

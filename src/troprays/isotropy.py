@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _inverse_q, _monomial, _over_q
+from .csfun import _cs_ratio_pm, _inverse_q
 from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
-from .pmfunc import PmFunction, _hull
+from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, TropValue, _value, midpoint, t
@@ -91,15 +91,13 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
         case = "A"
         strict = False
         t0 = min(_ratio_or_inf(a12, b_eta_2), _ratio_or_inf(a13, b_eta_3))
-        profile = _over_q(_hull([_monomial(_ONE, a12, 0), _monomial(_ONE, a13, 2)]),
-                          _inverse_q(a2, a23, a3))
+        profile = _cs_ratio_pm(_ONE, a12, a13, (a2, a23, a3))
     elif a12[0] is None:
         case = "B"
         strict = False
         t0 = INF
         if not (b_eta_2[0] is None and b_eta_3[0] is None):
-            numerator = _hull([_monomial(_ONE, b_eta_2, 0), _monomial(_ONE, b_eta_3, 2)])
-            profile = _over_q(numerator, _inverse_q(a2, a23, a3))
+            profile = _cs_ratio_pm(_ONE, b_eta_2, b_eta_3, (a2, a23, a3))
     elif b_eta_3[0] is None:
         case = "C1"
         strict = False

@@ -454,20 +454,13 @@ def crossing_points(f: PmFunction, g: PmFunction) -> list:
     return out
 
 
-def sign_runs(fns, zero_end: bool = True, inf_end: bool = True,
-              divisor_degree: int = 0) -> list:
+def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
     """Maximal runs of constant pairwise signs of the functions along [0, oo].
 
     Returns (lo, lo_closed, hi, hi_closed, signs) runs with TropValue ends,
     where signs is a string with one of "<", "=", ">" per pair k < l of
     `fns`, ordered by k, then l.  Without `zero_end` (`inf_end`) the point 0
     (oo) belongs to no run and the first (last) run is open there.
-
-    With `divisor_degree` d the runs are those of the ratios f / p for any
-    pm function p that is finite and nonzero on ]0, oo[ (and at 0 with
-    `zero_end`) and has degree d at oo: dividing by p keeps every sign on
-    [0, oo[, and at oo each function other than the constant 0 and oo is
-    read with its last degree lowered by d.
 
     The runs are cut at the zeros of f_k - f_l: crossings inside the cells
     of the common refinement and the ends of cells where two functions
@@ -512,12 +505,68 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True,
 
     def at_end(j):
         # j = 0 at 0, j = -1 at oo; a nonzero degree sends the value to 0 or oo
-        values = []
-        for f, (_, cs, ks) in zip(fns, table):
-            k = ks[j] - divisor_degree if j and f.kind == _KFINITE else ks[j]
-            values.append(cs[j] if not k else far if (k > 0) == (j < 0) else -far)
-        return _signs(values)
+        return _signs([cs[j] if not ks[j] else far if (ks[j] > 0) == (j < 0) else -far
+                       for _, cs, ks in table])
 
+    return _cut(points, D * L, at, at_end, zero_end, inf_end)
+
+
+def row_runs(rows, den: int, degree: int, zero_end: bool = True,
+             inf_end: bool = True) -> list:
+    """Maximal runs of constant pairwise signs of two-monomial rows along [0, oo].
+
+    A row (A, B) of ints over `den` is N(lam) = max(t^(A/den),
+    t^(B/den) lam^degree), degree > 0: in log scale the constant A and the
+    line B + degree x; A or B is None for the zero, (None, None) is the zero
+    function.  The runs have the form of :func:`sign_runs`.  At oo each row
+    is read divided by lam^degree, as B, so the runs are those of the ratios
+    N_k / p for any pm function p finite and nonzero on ]0, oo[ (and at 0
+    with `zero_end`) with degree `degree` at oo.
+
+    Candidate lemma: every isolated zero of N_i - N_j and every end of an
+    interval where they agree is a point x = (A_i - B_j)/degree, i and j in
+    either order, where N_i = A_i and N_j = B_j + degree x.  Proof: at x both
+    take one value v, each through its constant or its line.  If one goes
+    through its constant and the other through its line, x is that point.
+    If both go through their constants (lines), they agree near x unless one
+    of them leaves its constant (line) at x; by continuity its line
+    (constant) takes v there too, so x is that point again.  Each pair thus
+    keeps one sign on each open cell between consecutive candidates: it
+    agrees on the whole cell or nowhere in it.  Over den the candidate is
+    the int A_i - B_j on the lattice degree * den, and at a point or probe v
+    over twice that lattice a row is max(2A, 2B + v): two ints per row.
+    """
+    points = set()
+    for i, (a, b) in enumerate(rows):
+        for c, e in rows[i + 1:]:
+            # the constant of one row meets the line of the other, both maxima
+            if (a is not None and e is not None
+                    and (b is None or b <= e) and (c is None or c <= a)):
+                points.add(a - e)
+            if (c is not None and b is not None
+                    and (e is None or e <= b) and (a is None or a <= c)):
+                points.add(c - b)
+    points = sorted(points)
+    # a zero monomial is -far, and -far + v stays below every row at every v
+    reach = 2 * max([abs(p) for p in points], default=0) + 2
+    far = 1 + 2 * max([abs(v) for row in rows for v in row if v is not None], default=0) \
+        + 2 * reach
+    table = [(-far if a is None else 2 * a, -far if b is None else 2 * b) for a, b in rows]
+
+    def at(v):
+        return _signs([a if a > b + v else b + v for a, b in table])
+
+    def at_end(j):
+        # j = 0 at 0 reads the constants, j = -1 at oo the lines over lam^degree
+        return _signs([row[j] for row in table])
+
+    return _cut(points, degree * den, at, at_end, zero_end, inf_end)
+
+
+def _cut(points, den, at, at_end, zero_end, inf_end) -> list:
+    """The runs of the labels along [0, oo] cut at the sorted int `points`
+    over `den`: `at(v)` labels the point or probe v over 2 den, `at_end(0)`
+    and `at_end(-1)` the ends 0 and oo, read only when kept."""
     n = len(points)
     runs = _Runs()
     if zero_end:
@@ -529,8 +578,7 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True,
             runs.cell(i + 1, at(2 * b), i + 1, True)
     if inf_end:
         runs.cell(n + 1, at_end(-1), n + 1, True)
-    DL = D * L
-    bounds = [ZERO, *[_value(p, DL) for p in points], INF]
+    bounds = [ZERO, *[_value(p, den) for p in points], INF]
     return [(bounds[lo], lc, bounds[hi], hc, label) for lo, lc, hi, hc, label in runs]
 
 

@@ -11,11 +11,12 @@ reproducible.  Equality and hashing ignore the base point.
 The interval [Y1, Y2] is parametrized by pi(lam) = ray(eps1 + lam * eps2)
 for lam in [0, oo], with pi(0) = Y1 and pi(oo) = Y2, and its rays are
 ordered by the parameter where they are first reached.  ``locate`` finds
-that parameter with the engine that cuts the CS strata along the same
-parameter, ``pmfunc.sign_runs``: for 0 < lam < oo, pi(lam) = Z exactly
-where the zero coordinates of Z stay zero and the pm functions
-(eps1_i + lam eps2_i) / z_i over its finite coordinates all agree, so the
-first run of pairwise "=" signs begins at the answer.
+that parameter with the kernel that cuts the CS strata along the same
+parameter, ``pmfunc.row_runs``: for 0 < lam < oo, pi(lam) = Z exactly
+where the zero coordinates of Z stay zero and the ratios
+(eps1_i + lam eps2_i) / z_i over its finite coordinates all agree.  Each
+ratio is a two-monomial row of degree 1, so the first run of pairwise "="
+signs begins at the answer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import NotOnInterval, ZeroVector
-from .pmfunc import _hull, sign_runs
+from .pmfunc import row_runs
 from .quadspace import Vector, _vector
 from .semifield import INF, ZERO, TropValue
 
@@ -96,10 +97,13 @@ class RayInterval:
         "smallest" is well defined.  For finite lam > 0, pi(lam) = z exactly
         when every zero coordinate of z is zero in eps1 and eps2 and the
         ratios r_i(lam) = (eps1_i + lam eps2_i) / z_i over the finite
-        coordinates of z all agree.  Each r_i is a two-monomial pm function
-        on the common lattice of eps1, eps2 and z, so the fiber is a union of
-        the runs of ``sign_runs`` labelled only "=": the answer is the lower
-        end of the first such run, re-verified by pi, else oo when pi(oo) = z.
+        coordinates of z all agree.  Each r_i is the row
+        max(eps1_i / z_i, (eps2_i / z_i) lam) of degree 1 on the common
+        lattice of eps1, eps2 and z, so the fiber is a union of the runs of
+        ``row_runs`` labelled only "=": the answer is the lower end of the
+        first such run, re-verified by pi, else oo when pi(oo) = z.  The
+        kernel reads oo as the rows over lam; no answer depends on that
+        label, since a run starting at oo is the pi(oo) case tried last.
         """
         if z == self.y1:
             return ZERO
@@ -107,15 +111,14 @@ class RayInterval:
         d = lcm(*[v.d for v in vectors])
         eps1, eps2, target = [[None if x is None else x * (d // v.d) for x in v.nums]
                               for v in vectors]
-        ratios = []
+        rows = []
         for a, b, c in zip(eps1, eps2, target):
             if c is not None:
-                ratios.append(_hull([(None if a is None else a - c, d, 0),
-                                     (None if b is None else b - c, d, 1)]))
+                rows.append((None if a is None else a - c, None if b is None else b - c))
             elif a is not None or b is not None:
                 break  # a coordinate of pi(lam) that is nonzero for finite lam > 0
         else:
-            for lo, _, _, _, signs in sign_runs(ratios):
+            for lo, _, _, _, signs in row_runs(rows, d, 1):
                 if "<" not in signs and ">" not in signs and self.pi(lo) == z:
                     return lo
         if self.pi(INF) == z:

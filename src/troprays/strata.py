@@ -11,24 +11,26 @@ crossing, never by convention.
 
 Sign vectors are labelled on the integer lattice: at a ray the family values
 are ints over one denominator (``csfun._values_at``), on a trace the
-restricted pm functions share one lattice (``pmfunc.sign_runs``), and both
-label the pairs with ``pmfunc._signs``.
+numerator rows share one lattice (``pmfunc.row_runs``), and both label the
+pairs with ``pmfunc._signs``.
 
 A trace compares the numerators N_k of f_k = N_k / q, q = q(eps1 + lam eps2)
-the denominator shared by the whole family, and never builds 1/q.  The end
-rule: the value 0 is labelled with N_k(0), which needs q(eps1) != 0, and the
-value oo with N_k lam^-2, which needs q(eps2) != 0; a kept end whose endpoint
-is isotropic raises IsotropicArgument (the proof is in ``_trace``).
+the denominator shared by the whole family, and builds no pm function: each
+N_k is the two-monomial row max(A_k, B_k lam^2) of ``csfun._numerators``,
+cut by the int kernel ``pmfunc.row_runs`` at degree 2.  The end rule: the
+value 0 is labelled with N_k(0) = A_k, which needs q(eps1) != 0, and the
+value oo with N_k lam^-2 = B_k, which needs q(eps2) != 0; a kept end whose
+endpoint is isotropic raises IsotropicArgument (the proof is in ``_trace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import BasicFunction, _numerators, _values_at
+from .csfun import _ZERO_ROW, BasicFunction, _numerators, _values_at
 from .errors import (IsotropicArgument, NotStrictPair, VerificationFailed,
                      WitnessNotInStratum)
-from .pmfunc import _signs, sign_runs
+from .pmfunc import _signs, row_runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, ZERO, TropValue, midpoint
@@ -184,43 +186,47 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
            drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
     """The family's pieces on the interval, with the rays bounding them.
 
-    Restricts every basic function to the interval, cuts the parameter domain
-    at all pairwise crossings, and merges cells with equal sign vectors into
-    consecutive pieces.  When an end is dropped (isotropic interval endpoint)
-    the adjacent piece opens there and the endpoint itself belongs to no piece;
-    a kept end with an isotropic endpoint raises IsotropicArgument.  Every
-    trace, with dropped ends or not, runs :func:`_assert_sign_monotone`.
+    Reads every basic function's numerator row on the interval, cuts the
+    parameter domain at the rows' candidate points (``pmfunc.row_runs``), and
+    merges cells with equal sign vectors into consecutive pieces.  When an
+    end is dropped (isotropic interval endpoint) the adjacent piece opens
+    there and the endpoint itself belongs to no piece; a kept end with an
+    isotropic endpoint raises IsotropicArgument.  Every trace, with dropped
+    ends or not, runs :func:`_assert_sign_monotone`.
 
-    The signs are read off the numerators N_k of f_k = N_k / q, never off the
-    ratios, and that loses nothing.  Claim: with q(lam) = a1 + a12 lam +
-    a2 lam^2 the shared denominator, f_k vs f_l has the sign of N_k vs N_l at
-    every lam in ]0, oo[, at lam = 0 when a1 != 0, and at lam = oo when
-    a2 != 0 if N_k, N_l are read there through their last monomials divided
-    by lam^2.  Proof: on ]0, oo[ the value q(lam) is the maximum of the three
-    monomials, finite and nonzero unless a1 = a12 = a2 = 0; then every
-    function is 0 / 0 and only all-zero numerators are admitted (else
-    IsotropicArgument).  Dividing two values by one finite nonzero value keeps
-    their order, so the signs agree there.  At 0, q(0) = a1 is finite and
-    nonzero, so f_k(0) = N_k(0) / a1 and the same argument applies.  At oo the
-    last monomial of q is a2 lam^2 with a2 != 0, and the last monomial
-    c lam^k of N_k gives f_k(oo) = lim c lam^(k-2) / a2: 0, c / a2 or oo as
-    k - 2 is negative, zero or positive.  That is the value of N_k lam^-2 at
-    oo scaled by the one constant 1 / a2, which keeps every order, and it is
-    how ``sign_runs`` reads oo at divisor degree 2.  The labels thus agree at
-    every kept point, so the maximal runs and the separators at their ends
-    are those of the ratios.
+    The signs are read off the numerators N_k = max(A_k, B_k lam^2) of
+    f_k = N_k / q, never off the ratios, and that loses nothing.  Claim:
+    with q(lam) = a1 + a12 lam + a2 lam^2 the shared denominator, f_k vs f_l
+    has the sign of N_k vs N_l at every lam in ]0, oo[, at lam = 0 when
+    a1 != 0, and at lam = oo when a2 != 0 if N_k, N_l are read there through
+    their last monomials divided by lam^2.  Proof: on ]0, oo[ the value q(lam)
+    is the maximum of the three monomials, finite and nonzero unless
+    a1 = a12 = a2 = 0; then every function is 0 / 0 and only all-zero
+    numerators are admitted (else IsotropicArgument).  Dividing two values by
+    one finite nonzero value keeps their order, so the signs agree there.  At
+    0, q(0) = a1 is finite and nonzero, so f_k(0) = N_k(0) / a1 and the same
+    argument applies.  At oo the last monomial of q is a2 lam^2 with a2 != 0,
+    and the last monomial c lam^k of N_k gives f_k(oo) = lim c lam^(k-2) / a2:
+    0, c / a2 or oo as k - 2 is negative, zero or positive.  That is the value
+    of N_k lam^-2 at oo scaled by the one constant 1 / a2, which keeps every
+    order; as k is 2 when B_k is nonzero and 0 otherwise, it is B_k or the
+    zero, which is how ``row_runs`` reads oo at degree 2.  The labels thus
+    agree at every kept point, so the maximal runs and the separators at their
+    ends are those of the ratios.  Inside, one probe per cell is exact by the
+    kernel's candidate-point lemma: every zero of N_i - N_j that is isolated
+    or ends an interval of agreement is among the points (A_i - B_j)/2.
     """
-    numerators, (a1, a12, a2) = _numerators(pair, interval.y1.base,
-                                            interval.y2.base, family)
+    rows, den, (a1, a12, a2) = _numerators(pair, interval.y1.base,
+                                           interval.y2.base, family)
     if (not drop_zero_end and a1[0] is None) or (not drop_inf_end and a2[0] is None):
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     if (a1[0] is None and a12[0] is None and a2[0] is None
-            and not all(n.is_constant_zero() for n in numerators)):
+            and not all(row == _ZERO_ROW for row in rows)):
         raise IsotropicArgument("q vanishes along the whole interval")
-    m = len(numerators)
+    m = len(rows)
     pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs
-                   in sign_runs(numerators, not drop_zero_end, not drop_inf_end, 2))
+                   in row_runs(rows, den, 2, not drop_zero_end, not drop_inf_end))
     _assert_sign_monotone(pieces, m)
     boundaries = [(ZERO, interval.y1)]
     boundaries += [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]

@@ -246,7 +246,7 @@ def test_composition_with_cs_restriction(m1, m1_iv):
         assert composed.eval(lam) == min(f.eval(lam), t(3))
 
 
-# build_fw on M1's e1 witness with the numerator-over-q pm replaced by a continuous
+# build_fw on M1's e1 witness with the CS-ratio pm replaced by a continuous
 # function whose region B = [50, 60] contradicts the formulas u_w = -2, v_w = 2
 CORRUPTED_BUILD_FW = """
 import sys
@@ -259,7 +259,7 @@ from troprays.semifield import INF, ONE, ZERO, t
 
 if __debug__:
     sys.exit(3)
-csfun._over_q = lambda *args: PmFunction(
+csfun._cs_ratio_pm = lambda *args: PmFunction(
     (ZERO, t(50), t(60), INF), ((ONE, 0), (t(-50), 1), (t(10), 0)))
 try:
     csfun.build_fw(M1, m1_interval(), Vector.unit(2, 0))

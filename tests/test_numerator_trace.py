@@ -1,19 +1,23 @@
 """Traces read off the CS numerators against traces of the CS ratios.
 
-``strata._trace`` labels the numerators N_k of f_k = N_k / q with
-``sign_runs(..., divisor_degree=2)``; the ratio trace restricts the family
-with ``cs_restriction_pm`` (numerators times 1/q) and labels the ratios with
-``sign_runs`` at divisor degree 0.  Both must give the same pieces and the
-same separator rays for every end kept or dropped, and the same raised error
-types, except where the numerator trace checks a kept end on its own: a kept
-isotropic end raises IsotropicArgument there even when the other end is
-dropped.  Hypothesis draws the cases of tests/test_cs_lattice.py (isotropic
-basis vectors, an anchor orthogonal to both ends, fractional exponents, zero
-coefficients, zero functions, repeated anchors) and denser models and
-families whose traces cross more often.
+``strata._trace`` cuts the numerator rows N_k = max(A_k, B_k lam^2) of
+f_k = N_k / q with the int kernel ``pmfunc.row_runs``; the ratio trace
+restricts the family with ``cs_restriction_pm`` (each row hulled and
+multiplied by 1/q) and labels the ratios with the generic ``sign_runs``.
+Both must give the same pieces and the same separator rays for every end
+kept or dropped, and the same raised error types, except where the numerator
+trace checks a kept end on its own: a kept isotropic end raises
+IsotropicArgument there even when the other end is dropped.  Hypothesis
+draws the cases of tests/test_cs_lattice.py (isotropic basis vectors, an
+anchor orthogonal to both ends, fractional exponents, zero coefficients,
+zero functions, repeated anchors), denser models and families whose traces
+cross more often, and canonical families in dimensions 2-4.
+``RayInterval.locate``, the kernel's other caller, is checked against the
+frozen tests/rays_reference.py on drawn intervals and targets.
 """
 
 import pytest
+import rays_reference
 from hypothesis import given, settings, strategies as st
 from test_cs_lattice import (E1, E2, EDGE, FRACTIONAL, MIXED, cases, cs_of, finite, models,
                              outcome, rays)
@@ -70,10 +74,10 @@ entries = st.one_of(finite, finite, finite, st.just(ZERO))
 
 
 @st.composite
-def dense_models(draw):
-    """Models of dimension 2 or 3 with up to two isotropic basis vectors and
-    mostly finite companion entries."""
-    n = draw(st.integers(2, 3))
+def dense_models(draw, max_dim=3):
+    """Models of dimension 2 to max_dim with up to two isotropic basis
+    vectors and mostly finite companion entries."""
+    n = draw(st.integers(2, max_dim))
     isotropic = draw(st.sets(st.integers(0, n - 1), max_size=2))
     q = [ZERO if i in isotropic else draw(finite) for i in range(n)]
     b = [[ZERO] * n for _ in range(n)]
@@ -102,12 +106,64 @@ def traced_cases(draw):
     return pair, draw(dense_rays(n)), draw(dense_rays(n)), tuple(family)
 
 
-@settings(max_examples=300)
-@given(st.one_of(cases().map(lambda c: (*c[:3], c[4])), traced_cases()))
+@st.composite
+def canonical_cases(draw):
+    """Dimensions 2-4: the canonical family of the interval when both ends
+    are anisotropic, else its first three functions (0, CS(Y1, -),
+    CS(Y2, -)), which raise IsotropicArgument; or 2-5 functions over a pool
+    of anchors with zero coefficients among the terms."""
+    pair = draw(dense_models(max_dim=4))
+    n = pair.dim
+    y1 = draw(dense_rays(n))
+    y2 = draw(dense_rays(n).filter(lambda y: y != y1))
+    if draw(st.booleans()):
+        if all(pair._gram(y.base)[0] is not None for y in (y1, y2)):
+            family = example_family(pair, y1, y2)
+        else:
+            family = (BasicFunction.zero(), BasicFunction.cs(y1), BasicFunction.cs(y2))
+    else:
+        pool = draw(st.lists(dense_rays(n), min_size=1, max_size=4))
+        coeffs = st.one_of(st.just(ZERO), finite, finite)
+        terms = st.lists(st.tuples(coeffs, st.sampled_from(pool)), max_size=3)
+        family = tuple(draw(st.lists(terms.map(lambda ts: BasicFunction(tuple(ts))),
+                                     min_size=2, max_size=5)))
+    return pair, y1, y2, family
+
+
+@settings(max_examples=450)
+@given(st.one_of(cases().map(lambda c: (*c[:3], c[4])), traced_cases(), canonical_cases()))
 def test_numerator_trace_matches_ratio_trace(case):
     pair, y1, y2, family = case
     if y1 != y2:
         compare(pair, family, RayInterval(y1, y2))
+
+
+@st.composite
+def locate_cases(draw):
+    """An interval in dimension 2-4 and a target: a point pi(lam), an end,
+    a drawn ray, or a point with one coordinate zeroed or moved."""
+    n = draw(st.integers(2, 4))
+    y1 = draw(dense_rays(n))
+    y2 = draw(dense_rays(n).filter(lambda y: y != y1))
+    interval = RayInterval(y1, y2)
+    kind = draw(st.sampled_from(["point", "point", "end", "ray", "moved"]))
+    if kind == "ray":
+        return interval, draw(dense_rays(n))
+    if kind == "end":
+        return interval, draw(st.sampled_from([y1, y2]))
+    z = interval.pi(draw(st.one_of(finite, st.just(ZERO), st.just(INF))))
+    if kind == "moved":
+        coords = list(z.rep.coords)
+        coords[draw(st.integers(0, n - 1))] = draw(entries)
+        z = Ray(Vector(coords)) if any(c.is_finite() for c in coords) else z
+    return interval, z
+
+
+@settings(max_examples=300)
+@given(locate_cases())
+def test_locate_matches_frozen_reference(case):
+    interval, z = case
+    assert interval.locate(z) == rays_reference.locate(interval, z)
 
 
 def isotropic_e1(pair: QuadraticPair) -> QuadraticPair:

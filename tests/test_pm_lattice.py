@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import pm_reference as ref
 from troprays.oracle import reconstruct_pm
-from troprays.pmfunc import PmFunction, crossing_points, sign_runs
+from troprays.pmfunc import PmFunction, _hull, crossing_points, row_runs, sign_runs
 from troprays.sampling import Sampler
 from troprays.semifield import INF, ONE, ZERO, t
 
@@ -109,20 +109,25 @@ def test_from_monomials_matches_reference(seed, raw, with_zero):
                lambda: ref.PmFunction.from_monomials(terms))
 
 
-@settings(max_examples=200)
-@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(0, 4),
-       st.lists(st.sampled_from(KINDS), min_size=2, max_size=4), st.booleans(), st.booleans())
-def test_sign_runs_with_a_divisor_are_the_runs_of_the_ratios(seed, degree, kinds,
-                                                            zero_end, inf_end):
-    """With divisor_degree d, sign_runs labels the ratios f / p for a p with
-    degree 0 at 0 and d at oo; the constant 0 and oo functions stay as they are."""
+row_entries = st.one_of(st.none(), st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 4), st.integers(1, 6),
+       st.lists(st.tuples(row_entries, row_entries), min_size=2, max_size=5),
+       st.booleans(), st.booleans())
+def test_row_runs_are_the_runs_of_the_ratios(seed, degree, den, rows, zero_end, inf_end):
+    """row_runs at degree k labels the rows (A, B), max(A, B lam^k) over den,
+    as sign_runs labels the hulled rows divided by a p with degree 0 at 0 and
+    k at oo; the zero row stays the constant zero function."""
     sampler = Sampler(seed)
-    fns = [draw_function(sampler, kind) for kind in kinds]
     degrees = {0, degree} | {k for k in range(1, degree) if sampler.rng.random() < 0.5}
     inverse = PmFunction.from_monomials([(sampler.value(), k) for k in degrees]).invert()
-    ratios = [f if f.is_constant_zero() or f.is_constant_inf() else f.mul(inverse)
-              for f in fns]
-    assert (sign_runs(fns, zero_end, inf_end, degree)
+    ratios = []
+    for a, b in rows:
+        f = _hull([(a, den, 0), (b, den, degree)])
+        ratios.append(f if f.is_constant_zero() else f.mul(inverse))
+    assert (row_runs(rows, den, degree, zero_end, inf_end)
             == sign_runs(ratios, zero_end, inf_end))
 
 

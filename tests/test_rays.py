@@ -227,15 +227,15 @@ def test_locate_matches_frozen_reference():
 
 def test_locate_zero_coordinate_leaves_only_infinity(monkeypatch):
     # a zero coordinate of z that eps1 or eps2 fills is zero in no pi(lam)
-    # with 0 < lam < oo, so only pi(oo) is tried and no sign runs are cut
+    # with 0 < lam < oo, so only pi(oo) is tried and no rows are cut
     calls = []
-    real = rays_module.sign_runs
+    real = rays_module.row_runs
 
-    def counted(fns):
-        calls.append(fns)
-        return real(fns)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(rays_module, "sign_runs", counted)
+    monkeypatch.setattr(rays_module, "row_runs", counted)
     interval = RayInterval(Ray(vec(0, "-inf", "-1/3")), Ray(vec("-inf", 0, "-inf")))
     assert interval.locate(ray(0, "-7/3", "-inf")) is None
     assert interval.locate(ray("-inf", 0, "-inf")) == INF

@@ -95,7 +95,7 @@ def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, mo
     # every trace runs the check, one with an end dropped too
     runs = [(ZERO, True, t(0), False, "<"), (t(0), True, t(0), True, ">"),
             (t(0), False, INF, True, "<")]
-    monkeypatch.setattr(strata, "sign_runs", lambda *args: runs)
+    monkeypatch.setattr(strata, "row_runs", lambda *args: runs)
     with pytest.raises(VerificationFailed, match="not monotone"):
         strata._trace(m1, m1_fam, m1_iv, drop_zero_end=True)
 
