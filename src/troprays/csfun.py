@@ -17,21 +17,28 @@ N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) has at most
 two monomials, the row N = max(A, B lam^2) with A the largest of the
 degree-0 coefficients and B of the degree-2 ones (``_numerators``).
 :func:`cs_restriction_pm` hulls each row and multiplies it by 1/q, built
-once per interval, with 3 Gram evaluations per interval plus 3 per nonzero
-term.  Traces (``strata._trace``) cut the rows alone with the int kernel
+once per interval.  Gram counts per interval: q once per distinct vector
+(eps1, eps2 and each live anchor that is not one of them), b(eps1, eps2),
+and b(eps1, w), b(eps2, w) once per distinct live anchor w: at most
+3 + 3 per anchor, and 7 for the canonical M1 family, whose anchors are the
+ends.  Traces (``strata._trace``) cut the rows alone with the int kernel
 ``pmfunc.row_runs``: q is finite and nonzero on ]0, oo[, at 0 when
 q(eps1) != 0 and, read through lam^2, at oo when q(eps2) != 0, so dividing
 by it changes no sign; at oo each row reads B.  ``build_fw`` and the
 isotropy profiles build their one-witness ratio from the same row
 (``_cs_ratio_pm``).
 
-The integer lattice.  Gram values stay lattice pairs (num, den) from
-``QuadraticPair._gram`` to the rows: each numerator monomial has the
-exponent coeff - q(w) + 2 b(eps, w), formed in ints, and a family's rows
-share the lcm of the denominators involved; the envelopes of a row and of q
-are built by the int hull builder ``pmfunc._hull``.  Values at a ray (``_values_at``,
-behind :meth:`BasicFunction.eval` and sign vectors) are maxima over ints
-too, and the public views return them as TropValues, reduced int pairs.
+The integer lattice.  Gram values stay ints from the one Gram primitive,
+the kernel of ``quadspace``, to the rows: a restriction or a trace builds one
+lattice frame (``quadspace._Frame``) of eps1, eps2 and the live anchors, on
+the lcm of their denominators, the model's and the coefficients', and each
+numerator monomial has the exponent coeff - q(w) + 2 b(eps, w), formed in
+ints on it by the one term rule ``_maxima``; the envelopes of a row and of q
+are built by the int hull builder ``pmfunc._hull``.  Values at a ray
+(``_values_at``, behind :meth:`BasicFunction.eval` and sign vectors) run the
+same term rule on the frame of x and the anchors: q(x), the column of x, and
+q(w), b(w, x) once per distinct live anchor.  The public views return them
+as TropValues, reduced int pairs.
 
 Region analysis: f_w is constant on a maximal initial interval A_w and a
 maximal final interval C_w and is nowhere constant in between (B_w), unless
@@ -49,7 +56,7 @@ from math import lcm
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
 from .pmfunc import _ZERO_FN, PmFunction, _hull
-from .quadspace import QuadraticPair, Vector
+from .quadspace import QuadraticPair, Vector, _Frame
 from .rays import Ray, RayInterval
 from .semifield import _KFINITE, INF, ONE, ZERO, TropValue, _value
 
@@ -91,9 +98,7 @@ class BasicFunction:
         return cls(())
 
     def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
-        """f(x)."""
-        if not self.terms:
-            return ZERO
+        """f(x); x must be anisotropic, also for the zero function."""
         (num,), den = _values_at(pair, (self,), x)
         return _value(num, den)
 
@@ -101,40 +106,64 @@ class BasicFunction:
         return tuple(anchor for _, anchor in self.terms)
 
 
+def _frame(pair: QuadraticPair, vectors, family) -> tuple:
+    """(frame, live): each function's live terms (coeff, anchor base), a term
+    with coefficient 0 dropping out before its anchor is looked at, and the
+    lattice frame of the vectors and of the live anchors and coefficients."""
+    live = [[(coeff, anchor.base) for coeff, anchor in f.terms if coeff.kind == _KFINITE]
+            for f in family]
+    frame = _Frame(pair, (*vectors, *[w for terms in live for _, w in terms]),
+                   [coeff for terms in live for coeff, _ in terms])
+    return frame, live
+
+
+def _maxima(frame: _Frame, live, columns, message: str) -> list:
+    """The one term rule: for each function, given by its live terms, the
+    tuple over the columns of v (``frame.column``) of the max over its terms
+    of coeff / q(w) b(v, w)^2, on the frame's lattice (None for the zero).
+
+    q(w) and the b(v, w) are evaluated once per distinct anchor w, in the
+    order the terms are read; an isotropic anchor raises
+    IsotropicArgument(message).
+    """
+    seen = {}
+    out = []
+    den = frame.den
+    for terms in live:
+        best = None
+        for coeff, w in terms:
+            monomials = seen.get(w)
+            if monomials is None:
+                ys, qw = frame.at(w)
+                if qw is None:
+                    raise IsotropicArgument(message)
+                monomials = seen[w] = [None if b is None else 2 * b - qw
+                                       for b in [frame.b(col, ys) for col in columns]]
+            c = coeff.num * (den // coeff.den)
+            monomials = [None if m is None else m + c for m in monomials]
+            best = monomials if best is None else [
+                m if b is None or (m is not None and b < m) else b
+                for b, m in zip(best, monomials)]
+        out.append((None,) * len(columns) if best is None else tuple(best))
+    return out
+
+
 def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
     """The family's values at x on one lattice: (nums, den) with f_i(x) =
     t^(nums[i]/den), nums[i] None for the zero.
 
-    Evaluates q(x) once and q(anchor), b(anchor, x) per term with a nonzero
-    coefficient; a term with coefficient 0 drops out before its anchor is
-    looked at, as in traces.  Each term's exponent coeff - q(anchor) +
-    2 b(anchor, x) is formed in ints and q(x) subtracted from every maximum.
-    An isotropic x or an isotropic anchor of a live term raises
-    IsotropicArgument.
+    One frame holds x and the live anchors: q(x) once, the column of x once,
+    then q(w) and b(w, x) once per distinct live anchor (``_maxima``), and
+    q(x) subtracted from every maximum.  An isotropic x, also for a family
+    without live terms, or an isotropic live anchor raises IsotropicArgument.
     """
-    gram = pair._gram
     xb = x.base
-    qx, dx = gram(xb)
+    frame, live = _frame(pair, (xb,), family)
+    xs, qx = frame.at(xb)
     if qx is None:
         raise IsotropicArgument("CS-functions live on the anisotropic ray space")
-    rows = []
-    for f in family:
-        row = []
-        for coeff, anchor in f.terms:
-            if coeff.kind != _KFINITE:
-                continue
-            w = anchor.base
-            qw = gram(w)
-            if qw[0] is None:
-                raise IsotropicArgument("CS-ratio needs anisotropic arguments")
-            num, den = _monomial(_over(coeff, qw), gram(w, xb))
-            if num is not None:
-                row.append((num, den))
-        rows.append(row)
-    den = lcm(dx, *[d for row in rows for _, d in row])
-    shift = qx * (den // dx)
-    return [max([n * (den // d) for n, d in row]) - shift if row else None
-            for row in rows], den
+    values = _maxima(frame, live, (frame.column(xs),), "CS-ratio needs anisotropic arguments")
+    return [None if v is None else v - qx for v, in values], frame.den
 
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
@@ -152,66 +181,29 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -
 
 
 def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
-    """(rows, den, (a1, a12, a2)): the numerator row of each function of the
-    family over den (see :func:`_rows`), f = N / q on the interval, and the
-    lattice Gram values of q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
+    """(rows, den, (a1, a12, a2)): the numerator row (A, B) of each function
+    of the family, ints over den with N = max(t^(A/den), t^(B/den) lam^2) and
+    f = N / q on the interval, A or B None for the zero (``(None, None)``,
+    ``_ZERO_ROW``, for the zero function), the two-monomial row
+    ``pmfunc.row_runs`` cuts at degree 2; and the lattice Gram values of
+    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
 
-    3 Gram evaluations for the interval and 3 per term with a nonzero
-    coefficient; an isotropic witness raises IsotropicArgument.
+    One frame holds eps1, eps2 and the live anchors: q once per distinct
+    vector, so an anchor that is an interval end reuses a1 or a2, the columns
+    of eps1 and eps2 once, then b(eps1, eps2) and b(eps1, w), b(eps2, w) once
+    per distinct live anchor w.  An isotropic live anchor raises
+    IsotropicArgument.
     """
-    gram = pair._gram
-    a1, a12, a2 = gram(eps1), gram(eps1, eps2), gram(eps2)
-    functions = []
-    for f in family:
-        terms = []
-        for coeff, anchor in f.terms:
-            if coeff.kind != _KFINITE:
-                continue
-            w = anchor.base
-            qw = gram(w)
-            if qw[0] is None:
-                raise IsotropicArgument("CS witness must be anisotropic")
-            terms.append((_over(coeff, qw), gram(eps1, w), gram(eps2, w)))
-        functions.append(terms)
-    return (*_rows(functions), (a1, a12, a2))
-
-
-def _rows(functions) -> tuple:
-    """(rows, den): for each function, given by its terms (scale, b1, b2),
-    the numerator sum of scale (b1^2 + b2^2 lam^2) over its terms as the row
-    (A, B) of ints over den, N = max(t^(A/den), t^(B/den) lam^2), the
-    two-monomial row ``pmfunc.row_runs`` cuts at degree 2; A or B is None
-    for the zero.  Scales and Gram values are lattice pairs."""
-    monomials = [[(_monomial(s, b1), _monomial(s, b2)) for s, b1, b2 in terms]
-                 for terms in functions]
-    den = lcm(*[d for terms in monomials for m in terms for _, d in m])
-    rows = []
-    for terms in monomials:
-        a = [n * (den // d) for (n, d), _ in terms if n is not None]
-        b = [n * (den // d) for _, (n, d) in terms if n is not None]
-        rows.append((max(a, default=None), max(b, default=None)))
-    return rows, den
+    frame, live = _frame(pair, (eps1, eps2), family)
+    (x1, a1), (x2, a2) = frame.at(eps1), frame.at(eps2)
+    c1 = frame.column(x1)
+    a12 = frame.b(c1, x2)
+    rows = _maxima(frame, live, (c1, frame.column(x2)), "CS witness must be anisotropic")
+    den = frame.den
+    return rows, den, ((a1, den), (a12, den), (a2, den))
 
 
 _ZERO_ROW = (None, None)
-
-
-def _over(coeff: TropValue, q: tuple) -> tuple:
-    """coeff / q as a lattice value, for a finite coeff and a nonzero lattice
-    value q, on the lcm of their denominators."""
-    qn, dq = q
-    den = lcm(coeff.den, dq)
-    return coeff.num * (den // coeff.den) - qn * (den // dq), den
-
-
-def _monomial(scale: tuple, b: tuple) -> tuple:
-    """The lattice value scale * b^2 as (num, den), from the lattice values
-    scale and b; its num is None when b is the zero."""
-    (sn, sd), (bn, bd) = scale, b
-    if bn is None:
-        return None, 1
-    den = lcm(sd, bd)
-    return sn * (den // sd) + 2 * bn * (den // bd), den
 
 
 def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
@@ -224,9 +216,9 @@ def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
 
 
 def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
-    """The numerator row (A, B) over den (from :func:`_rows`) hulled and
-    multiplied by inv_q (from :func:`_inverse_q`); inv_q may be None for the
-    zero row."""
+    """The numerator row (A, B) over den (from :func:`_numerators`) hulled
+    and multiplied by inv_q (from :func:`_inverse_q`); inv_q may be None for
+    the zero row."""
     if row == _ZERO_ROW:
         return _ZERO_FN
     return _hull([(row[0], den, 0), (row[1], den, 2)]).mul(inv_q)
@@ -234,8 +226,12 @@ def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
 
 def _cs_ratio_pm(scale: tuple, b1: tuple, b2: tuple, q: tuple) -> PmFunction:
     """scale (b1^2 + b2^2 lam^2) / q(lam) as a pm function, for lattice values
-    scale, b1, b2 and the Gram triple q = (a1, a12, a2) of q(lam)."""
-    (row,), den = _rows([[(scale, b1, b2)]])
+    scale, b1, b2 and the Gram triple q = (a1, a12, a2) of q(lam): the row of
+    the monomials scale b^2 on the lcm of their denominators."""
+    sn, sd = scale
+    den = lcm(sd, *[d for n, d in (b1, b2) if n is not None])
+    row = tuple(None if n is None else sn * (den // sd) + 2 * n * (den // d)
+                for n, d in (b1, b2))
     return _row_pm(row, den, _inverse_q(*q))
 
 

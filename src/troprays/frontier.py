@@ -21,7 +21,7 @@ from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStra
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import (SignVector, derivate_boundary, is_direct_derivate, sign_vector_at,
+from .strata import (SignVector, _derivate_case, derivate_boundary, sign_vector_at,
                      stratify_interval)
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
@@ -171,13 +171,16 @@ class FrontierPair:
         self._signs = {}   # sign memo: ray.rep -> sign vector
         self._traces = {}  # trace memo: (y1.base, y2.base) -> stratify_interval
         self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
+        self._last = None, None  # the pools and masks of the last _galois query
 
     @classmethod
     def certify(cls, pair, family, w: Ray, w_prime: Ray) -> "FrontierPair":
         """Build from witness rays, requiring a case1 certificate."""
         t_vec = sign_vector_at(pair, family, w)
         t_prime = sign_vector_at(pair, family, w_prime)
-        case = is_direct_derivate(pair, family, t_vec, t_prime, w, w_prime)
+        if t_vec == t_prime:
+            raise ValueError("the two strata must be different")
+        case = _derivate_case(pair, family, t_vec, t_prime, w, w_prime)
         if case != "case1":
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
@@ -317,10 +320,14 @@ class FrontierPair:
         the sector memo on first use.  Masks are ANDed in query order until
         none is left, as a short-circuiting per-ray test would evaluate them."""
         pools = (tuple(u_pool), tuple(p_pool))
-        masks = self._relations.get(pools)
-        if masks is None:
-            masks = self._relations[pools] = tuple(dict.fromkeys(x.rep for x in pool)
-                                                   for pool in pools)
+        last, masks = self._last
+        # the last pools first: tuple == matches identical rays without hashing them
+        if pools != last:
+            masks = self._relations.get(pools)
+            if masks is None:
+                masks = self._relations[pools] = tuple(dict.fromkeys(x.rep for x in pool)
+                                                       for pool in pools)
+            self._last = pools, masks
         own, image = masks[dual], pools[not dual]
         query = list(query)
         if any(x.rep not in own for x in query):

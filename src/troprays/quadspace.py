@@ -25,10 +25,17 @@ and b take their max-plus sums beta_ij + x_i + y_j over the lcm of the
 model's and the vectors' denominators.  This is exact because max-plus
 arithmetic commutes with scaling by a positive integer: L * max(a, b) =
 max(L a, L b) and L * (a + b) = L a + L b, so the scaled maximum divided by
-L is the rational maximum itself.  The one Gram primitive ``QuadraticPair._gram`` returns
-such a lattice pair (num, den), and the CS layers (csfun, strata) work on
-these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and ``coords``
-build TropValues, themselves reduced int pairs.
+L is the rational maximum itself.
+
+The one Gram primitive is an int kernel: ``_q_max`` for q(x), ``_column``
+for the column B (x) x (entry j the max over beta_ij + x_i) and ``_dot``
+for b(x, y), the max of that column plus y.  ``QuadraticPair._gram`` is its
+one- and two-vector case and returns a lattice pair (num, den).  A call that
+needs many Gram values builds one ``_Frame``: the model and every vector of
+the call on one denominator, q once per distinct vector and each column once,
+so that every further b is an O(n) maximum.  The CS layers (csfun, strata)
+work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
+``coords`` build TropValues, themselves reduced int pairs.
 """
 
 from __future__ import annotations
@@ -184,11 +191,13 @@ class QuadraticPair:
             for v in row:
                 if v.is_infinite():
                     raise SchemaError("b values must lie in [0, oo[")
-        # integer-lattice Gram data: one denominator d for every entry,
-        # q numerators and companion rows over d (None for the zero)
+        # integer-lattice Gram data: one denominator d for every entry, the q
+        # numerators over d (None for the zero) and each companion row as its
+        # nonzero entries (j, numerator over d)
         n = self.dim
         d, nums = _lattice([*self.q_diag, *(v for row in self.b for v in row)])
-        rows = tuple(nums[n * (i + 1):n * (i + 2)] for i in range(n))
+        rows = tuple(tuple((j, b) for j, b in enumerate(nums[n * (i + 1):n * (i + 2)])
+                           if b is not None) for i in range(n))
         object.__setattr__(self, "_lat", (d, nums[:n], rows))
 
     @classmethod
@@ -203,55 +212,28 @@ class QuadraticPair:
     def balanced(self) -> bool:
         return all(self.b[i][i] == self.q_diag[i] for i in range(self.dim))
 
+    def _check(self, *vectors) -> None:
+        for v in vectors:
+            if len(v.nums) != self.dim:
+                raise DimensionMismatch(f"vector has length {len(v.nums)}, "
+                                        f"model dimension is {self.dim}")
+
     def _gram(self, x: Vector, y: Vector | None = None) -> tuple:
         """The lattice Gram value (num, den): q(x) when y is None, else b(x, y).
 
         num is den times the exponent of the value, an int, or None for the
         zero; den is the lcm of the model's and the vectors' denominators.
-        q(x) is the max over alpha_i x_i^2 and beta_ij x_i x_j (i < j), b(x, y)
-        the max over beta_ij x_i y_j (all i, j).  Every Gram evaluation of the
-        library runs here.
+        This is the one- and two-vector case of the kernel :class:`_Frame`
+        runs on: ``_q_max`` for q, ``_column`` and ``_dot`` for b.
         """
-        for v in (x,) if y is None else (x, y):
-            if len(v.nums) != self.dim:
-                raise DimensionMismatch(f"vector has length {len(v.nums)}, "
-                                        f"model dimension is {self.dim}")
         d, qn, rows = self._lat
-        dx, xn = x.d, x.nums
-        best = None
         if y is None:
-            den = lcm(d, dx)
-            sg, sx = den // d, den // dx
-            xs = [(i, v * sx) for i, v in enumerate(xn) if v is not None]
-            for k, (i, xi) in enumerate(xs):
-                qi = qn[i]
-                if qi is not None:
-                    v = qi * sg + xi + xi
-                    if best is None or best < v:
-                        best = v
-                row = rows[i]
-                for j, xj in xs[k + 1:]:
-                    bij = row[j]
-                    if bij is not None:
-                        v = bij * sg + xi + xj
-                        if best is None or best < v:
-                            best = v
-            return best, den
-        dy, yn = y.d, y.nums
-        den = lcm(d, dx, dy)
-        sg, sx, sy = den // d, den // dx, den // dy
-        ys = [(j, v * sy) for j, v in enumerate(yn) if v is not None]
-        for xi, row in zip(xn, rows):
-            if xi is None:
-                continue
-            xi *= sx
-            for j, yj in ys:
-                bij = row[j]
-                if bij is not None:
-                    v = bij * sg + xi + yj
-                    if best is None or best < v:
-                        best = v
-        return best, den
+            self._check(x)
+            den = lcm(d, x.d)
+            return _q_max(qn, rows, den // d, _on(x, den)), den
+        self._check(x, y)
+        den = lcm(d, x.d, y.d)
+        return _dot(_column(rows, den // d, _on(x, den)), _on(y, den)), den
 
     def eval_q(self, x: Vector) -> TropValue:
         """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""
@@ -263,20 +245,110 @@ class QuadraticPair:
 
     def cs(self, x: Vector, y: Vector) -> TropValue:
         """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic."""
-        (qx, dx), (qy, dy) = self._gram(x), self._gram(y)
+        frame = _Frame(self, (x, y))
+        (xs, qx), (ys, qy) = frame.at(x), frame.at(y)
         if qx is None or qy is None:
             raise IsotropicArgument("CS-ratio needs anisotropic arguments")
-        b, db = self._gram(x, y)
+        b = frame.b(frame.column(xs), ys)
         if b is None:
             return ZERO
-        den = lcm(dx, dy, db)
-        return _value(2 * b * (den // db) - qx * (den // dx) - qy * (den // dy), den)
+        return _value(2 * b - qx - qy, frame.den)
 
     def is_isotropic(self, x: Vector) -> bool:
         """True iff x is nonzero and q(x) = 0."""
         if x.is_zero():
             raise ZeroVector("the zero vector is neither isotropic nor anisotropic")
         return self._gram(x)[0] is None
+
+
+def _on(v: Vector, den: int):
+    """The numerators of v on the lattice den, a multiple of v.d."""
+    s = den // v.d
+    return v.nums if s == 1 else [None if x is None else x * s for x in v.nums]
+
+
+def _q_max(qn, rows, s: int, xs):
+    """q on the lattice: the max over alpha_i + 2 x_i and beta_ij + x_i + x_j
+    (i < j) of the model's ints qn, rows (nonzero entries (j, beta_ij)) times
+    s and the numerators xs."""
+    best = None
+    for i, xi in enumerate(xs):
+        if xi is None:
+            continue
+        qi = qn[i]
+        if qi is not None:
+            v = qi * s + xi + xi
+            if best is None or best < v:
+                best = v
+        for j, bij in rows[i]:
+            if j > i:
+                xj = xs[j]
+                if xj is not None:
+                    v = bij * s + xi + xj
+                    if best is None or best < v:
+                        best = v
+    return best
+
+
+def _column(rows, s: int, xs) -> list:
+    """The column B (x) x on the lattice: entry j is the max over beta_ij + x_i
+    of the model's rows (nonzero entries (j, beta_ij)) times s and the
+    numerators xs, None for the zero."""
+    col = [None] * len(rows)
+    for xi, row in zip(xs, rows):
+        if xi is None:
+            continue
+        for j, bij in row:
+            v = bij * s + xi
+            c = col[j]
+            if c is None or c < v:
+                col[j] = v
+    return col
+
+
+def _dot(col, ys):
+    """b(x, y) on the lattice from the column of x: the max of col_j + y_j."""
+    best = None
+    for c, y in zip(col, ys):
+        if c is not None and y is not None:
+            v = c + y
+            if best is None or best < v:
+                best = v
+    return best
+
+
+class _Frame:
+    """One call's lattice: the model and every vector and scalar of the call on
+    one denominator ``den``, the lcm of all their denominators.
+
+    ``at(v)`` puts v on the lattice and evaluates q(v), once per distinct
+    vector; ``column(xs)`` forms B (x) x once, after which each b(x, y) is the
+    O(n) maximum ``b(col, ys)``.  A vector's dimension is checked when the
+    frame first reads it, so errors come in the order the caller reads.
+    """
+
+    __slots__ = ("den", "_pair", "_qn", "_rows", "_s", "_seen")
+
+    def __init__(self, pair: QuadraticPair, vectors, scalars=()):
+        d, self._qn, self._rows = pair._lat
+        self.den = den = lcm(d, *[v.d for v in vectors], *[c.den for c in scalars])
+        self._pair, self._s, self._seen = pair, den // d, {}
+
+    def at(self, v: Vector) -> tuple:
+        """(xs, q): v's numerators and q(v) on the lattice, q None for the zero."""
+        hit = self._seen.get(v)
+        if hit is None:
+            self._pair._check(v)
+            xs = _on(v, self.den)
+            hit = self._seen[v] = xs, _q_max(self._qn, self._rows, self._s, xs)
+        return hit
+
+    def column(self, xs) -> list:
+        return _column(self._rows, self._s, xs)
+
+    def b(self, col, ys):
+        """b(x, y) on the lattice from the column of x and the numerators of y."""
+        return _dot(col, ys)
 
 
 @dataclass

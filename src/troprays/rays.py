@@ -83,12 +83,25 @@ class RayInterval:
         return RayInterval(self.y2, self.y1)
 
     def pi(self, lam: TropValue) -> Ray:
-        """pi(lam) = ray(eps1 + lam*eps2); pi(0) = Y1, pi(oo) = Y2."""
+        """pi(lam) = ray(eps1 + lam*eps2); pi(0) = Y1, pi(oo) = Y2.
+
+        For a finite lam = p/q, max(eps1_i, lam eps2_i) is formed in one pass
+        on L = lcm(d1, d2, q), lam adding p L/q to every numerator of eps2,
+        and reduced twice: once for the base, once for the rep."""
         if lam.is_zero():
             return self.y1
         if lam.is_infinite():
             return self.y2
-        return Ray(self.y1.base + lam * self.y2.base)
+        e1, e2 = self.y1.base, self.y2.base
+        p, q = lam.num, lam.den
+        d = lcm(e1.d, e2.d, q)
+        s1, s2, shift = d // e1.d, d // e2.d, p * (d // q)
+        nums = []
+        for x, y in zip(e1.nums, e2.nums):
+            x = None if x is None else x * s1
+            y = None if y is None else y * s2 + shift
+            nums.append(y if x is None else x if y is None or y < x else y)
+        return Ray(_vector(d, tuple(nums)))
 
     def locate(self, z: Ray) -> TropValue | None:
         """The smallest lam with pi(lam) = z, or None when z is off the interval.

@@ -12,7 +12,12 @@ crossing, never by convention.
 Sign vectors are labelled on the integer lattice: at a ray the family values
 are ints over one denominator (``csfun._values_at``), on a trace the
 numerator rows share one lattice (``pmfunc.row_runs``), and both label the
-pairs with ``pmfunc._signs``.
+pairs with ``pmfunc._signs``.  Both read their Gram values off one lattice
+frame per call, the one Gram primitive of ``quadspace``: a trace evaluates q
+once per distinct vector among eps1, eps2 and the live anchors, b(eps1,
+eps2), and b(eps1, w), b(eps2, w) per distinct live anchor (7 on the M1
+family, whose anchors are the ends); a sign vector q(x) and q(w), b(w, x)
+per distinct live anchor.
 
 A trace compares the numerators N_k of f_k = N_k / q, q = q(eps1 + lam eps2)
 the denominator shared by the whole family, and builds no pm function: each
@@ -25,6 +30,7 @@ endpoint is isotropic raises IsotropicArgument (the proof is in ``_trace``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .csfun import _ZERO_ROW, BasicFunction, _numerators, _values_at
@@ -234,18 +240,18 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     return StrataTrace(interval, pieces, tuple(boundaries))
 
 
+_MONOTONE = re.compile(r"<*=*>*|>*=*<*")
+
+
 def _assert_sign_monotone(pieces, m):
     """Each pair's sign sequence along the trace is monotone with half-open
-    boundary structure; CS-families always satisfy this, so a violation
-    here means corrupted inputs."""
-    order = {"<": 0, "=": 1, ">": 2}
+    boundary structure (its column string matches ``<*=*>*|>*=*<*``);
+    CS-families always satisfy this, so a violation here means corrupted
+    inputs."""
     pairs = ((k, l) for k in range(m) for l in range(k + 1, m))
     # column i holds the signs of pair i (in pair_index order) along the trace
     for (k, l), signs in zip(pairs, zip(*[p.signs.signs for p in pieces])):
-        ranks = [order[s] for s in signs]
-        ascending = all(a <= b for a, b in zip(ranks, ranks[1:]))
-        descending = all(a >= b for a, b in zip(ranks, ranks[1:]))
-        if not (ascending or descending):
+        if _MONOTONE.fullmatch("".join(signs)) is None:
             raise VerificationFailed(
                 f"sign pattern of pair ({k},{l}) is not monotone: {list(signs)}")
 
@@ -329,6 +335,13 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     if sign_vector_at(pair, family, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
+    return _derivate_case(pair, family, t_vec, t_prime, w, w_prime)
+
+
+def _derivate_case(pair: QuadraticPair, family, t_vec: SignVector,
+                   t_prime: SignVector, w: Ray, w_prime: Ray) -> str:
+    """:func:`is_direct_derivate` for witnesses whose sign vectors the caller
+    already holds: T at W and T' at W', T != T'."""
     entry = derivate_boundary(stratify_interval(pair, family, RayInterval(w, w_prime)),
                               t_vec, t_prime)
     if entry is None:
@@ -397,7 +410,7 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
             found = None
             for w in groups[t_vec]:
                 for wp in groups[t_prime]:
-                    if is_direct_derivate(pair, family, t_vec, t_prime, w, wp) == "case1":
+                    if _derivate_case(pair, family, t_vec, t_prime, w, wp) == "case1":
                         found = (w, wp)
                         break
                 if found:

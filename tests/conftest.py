@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from troprays.instances import M1, m1_family, m1_interval
-from troprays.quadspace import QuadraticPair
+import troprays.quadspace as quadspace
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline: their timing on a shared machine says nothing about correctness.
@@ -27,14 +27,14 @@ def m1_fam():
 
 @pytest.fixture
 def gram_calls(monkeypatch):
-    """Gram evaluations made while the test runs, counted at the one lattice
-    primitive QuadraticPair._gram: "eval_q" for q(x), "eval_b" for b(x, y)."""
+    """Gram evaluations made while the test runs, counted at the lattice
+    kernel that every one of them runs through: "eval_q" for each q(x)
+    (``quadspace._q_max``), "eval_b" for each b(x, y) (``quadspace._dot``)."""
     counts = {"eval_q": 0, "eval_b": 0}
-    original = QuadraticPair._gram
+    for kind, name in (("eval_q", "_q_max"), ("eval_b", "_dot")):
+        def counted(*args, _kind=kind, _kernel=getattr(quadspace, name)):
+            counts[_kind] += 1
+            return _kernel(*args)
 
-    def counted(self, x, y=None):
-        counts["eval_q" if y is None else "eval_b"] += 1
-        return original(self, x, y)
-
-    monkeypatch.setattr(QuadraticPair, "_gram", counted)
+        monkeypatch.setattr(quadspace, name, counted)
     return counts

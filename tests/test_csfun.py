@@ -393,6 +393,18 @@ def test_family_restriction_gram_count(m1, m1_iv, gram_calls, k):
     assert not any(pm.is_constant_zero() for pm in pms)
 
 
+def test_zero_function_needs_an_anisotropic_ray_in_both_forms():
+    """The empty sum and a sum of one term with coefficient 0 are the same
+    zero function: both are 0 at an anisotropic ray and both raise
+    IsotropicArgument at an isotropic one, as sign vectors do."""
+    pair = QuadraticPair.from_rows(["-inf", "0"], [["-inf", "0"], ["0", "0"]])
+    e1, e2 = Ray(Vector.unit(2, 0)), Ray(Vector.unit(2, 1))
+    for zero in (BasicFunction.zero(), BasicFunction.cs(e2, ZERO)):
+        assert zero.eval(pair, e2) == ZERO
+        with pytest.raises(IsotropicArgument):
+            zero.eval(pair, e1)
+
+
 def test_basic_function_rejects_infinite_coefficient(m1, m1_iv):
     """An oo coefficient is rejected when the function is built, by the
     library constructors as by the family loader, whose message is kept."""

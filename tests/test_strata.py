@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from chart_reference import stratum_witnesses, unpruned_chart
@@ -98,6 +102,25 @@ def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, mo
     monkeypatch.setattr(strata, "row_runs", lambda *args: runs)
     with pytest.raises(VerificationFailed, match="not monotone"):
         strata._trace(m1, m1_fam, m1_iv, drop_zero_end=True)
+
+
+def test_sign_monotone_check_raises_under_optimize():
+    """The self-check is a pattern match that raises VerificationFailed, so
+    ``python -O``, which strips asserts, keeps it."""
+    code = ("from troprays.errors import VerificationFailed\n"
+            "from troprays.semifield import ZERO\n"
+            "from troprays.strata import SignVector, TracePiece, _assert_sign_monotone\n"
+            "pieces = [TracePiece(SignVector(3, s), ZERO, True, ZERO, True)\n"
+            "          for s in ('<<<', '<=<', '<<<')]\n"
+            "try:\n"
+            "    _assert_sign_monotone(pieces, 3)\n"
+            "except VerificationFailed as ex:\n"
+            "    print(ex)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "sign pattern of pair (0,2) is not monotone: ['<', '=', '<']\n"
 
 
 def test_stratify_single_stratum(m1, m1_fam):
@@ -433,16 +456,17 @@ def test_corner_chart_tries_only_derivate_pairs(monkeypatch):
 
     pair, family, sample = _corner_case(4)
     calls = []
-    decide = strata.is_direct_derivate
+    decide = strata.derivate_boundary
 
-    def counted(*args):
-        calls.append(args[2:4])
-        return decide(*args)
+    # every witness pair the chart tries is decided by one derivate_boundary
+    def counted(trace, t_vec, t_prime):
+        calls.append((t_vec, t_prime))
+        return decide(trace, t_vec, t_prime)
 
-    monkeypatch.setattr(strata, "is_direct_derivate", counted)
+    monkeypatch.setattr(strata, "derivate_boundary", counted)
     chart = derivation_chart(pair, family, sample)
     assert len(chart.edges) == 7
-    assert len(calls) <= 20
+    assert 7 <= len(calls) <= 20
     assert all(tp.is_derivate_of(tv) for tv, tp in calls)
 
 
@@ -464,14 +488,16 @@ def test_sign_vector_rejects_isotropic_anchor():
 
 
 def test_stratify_interval_gram_count(m1, m1_fam, m1_iv, gram_calls):
-    """The endpoints' q, b(eps1, eps2) and each term's q(w), b(eps1, w),
-    b(eps2, w) are evaluated once: 3 + 3 * 2 for the two-function M1 family."""
+    """q once per distinct vector, b(eps1, eps2) and each distinct anchor's
+    b(eps1, w), b(eps2, w) once: the anchors of the M1 family are the
+    interval's ends, so their q is a1 and a2, and 2 + 5 evaluations remain;
+    the three CORNER anchors are not ends, so 3 + 3 * 3."""
     stratify_interval(m1, m1_fam, m1_iv)
-    assert gram_calls == {"eval_q": 2 + 2, "eval_b": 1 + 4}
+    assert gram_calls == {"eval_q": 2, "eval_b": 1 + 4}
     family = corner_family()
     for k, (x, y) in enumerate(zip(corner_sample(), corner_sample()[1:]), 1):
         stratify_interval(CORNER, family, RayInterval(x, y))
-        assert sum(gram_calls.values()) == 9 + 12 * k
+        assert sum(gram_calls.values()) == 7 + 12 * k
 
 
 def test_stratify_interval_rejects_isotropic_endpoints():
