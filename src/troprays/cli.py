@@ -114,25 +114,17 @@ def cmd_interval_profile(args):
     interval = _interval_from_args(args, pair, rays)
     w = _resolve_vector(args.witness, pair.dim)
     profile = build_fw(pair, interval, w)
+    regions = {"A": profile.region_a, "B": profile.region_b, "C": profile.region_c}
     doc = {
         "interval": {"y1": ray_to_json(interval.y1), "y2": ray_to_json(interval.y2)},
         "witness": serialize.vector_to_json(w),
         "pm": serialize.pm_to_json(profile.f),
         "reduced_degrees": list(profile.reduced_degrees()),
         "quasilinear": profile.quasilinear,
-        "regions": {
-            "A": [str(profile.region_a[0]), str(profile.region_a[1])],
-            "B": [str(profile.region_b[0]), str(profile.region_b[1])],
-            "C": [str(profile.region_c[0]), str(profile.region_c[1])],
-        },
+        "regions": {k: [str(lo), str(hi)] for k, (lo, hi) in regions.items()},
     }
-    lines = [
-        f"f_w = {profile.f!r}",
-        f"reduced degrees: {profile.reduced_degrees()}",
-        f"A = [{profile.region_a[0]}, {profile.region_a[1]}]",
-        f"B = [{profile.region_b[0]}, {profile.region_b[1]}]",
-        f"C = [{profile.region_c[0]}, {profile.region_c[1]}]",
-    ]
+    lines = [f"f_w = {profile.f!r}", f"reduced degrees: {profile.reduced_degrees()}",
+             *[f"{k} = [{lo}, {hi}]" for k, (lo, hi) in regions.items()]]
     return _emit(args, pair, doc, lines)
 
 

@@ -112,18 +112,17 @@ def regularity_bounds(pair: QuadraticPair, anchors, z: Vector, w: Vector,
     qz = pair.eval_q(z)
     if qz.is_zero():
         raise NotRegular("z must be anisotropic")
-    for y in anchors:
-        if pair.eval_b(y.base, z).is_zero():
-            raise NotRegular("b(y, z) = 0 for an anchor: z is not regular")
+    bzy = [pair.eval_b(y.base, z) for y in anchors]  # b(z, y_j), read once
+    if any(b.is_zero() for b in bzy):
+        raise NotRegular("b(y, z) = 0 for an anchor: z is not regular")
     coupling = (qz / pair.eval_b(w, w_prime)).sqrt()
 
     def direction_bound(v: Vector) -> TropValue:
         bound = (qz / pair.eval_q(v)).sqrt()
         bound = min(bound, qz / pair.eval_b(z, v))
         bound = min(bound, coupling)
-        for y in anchors:
-            bvy = pair.eval_b(v, y.base)
-            bound = min(bound, pair.eval_b(z, y.base) / bvy)
+        for y, b in zip(anchors, bzy):
+            bound = min(bound, b / pair.eval_b(v, y.base))
         return bound
 
     return direction_bound(w_prime), direction_bound(w)

@@ -33,7 +33,7 @@ def _fit_monomial(exps, values):
     slope = (values[-1].exp - values[0].exp) / (exps[-1] - exps[0])
     if slope.denominator != 1:
         return None
-    degree = int(slope)
+    degree = slope.numerator
     coeff = TropValue.finite(values[0].exp - degree * exps[0])
     for e, v in zip(exps[1:-1], values[1:-1]):
         if coeff.exp + degree * e != v.exp:

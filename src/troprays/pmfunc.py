@@ -65,7 +65,7 @@ class PmFunction:
 
     def __init__(self, breakpoints, segments):
         breakpoints = tuple(breakpoints)
-        segments = tuple((c, int(d)) for c, d in segments)
+        segments = tuple((c, _degree(k)) for c, k in segments)
         if len(breakpoints) != len(segments) + 1 or not segments:
             raise ValueError("need one segment per breakpoint gap")
         if breakpoints[0] != ZERO or breakpoints[-1] != INF:
@@ -143,7 +143,7 @@ class PmFunction:
     def monomial(cls, coeff: TropValue, degree: int) -> "PmFunction":
         if not coeff.is_finite():
             raise ValueError("monomial coefficients must be finite and nonzero")
-        return _make(coeff.den, (), (coeff.num,), (int(degree),))
+        return _make(coeff.den, (), (coeff.num,), (_degree(degree),))
 
     @classmethod
     def from_monomials(cls, terms) -> "PmFunction":
@@ -153,7 +153,7 @@ class PmFunction:
         for coeff, degree in terms:
             if coeff.is_infinite():
                 raise ValueError("monomial coefficients must be finite and nonzero")
-            lattice.append((coeff.num, coeff.den, int(degree)))
+            lattice.append((coeff.num, coeff.den, _degree(degree)))
         return _hull(lattice)
 
     # -- basic queries ---------------------------------------------------------
@@ -331,6 +331,13 @@ class PmFunction:
             if piece.sign == "<":
                 return (piece.lo, piece.hi)
         return None
+
+
+def _degree(k) -> int:
+    """The one entry rule for degrees: an int, not a bool; no truncation."""
+    if isinstance(k, int) and not isinstance(k, bool):
+        return k
+    raise TypeError(f"degree {k!r} is not an int")
 
 
 def _make(d, xs, cs, ks) -> PmFunction:

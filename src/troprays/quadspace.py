@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
-from .semifield import ZERO, TropValue, _lattice, _value
+from .semifield import ZERO, TropValue, _lattice, _value, value_of
 
 
 class Vector:
@@ -77,7 +77,7 @@ class Vector:
 
     @classmethod
     def parse(cls, items) -> "Vector":
-        return cls(TropValue.parse(str(s)) for s in items)
+        return cls(value_of(s) for s in items)
 
     @classmethod
     def unit(cls, dim: int, i: int) -> "Vector":
@@ -151,17 +151,8 @@ def _vector(d: int, nums: tuple) -> Vector:
 
 
 def vec(*items) -> Vector:
-    """Build a vector from exponents / "-inf" strings; test-friendly."""
+    """Build a vector from ints and text such as "1/2" or "-inf" (``value_of``)."""
     return Vector.parse(items)
-
-
-def _entry(v) -> TropValue:
-    """A Gram entry of :meth:`QuadraticPair.from_rows` as a TropValue."""
-    if isinstance(v, TropValue):
-        return v
-    if isinstance(v, (str, int)):
-        return TropValue.parse(str(v))
-    raise SchemaError(f"Gram entry {v!r} is not a str, an int or a TropValue")
 
 
 @dataclass(frozen=True)
@@ -202,10 +193,10 @@ class QuadraticPair:
 
     @classmethod
     def from_rows(cls, q_diag, b_rows) -> "QuadraticPair":
-        """Gram data from entries that are each a str, an int or a TropValue;
-        any other entry (a float, say) raises SchemaError."""
-        q_diag = tuple(_entry(v) for v in q_diag)
-        b = tuple(tuple(_entry(v) for v in row) for row in b_rows)
+        """Gram data from str, int or TropValue entries read by ``value_of``;
+        any other entry (a float, say) and bad text raise SchemaError."""
+        q_diag = tuple(value_of(v) for v in q_diag)
+        b = tuple(tuple(value_of(v) for v in row) for row in b_rows)
         return cls(len(q_diag), q_diag, b)
 
     @property

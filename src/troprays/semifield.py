@@ -12,7 +12,8 @@ Addition is the tropical maximum, written ``a + b``.  All values are
 immutable and hashable; equal values have equal pairs.  ``exp`` builds the
 exponent as a Fraction on demand.  The layers above compute on integer
 numerators over one denominator (the integer lattice); they convert
-TropValues to it with ``_lattice`` and back with ``_value``.
+TropValues to it with ``_lattice`` and back with ``_value``.  Input scalars
+enter by one rule, ``value_of``, which admits no float.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import UndefinedProduct
+from .errors import SchemaError, UndefinedProduct
 
 _KZERO = -1
 _KFINITE = 0
@@ -186,6 +187,22 @@ def _lattice(values) -> tuple:
 def t(exp) -> TropValue:
     """Shorthand for the finite value t^exp."""
     return TropValue.finite(exp)
+
+
+def value_of(x) -> TropValue:
+    """The one entry rule for scalars: a TropValue as it is, an int (not a
+    bool) as t^x, a str in the text encoding of :meth:`TropValue.parse`.
+    Anything else (a float, a bool, None), and bad text, raises SchemaError."""
+    if isinstance(x, TropValue):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return TropValue(_KFINITE, x)
+    if not isinstance(x, str):
+        raise SchemaError(f"semifield value {x!r} is not a str, an int or a TropValue")
+    try:
+        return TropValue.parse(x)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise SchemaError(f"bad semifield value {x!r}: {ex}") from ex
 
 
 def trop_sum(values, start: TropValue = ZERO) -> TropValue:

@@ -1,6 +1,7 @@
 """JSON encoding of models, rays, families, pm functions, and reports.
 
-All semifield values use the text encoding "p/q" / "p" / "-inf" / "+inf".
+Semifield values are written in the text encoding "p/q" / "p" / "-inf" / "+inf"
+and read by ``value_of``: such a string or a JSON integer, never a float.
 Documents are emitted with sorted keys and no trailing whitespace so that
 identical inputs produce byte-identical outputs.
 """
@@ -14,15 +15,8 @@ from .errors import SchemaError, ZeroVector
 from .pmfunc import PmFunction, SignPiece
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray
-from .semifield import TropValue
+from .semifield import value_of
 from .strata import BasicFunction, DerivationChart, SignVector, StrataTrace
-
-
-def value_from_text(text) -> TropValue:
-    try:
-        return TropValue.parse(str(text))
-    except (ValueError, ZeroDivisionError) as ex:
-        raise SchemaError(f"bad semifield value {text!r}: {ex}") from ex
 
 
 def _array(obj, what: str) -> list:
@@ -43,7 +37,7 @@ def vector_from_json(obj) -> Vector:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SchemaError("a vector is a non-empty array of values")
     try:
-        return Vector(value_from_text(x) for x in obj)
+        return Vector.parse(obj)
     except ValueError as ex:  # an infinite coordinate
         raise SchemaError(f"bad vector {obj!r}: {ex}") from ex
 
@@ -75,7 +69,7 @@ def model_from_json(obj) -> QuadraticPair:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("dim must be a positive integer")
-    q_diag = [value_from_text(x) for x in _array(obj["q_diag"], "q_diag")]
+    q_diag = [value_of(x) for x in _array(obj["q_diag"], "q_diag")]
     rows = _array(obj["b"], "b")
     if len(q_diag) != dim or len(rows) != dim:
         raise SchemaError("q_diag and b must have length dim")
@@ -83,7 +77,7 @@ def model_from_json(obj) -> QuadraticPair:
     for row in rows:
         if len(_array(row, "each row of b")) != dim:
             raise SchemaError("b must be a dim x dim matrix")
-        b.append(tuple(value_from_text(x) for x in row))
+        b.append(tuple(value_of(x) for x in row))
     pair = QuadraticPair(dim, tuple(q_diag), tuple(b))
     for i in range(dim):
         if pair.b[i][i] > pair.q_diag[i]:
@@ -123,7 +117,7 @@ def family_from_json(obj, pair: QuadraticPair):
         terms = []
         for term in _array(_object(fn, f"function {idx}").get("terms", []), "terms"):
             term = _object(term, f"a term of function {idx}")
-            coeff = value_from_text(term.get("coeff", "0"))
+            coeff = value_of(term.get("coeff", "0"))
             if coeff.is_infinite():
                 raise SchemaError(f"function {idx} has an infinite coefficient")
             anchor_name = term.get("anchor")
@@ -146,8 +140,8 @@ def pm_to_json(f: PmFunction) -> dict:
 
 def pm_from_json(obj) -> PmFunction:
     try:
-        bps = [value_from_text(b) for b in obj["breakpoints"]]
-        segs = [(value_from_text(s["coeff"]), int(s["degree"])) for s in obj["segments"]]
+        bps = [value_of(b) for b in obj["breakpoints"]]
+        segs = [(value_of(s["coeff"]), s["degree"]) for s in obj["segments"]]
         return PmFunction(bps, segs)
     except (KeyError, TypeError, ValueError) as ex:
         raise SchemaError(f"bad pm document: {ex}") from ex

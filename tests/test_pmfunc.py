@@ -43,6 +43,22 @@ def test_constructor_validations():
         PmFunction((ZERO, t(0), INF), ((ZERO, 0), (ONE, 1)))  # sentinel not alone
 
 
+# every constructor that takes a degree, fed the degree k
+DEGREE_ENTRIES = {
+    "init": lambda k: PmFunction((ZERO, INF), ((ONE, k),)),
+    "monomial": lambda k: PmFunction.monomial(ONE, k),
+    "from_monomials": lambda k: PmFunction.from_monomials([(ONE, k), (t(1), 0)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEGREE_ENTRIES))
+@pytest.mark.parametrize("degree", [1.5, 2.9, True, "1"])
+def test_degrees_are_ints_never_truncated(entry, degree):
+    """A float degree was truncated by int() (2.9 -> 2) and True read as 1."""
+    with pytest.raises(TypeError, match="is not an int"):
+        DEGREE_ENTRIES[entry](degree)
+
+
 def test_normalize_merges_equal_degrees():
     f = PmFunction((ZERO, t(5), INF), ((ONE, 1), (ONE, 1)))
     assert f.normalize() == PmFunction.monomial(ONE, 1)

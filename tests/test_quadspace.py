@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from troprays.errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
 from troprays.quadspace import QuadraticPair, Vector, validate_pair, vec
+from troprays.rays import ray
 from troprays.sampling import Sampler
 from troprays.semifield import INF, ONE, ZERO, TropValue, t, trop_sum
 
@@ -66,10 +67,29 @@ def test_asymmetric_companion_rejected():
     ([1.5], [[1]]),
     ([1], [[1.5]]),
     (["0", None], [["0", "0"], ["0", "0"]]),
+    ([True], [["0"]]),
 ])
 def test_from_rows_rejects_entries_of_other_types(q_diag, b_rows):
     with pytest.raises(SchemaError, match="not a str, an int or a TropValue"):
         QuadraticPair.from_rows(q_diag, b_rows)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "1.5.2"])
+def test_from_rows_rejects_bad_text(text):
+    with pytest.raises(SchemaError, match="bad semifield value"):
+        QuadraticPair.from_rows([text], [["0"]])
+
+
+@pytest.mark.parametrize("build", [vec, ray])
+@pytest.mark.parametrize("entry", [0.1, -1e400, True, None, "1/0"])
+def test_vec_and_ray_take_entries_by_the_from_rows_rule(build, entry):
+    """No float reaches a vector: 0.1 once read as 1/10, -1e400 as the zero."""
+    with pytest.raises(SchemaError):
+        build(entry, 0)
+
+
+def test_vec_reads_ints_text_and_tropvalues():
+    assert vec(1, "1/2", "-inf", t(-3)) == Vector([t(1), t(Fraction(1, 2)), ZERO, t(-3)])
 
 
 def test_from_rows_reads_str_int_and_tropvalue_entries():

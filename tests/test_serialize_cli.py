@@ -11,7 +11,7 @@ from troprays.instances import M1, M3
 from troprays.pmfunc import PmFunction
 from troprays.quadspace import Vector
 from troprays.rays import Ray
-from troprays.semifield import ONE, t
+from troprays.semifield import ONE, t, value_of
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "data")
@@ -59,10 +59,56 @@ def test_ray_and_pm_roundtrip():
     r = Ray(Vector.parse(["3", "-1/2", "-inf"]))
     again = serialize.ray_from_json(serialize.ray_to_json(r))
     assert again == r and again.base == r.base
-    f = PmFunction((serialize.value_from_text("-inf"), t(2),
-                    serialize.value_from_text("+inf")), ((ONE, 0), (t(-2), 1)))
+    f = PmFunction((value_of("-inf"), t(2), value_of("+inf")), ((ONE, 0), (t(-2), 1)))
     again = serialize.pm_from_json(serialize.pm_to_json(f))
     assert again == f
+
+
+# JSON numbers that are not exact: a float, a float that overflows to -inf
+# (once read as the zero "-inf") and a boolean
+NOT_VALUES = ["0.5", "-1e400", "true"]
+
+READERS = {"model": serialize.model_from_json,
+           "family": lambda doc: serialize.family_from_json(doc, M1),
+           "pm": serialize.pm_from_json}
+
+
+def documents_with(junk):
+    """(reader, JSON text) pairs, each document with one value written as junk."""
+    return [
+        ("model", f'{{"dim": 2, "q_diag": [{junk}, "0"], '
+                  '"b": [["-inf", "-inf"], ["-inf", "0"]]}'),
+        ("model", f'{{"dim": 2, "q_diag": ["0", "0"], "b": [["0", {junk}], [{junk}, "0"]]}}'),
+        ("family", f'{{"rays": {{"Y1": ["0", {junk}]}}}}'),
+        ("family", f'{{"rays": {{"Y1": ["0", "0"]}}, '
+                   f'"functions": [{{"terms": [{{"coeff": {junk}, "anchor": "Y1"}}]}}]}}'),
+        ("pm", f'{{"breakpoints": ["-inf", {junk}, "+inf"], "segments": '
+               '[{"coeff": "0", "degree": 0}, {"coeff": "0", "degree": 0}]}'),
+        ("pm", f'{{"breakpoints": ["-inf", "+inf"], '
+               f'"segments": [{{"coeff": {junk}, "degree": 0}}]}}'),
+    ]
+
+
+@pytest.mark.parametrize("junk", NOT_VALUES)
+def test_json_floats_and_booleans_are_not_values(junk):
+    for reader, text in documents_with(junk):
+        with pytest.raises(SchemaError):
+            READERS[reader](json.loads(text))
+
+
+@pytest.mark.parametrize("degree", ["1.5", "true", '"1"'])
+def test_pm_degree_must_be_a_json_integer(degree):
+    doc = json.loads('{"breakpoints": ["-inf", "+inf"], '
+                     f'"segments": [{{"coeff": "0", "degree": {degree}}}]}}')
+    with pytest.raises(SchemaError, match="is not an int"):
+        serialize.pm_from_json(doc)
+
+
+def test_json_integers_read_as_exponents():
+    ints = serialize.model_from_json({"dim": 2, "q_diag": [0, 3], "b": [[-5, 1], [1, 3]]})
+    texts = serialize.model_from_json(
+        {"dim": 2, "q_diag": ["0", "3"], "b": [["-5", "1"], ["1", "3"]]})
+    assert ints == texts
 
 
 def test_family_parsing_errors():
@@ -216,6 +262,14 @@ def test_cli_scalar_q_diag_is_input_error(tmp_path):
     model = tmp_path / "scalar.json"
     model.write_text(json.dumps({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]}))
     assert_input_error(run_cli("validate", "--model", str(model)))
+
+
+def test_cli_overflowed_json_number_is_input_error(tmp_path):
+    """-1e400 overflows to a float -inf, once read as the zero: q(x) = -inf."""
+    model = tmp_path / "overflow.json"
+    model.write_text('{"dim": 2, "q_diag": [-1e400, "0"], '
+                     '"b": [["-inf", "-inf"], ["-inf", "0"]]}')
+    assert_input_error(run_cli("eval", "--model", str(model), "--vec", "0,-inf"))
 
 
 def test_cli_degenerate_interval_is_input_error():
