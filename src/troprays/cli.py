@@ -16,7 +16,7 @@ from .csfun import build_fw, cs_restriction_pm
 from .frontier import FrontierPair
 from .isotropy import entrance_stratum, stability_check
 from .oracle import run_suite
-from .quadspace import validate_pair
+from .quadspace import Vector, validate_pair
 from .rays import Ray, RayInterval
 from .semifield import t
 from .serialize import (
@@ -27,7 +27,6 @@ from .serialize import (
     ray_to_json,
 )
 from .strata import derivation_chart, sign_vector_at, stratify_interval
-from .quadspace import Vector
 
 
 def _resolve_ray(spec: str, rays: dict, dim: int) -> Ray:
@@ -299,8 +298,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="troprays",
         description="exact tropical quadratic-form computations on ray spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, family=False, interval=False):
+    frontier_rays = [(f"--{name}", {"required": True}) for name in ("w", "w2", "u")]
+    # (name, handler, help, reads --b, reads --from/--to, own arguments), built
+    # per call so that handlers are the cmd_* attributes current at build time.
+    commands = [
+        ("validate", cmd_validate, "check the companion identity", False, False,
+         [("--samples", {"type": _count(0), "default": 200})]),
+        ("eval", cmd_eval, "evaluate q, b, CS on vectors", False, False,
+         [("--vec", {"required": True}), ("--vec2", {})]),
+        ("interval-profile", cmd_interval_profile,
+         "CS profile of a witness on an interval", True, True,
+         [("--witness", {"required": True})]),
+        ("compare", cmd_compare, "sign sequence of two family functions", True, True,
+         [("--f", {"type": int, "required": True}),
+          ("--g", {"type": int, "required": True})]),
+        ("stratify", cmd_stratify, "strata trace of an interval", True, True, []),
+        ("chart", cmd_chart, "derivation chart of sampled strata", True, False,
+         [("--dot", {"help": "write DOT to this path"})]),
+        ("junction", cmd_junction, "run the junction process", True, False,
+         frontier_rays + [("--max-iter", {"type": _count(1), "default": 256})]),
+        ("butterfly", cmd_butterfly, "construct and verify a butterfly", True, False,
+         frontier_rays),
+        ("isotropy-entry", cmd_isotropy_entry, "entrance stratum at an isotropic ray",
+         True, True,
+         [("--eps", {"required": True}), ("--eta", {"required": True}),
+          ("--samples", {"type": _count(0), "default": 25})]),
+        ("oracle", cmd_oracle, "run the sampling cross-check suite", False, False,
+         [("--samples", {"type": _count(0), "default": 500})]),
+    ]
+    for name, handler, help_text, family, interval, own in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0)
@@ -309,65 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         if interval:
             p.add_argument("--from", required=True, help="interval start ray")
             p.add_argument("--to", required=True, help="interval end ray")
-
-    p = sub.add_parser("validate", help="check the companion identity")
-    common(p)
-    p.add_argument("--samples", type=_count(0), default=200)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("eval", help="evaluate q, b, CS on vectors")
-    common(p)
-    p.add_argument("--vec", required=True)
-    p.add_argument("--vec2")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("interval-profile", help="CS profile of a witness on an interval")
-    common(p, family=True, interval=True)
-    p.add_argument("--witness", required=True)
-    p.set_defaults(func=cmd_interval_profile)
-
-    p = sub.add_parser("compare", help="sign sequence of two family functions")
-    common(p, family=True, interval=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("stratify", help="strata trace of an interval")
-    common(p, family=True, interval=True)
-    p.set_defaults(func=cmd_stratify)
-
-    p = sub.add_parser("chart", help="derivation chart of sampled strata")
-    common(p, family=True)
-    p.add_argument("--dot", help="write DOT to this path")
-    p.set_defaults(func=cmd_chart)
-
-    p = sub.add_parser("junction", help="run the junction process")
-    common(p, family=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--max-iter", type=_count(1), default=256)
-    p.set_defaults(func=cmd_junction)
-
-    p = sub.add_parser("butterfly", help="construct and verify a butterfly")
-    common(p, family=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=cmd_butterfly)
-
-    p = sub.add_parser("isotropy-entry", help="entrance stratum at an isotropic ray")
-    common(p, family=True, interval=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--samples", type=_count(0), default=25)
-    p.set_defaults(func=cmd_isotropy_entry)
-
-    p = sub.add_parser("oracle", help="run the sampling cross-check suite")
-    common(p)
-    p.add_argument("--samples", type=_count(0), default=500)
-    p.set_defaults(func=cmd_oracle)
-
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

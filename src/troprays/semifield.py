@@ -46,9 +46,11 @@ class TropValue:
     @classmethod
     def finite(cls, exp) -> "TropValue":
         """Finite value t^exp; `exp` may be an int, Fraction, or string.  A
-        float raises TypeError: its binary expansion is not an exact input."""
-        if isinstance(exp, float):
-            raise TypeError(f"exponent {exp!r} is a float; pass an int, Fraction or string")
+        float raises TypeError: its binary expansion is not an exact input;
+        so does a bool, which is a truth value and not an exponent."""
+        if isinstance(exp, (float, bool)):
+            raise TypeError(f"exponent {exp!r} is a {type(exp).__name__}; "
+                            "pass an int, Fraction or string")
         exp = Fraction(exp)
         return cls(_KFINITE, exp.numerator, exp.denominator)
 

@@ -188,3 +188,8 @@ def load_json_file(path):
         raise SchemaError(f"cannot read {path}: {ex}") from ex
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}") from ex
+    except UnicodeDecodeError as ex:
+        raise SchemaError(f"{path}: not UTF-8 at byte {ex.start}") from ex
+    except (ValueError, RecursionError) as ex:
+        # nested past the recursion limit, or an int past Python's digit limit
+        raise SchemaError(f"{path}: cannot read as JSON: {ex}") from ex

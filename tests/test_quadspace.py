@@ -58,9 +58,17 @@ def test_is_isotropic():
         pair.is_isotropic(vec("-inf", "-inf"))
 
 
-def test_asymmetric_companion_rejected():
-    with pytest.raises(SchemaError):
-        QuadraticPair.from_rows(["0", "0"], [["0", "2"], ["1", "0"]])
+@pytest.mark.parametrize("q_diag, b_rows, message", [
+    (["0", "0"], [["0", "2"], ["1", "0"]], "must be symmetric"),
+    ([], [], "dimension must be >= 1"),
+    (["0", "0"], [["0", "0"]], "sizes do not match"),
+    (["0", "0"], [["0", "0"], ["0"]], "not square"),
+    (["+inf", "0"], [["0", "0"], ["0", "0"]], "q values must lie"),
+    (["0", "0"], [["0", "+inf"], ["+inf", "0"]], "b values must lie"),
+], ids=["asymmetric", "dim-0", "sizes", "non-square", "inf-q", "inf-b"])
+def test_bad_gram_data_rejected(q_diag, b_rows, message):
+    with pytest.raises(SchemaError, match=message):
+        QuadraticPair.from_rows(q_diag, b_rows)
 
 
 @pytest.mark.parametrize("q_diag, b_rows", [

@@ -128,3 +128,12 @@ def test_float_exponents_are_rejected():
             make(2.0)
     assert t("0.5") == TropValue.parse("0.5") == t(Fraction(1, 2))
     assert str(t("0.1")) == "1/10"
+
+
+def test_bool_exponents_are_rejected():
+    """A bool is an int to Python but no exponent: t(True) is not t^1."""
+    for make in (t, TropValue.finite):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                make(flag)
+    assert t(1) == TropValue.parse("1") and t(0) == ONE

@@ -50,7 +50,9 @@ def test_model_schema_errors():
             {"dim": 2, "q_diag": ["0", "x"], "b": [["0", "2"], ["2", "0"]]})
     for doc in ({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]},
                 {"dim": 2, "q_diag": ["0", "0"], "b": ["0", "2"]},
-                {"dim": True, "q_diag": ["0"], "b": [["0"]]}):
+                {"dim": True, "q_diag": ["0"], "b": [["0"]]},
+                {"dim": 2, "q_diag": ["0"], "b": [["0", "2"], ["2", "0"]]},
+                {"dim": 2, "q_diag": ["0", "0"], "b": [["0", "2"], ["2"]]}):
         with pytest.raises(SchemaError):
             serialize.model_from_json(doc)
 
@@ -62,6 +64,10 @@ def test_ray_and_pm_roundtrip():
     f = PmFunction((value_of("-inf"), t(2), value_of("+inf")), ((ONE, 0), (t(-2), 1)))
     again = serialize.pm_from_json(serialize.pm_to_json(f))
     assert again == f
+    for c in ("-inf", "+inf"):
+        f = PmFunction((value_of("-inf"), value_of("+inf")), ((value_of(c), 0),))
+        again = serialize.pm_from_json(serialize.pm_to_json(f))
+        assert again == f and serialize.pm_to_json(again)["segments"][0]["coeff"] == c
 
 
 # JSON numbers that are not exact: a float, a float that overflows to -inf
@@ -227,6 +233,15 @@ def test_cli_eval_evaluates_each_value_once(capsys, gram_calls):
     assert gram_calls == {"eval_q": 1 + 2, "eval_b": 1 + 1}
 
 
+def test_cli_dispatches_to_the_current_handler(monkeypatch):
+    """main() calls the cmd_* attribute current when it runs, as the
+    benchmark tracer's per-command spans need: it wraps them after import."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.vec) or 7)
+    assert cli.main(["eval", "--model", data("m1.json"), "--vec", "0,3"]) == 7
+    assert calls == ["0,3"]
+
+
 def test_cli_eval_cs_of_isotropic_vector_is_input_error():
     assert_input_error(run_cli("eval", "--model", data("m3.json"), "--vec=0,-inf,-inf",
                                "--vec2", "0,0,0"))
@@ -258,9 +273,19 @@ def assert_input_error(res):
     assert res.stdout == b""
 
 
-def test_cli_scalar_q_diag_is_input_error(tmp_path):
-    model = tmp_path / "scalar.json"
-    model.write_text(json.dumps({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]}))
+@pytest.mark.parametrize("contents", [
+    json.dumps({"dim": 2, "q_diag": 5, "b": [["0", "2"], ["2", "0"]]}).encode(),
+    b"\xff\xfe{",
+    b"[" * 100_000,
+    b'{"dim": 1, "q_diag": [' + b"9" * 5000 + b'], "b": [["0"]]}',
+    b'{"dim": 2, "q_diag": ["0", "0"], "b": [["0", "2"]',
+    None,
+], ids=["scalar-q-diag", "not-utf8", "nested-too-deeply", "5000-digit-int", "truncated",
+                   "missing"])
+def test_cli_bad_model_file_is_input_error(tmp_path, contents):
+    model = tmp_path / "model.json"
+    if contents is not None:
+        model.write_bytes(contents)
     assert_input_error(run_cli("validate", "--model", str(model)))
 
 
