@@ -24,9 +24,10 @@ and b(eps1, w), b(eps2, w) once per distinct live anchor w: at most
 ends.  Traces (``strata._trace``) cut the rows alone with the int kernel
 ``pmfunc.row_runs``: q is finite and nonzero on ]0, oo[, at 0 when
 q(eps1) != 0 and, read through lam^2, at oo when q(eps2) != 0, so dividing
-by it changes no sign; at oo each row reads B.  ``build_fw`` and the
-isotropy profiles build their one-witness ratio from the same row
-(``_cs_ratio_pm``).
+by it changes no sign; at oo each row reads B.  ``build_fw`` (f_w, six
+Gram values) and the isotropy profiles read their values off one frame too
+and build their ratio by the same two rules: ``_row_pm`` hulls a row and
+multiplies it by ``_inverse_q``, the inverted q of a Gram triple.
 
 The integer lattice.  Gram values stay ints from the one Gram primitive,
 the kernel of ``quadspace``, to the rows: a restriction or a trace builds one
@@ -51,7 +52,6 @@ of the denominator envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
@@ -68,12 +68,10 @@ def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
     breakpoints alpha1/alpha12 and alpha12/alpha2.  Quasilinear case: degrees
     (0, 2) with breakpoint sqrt(alpha1/alpha2).
     """
-    eps1, eps2 = interval.y1.base, interval.y2.base
-    gram = pair._gram
-    a1, a2 = gram(eps1), gram(eps2)
-    if a1[0] is None or a2[0] is None:
+    _, den, (a1, a12, a2) = _numerators(pair, interval.y1.base, interval.y2.base, ())
+    if a1 is None or a2 is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
-    return _hull([(*a1, 0), (*gram(eps1, eps2), 1), (*a2, 2)])
+    return _hull([(a1, den, 0), (a12, den, 1), (a2, den, 2)])
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -
     take the value oo at a domain endpoint.
     """
     rows, den, q = _numerators(pair, eps1, eps2, family)
-    inv_q = None if all(row == _ZERO_ROW for row in rows) else _inverse_q(*q)
+    inv_q = None if all(row == _ZERO_ROW for row in rows) else _inverse_q(q, den)
     return tuple(_row_pm(row, den, inv_q) for row in rows)
 
 
@@ -185,8 +183,8 @@ def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tupl
     of the family, ints over den with N = max(t^(A/den), t^(B/den) lam^2) and
     f = N / q on the interval, A or B None for the zero (``(None, None)``,
     ``_ZERO_ROW``, for the zero function), the two-monomial row
-    ``pmfunc.row_runs`` cuts at degree 2; and the lattice Gram values of
-    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2.
+    ``pmfunc.row_runs`` cuts at degree 2; and the Gram values of
+    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2, ints over den too.
 
     One frame holds eps1, eps2 and the live anchors: q once per distinct
     vector, so an anchor that is an interval end reuses a1 or a2, the columns
@@ -199,17 +197,16 @@ def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tupl
     c1 = frame.column(x1)
     a12 = frame.b(c1, x2)
     rows = _maxima(frame, live, (c1, frame.column(x2)), "CS witness must be anisotropic")
-    den = frame.den
-    return rows, den, ((a1, den), (a12, den), (a2, den))
+    return rows, frame.den, (a1, a12, a2)
 
 
 _ZERO_ROW = (None, None)
 
 
-def _inverse_q(a1: tuple, a12: tuple, a2: tuple) -> PmFunction:
+def _inverse_q(q: tuple, den: int) -> PmFunction:
     """lam -> 1 / (a1 + a12 lam + a2 lam^2), the inverted q(eps1 + lam eps2),
-    from the lattice Gram values."""
-    q = _hull([(*a1, 0), (*a12, 1), (*a2, 2)])
+    from its Gram values q = (a1, a12, a2), ints over den."""
+    q = _hull([(a, den, k) for k, a in enumerate(q)])
     if q.is_constant_zero():
         raise IsotropicArgument("q vanishes along the whole interval")
     return q.invert()
@@ -222,17 +219,6 @@ def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
     if row == _ZERO_ROW:
         return _ZERO_FN
     return _hull([(row[0], den, 0), (row[1], den, 2)]).mul(inv_q)
-
-
-def _cs_ratio_pm(scale: tuple, b1: tuple, b2: tuple, q: tuple) -> PmFunction:
-    """scale (b1^2 + b2^2 lam^2) / q(lam) as a pm function, for lattice values
-    scale, b1, b2 and the Gram triple q = (a1, a12, a2) of q(lam): the row of
-    the monomials scale b^2 on the lcm of their denominators."""
-    sn, sd = scale
-    den = lcm(sd, *[d for n, d in (b1, b2) if n is not None])
-    row = tuple(None if n is None else sn * (den // sd) + 2 * n * (den // d)
-                for n, d in (b1, b2))
-    return _row_pm(row, den, _inverse_q(*q))
 
 
 @dataclass(frozen=True)
@@ -261,20 +247,21 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     must agree whenever B_w is nondegenerate, or VerificationFailed is raised.
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
-    gram = pair._gram
-    b1, b2 = gram(eps1, w), gram(eps2, w)
-    if b1[0] is None and b2[0] is None:
+    frame = _Frame(pair, (eps1, eps2, w))
+    (x1, a1), (ys, qw), (x2, a2) = frame.at(eps1), frame.at(w), frame.at(eps2)
+    c1, cw = frame.column(x1), frame.column(ys)
+    b1, b2 = frame.b(c1, ys), frame.b(cw, x2)
+    if b1 is None and b2 is None:
         raise PerpendicularWitness("witness is orthogonal to both base points")
-    a1, a2 = gram(eps1), gram(eps2)
-    if a1[0] is None or a2[0] is None:
+    if a1 is None or a2 is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
-    a12 = gram(eps1, eps2)
-    qw, dw = gram(w)
     if qw is None:
         raise IsotropicArgument("CS witness must be anisotropic")
-    f = _cs_ratio_pm((-qw, dw), b1, b2, (a1, a12, a2))
+    den, a12 = frame.den, frame.b(c1, x2)
+    f = _row_pm(tuple([None if b is None else 2 * b - qw for b in (b1, b2)]), den,
+                _inverse_q((a1, a12, a2), den))
 
-    b1, b2, a1, a2, a12 = (_value(*g) for g in (b1, b2, a1, a2, a12))
+    b1, b2, a1, a2, a12 = (_value(g, den) for g in (b1, b2, a1, a2, a12))
     quasilinear = a1 * a2 >= a12 * a12
     r = b1 / b2  # oo when b2 = 0, 0 when b1 = 0
     if quasilinear:

@@ -19,27 +19,28 @@ the signs of alpha12 = b(eps, eps2) and alpha13 = b(eps, eps3):
 The mixed case alpha12 = 0 < alpha13 is reduced by swapping eps2 and eps3.
 The reported stratum is always re-verified by exact evaluation one unit
 below t0.
+
+Every Gram value of the analysis is read off one lattice frame
+(``quadspace._Frame``) of eps, eta, eps2 and eps3: q(eps), b(eps, eta) and,
+only when that is zero, q(eta); then alpha12, alpha13, alpha2, alpha3,
+alpha23, b(eta, eps2) and b(eta, eps3), nine or ten values.  The case split
+and the bounds run in ints on it (CS(eps2, eps3) > e is
+2 alpha23 > alpha2 + alpha3 on the exponents), and the t-free profiles are
+rows hulled and multiplied by 1 / q(eps2 + t eps3) with the rules of f_w
+(``csfun._row_pm``, ``csfun._inverse_q``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _cs_ratio_pm, _inverse_q
-from .errors import IllposedApproach, NoAnisotropicInterior, VerificationFailed
+from .csfun import _inverse_q, _row_pm
+from .errors import IllposedApproach, IsotropicArgument, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
-from .quadspace import QuadraticPair, Vector
+from .quadspace import QuadraticPair, Vector, _Frame
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, TropValue, _value, midpoint, t
 from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
-
-
-_ONE = (0, 1)  # the unit e = t^0 as a lattice value
-
-
-def _ratio_or_inf(num: tuple, den: tuple) -> TropValue:
-    """num / den of lattice Gram values, oo when den is the zero."""
-    return INF if den[0] is None else _value(*num) / _value(*den)
 
 
 @dataclass(frozen=True)
@@ -65,54 +66,47 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
     :func:`troprays.strata.example_family`): the case analysis identifies
     strata with profile classes, which is specific to that family.
     """
-    gram = pair._gram
-    if gram(eps)[0] is not None:
+    frame = _Frame(pair, (eps, eta, y2.base, y3.base))
+    xs, q_eps = frame.at(eps)
+    if q_eps is not None:
         raise ValueError("eps must be isotropic")
-    if gram(eps, eta)[0] is None and gram(eta)[0] is None:
+    ts, eps_col = frame.on(eta), frame.column(xs)
+    if frame.b(eps_col, ts) is None and frame.at(eta)[1] is None:
         raise IllposedApproach("q(eps + t*eta) vanishes for every t")
 
-    swapped = False
-    e2, e3 = y2, y3
-    a12 = gram(eps, e2.base)
-    a13 = gram(eps, e3.base)
-    if a12[0] is None and a13[0] is not None:
-        swapped = True
-        e2, e3 = e3, e2
-        a12, a13 = a13, a12
-
-    eps2, eps3 = e2.base, e3.base
-    a2, a3 = gram(eps2), gram(eps3)
-    a23 = gram(eps2, eps3)
-    b_eta_2 = gram(eta, eps2)
-    b_eta_3 = gram(eta, eps3)
+    (x2, a2), (x3, a3) = frame.at(y2.base), frame.at(y3.base)
+    a12, a13 = frame.b(eps_col, x2), frame.b(eps_col, x3)
+    swapped = a12 is None and a13 is not None
+    if swapped:
+        x2, x3, a2, a3, a12, a13 = x3, x2, a3, a2, a13, a12
+    a23 = frame.b(frame.column(x2), x3)
+    eta_col = frame.column(ts)
+    b_eta_2, b_eta_3 = frame.b(eta_col, x2), frame.b(eta_col, x3)
+    den, q = frame.den, (a2, a23, a3)
 
     profile = None
-    if a12[0] is not None and a13[0] is not None:
+    strict = False
+    if a12 is not None and a13 is not None:
         case = "A"
-        strict = False
-        t0 = min(_ratio_or_inf(a12, b_eta_2), _ratio_or_inf(a13, b_eta_3))
-        profile = _cs_ratio_pm(_ONE, a12, a13, (a2, a23, a3))
-    elif a12[0] is None:
-        case = "B"
-        strict = False
-        t0 = INF
-        if not (b_eta_2[0] is None and b_eta_3[0] is None):
-            profile = _cs_ratio_pm(_ONE, b_eta_2, b_eta_3, (a2, a23, a3))
-    elif b_eta_3[0] is None:
-        case = "C1"
-        strict = False
-        t0 = INF
-        profile = _inverse_q(a2, a23, a3)  # 1 / q(eps2 + t eps3)
+        bounds = [a - b for a, b in ((a12, b_eta_2), (a13, b_eta_3)) if b is not None]
+        t0 = _value(min(bounds), den) if bounds else INF
+        profile = _row_pm((2 * a12, 2 * a13), den, _inverse_q(q, den))
+    elif a12 is None:
+        case, t0 = "B", INF
+        if not (b_eta_2 is None and b_eta_3 is None):
+            row = tuple([None if b is None else 2 * b for b in (b_eta_2, b_eta_3)])
+            profile = _row_pm(row, den, _inverse_q(q, den))
+    elif b_eta_3 is None:
+        case, t0 = "C1", INF
+        profile = _inverse_q(q, den)  # 1 / q(eps2 + t eps3)
     else:
-        cs23 = pair.cs(eps2, eps3)
-        a12, a2, a3, a23, b_eta_3 = (_value(*g) for g in (a12, a2, a3, a23, b_eta_3))
-        if cs23 > ONE:
-            case = "C2a"
-            t0 = (a12 * a2) / (a23 * b_eta_3)
-        else:
-            case = "C2b"
-            t0 = (a12 / b_eta_3) * (a3 / a2).sqrt()
+        if a2 is None or a3 is None:
+            raise IsotropicArgument("CS-ratio needs anisotropic arguments")
         strict = True
+        if a23 is not None and 2 * a23 > a2 + a3:  # CS(eps2, eps3) > e
+            case, t0 = "C2a", _value(a12 + a2 - a23 - b_eta_3, den)
+        else:
+            case, t0 = "C2b", _value(2 * (a12 - b_eta_3) + a3 - a2, 2 * den)
 
     t_checked = t0 * t(-1) if t0.is_finite() else ONE
     witness = Ray(eps + t_checked * eta)
@@ -177,15 +171,17 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
                    drop_inf_end=prime_isotropic)
     first, last = trace.pieces[0], trace.pieces[-1]
     # two choices of W~: the midpoint of the entrance piece, then the midpoint
-    # of its lower half; likewise for W~' in the last piece when W' is isotropic
+    # of its lower half; likewise for W~' in the last piece when W' is isotropic.
+    # W~ stays below locate(W~'), where pi(lam) starts to equal W~' (or W'), so
+    # that the two differ also when the trace is one piece
     separators = []
     t1, s1 = first.hi, last.hi
     for _ in range(2):
-        t1 = midpoint(first.lo, t1)
         end_ray = w_prime
         if prime_isotropic:
             s1 = midpoint(last.lo, s1)
             end_ray = interval.pi(s1)
+        t1 = midpoint(first.lo, min(t1, interval.locate(end_ray)))
         inner = stratify_interval(pair, family, RayInterval(interval.pi(t1), end_ray))
         separators.append(inner.separator_rays()[1:-1])
     if separators[0] != separators[1]:

@@ -29,13 +29,13 @@ L is the rational maximum itself.
 
 The one Gram primitive is an int kernel: ``_q_max`` for q(x), ``_column``
 for the column B (x) x (entry j the max over beta_ij + x_i) and ``_dot``
-for b(x, y), the max of that column plus y.  ``QuadraticPair._gram`` is its
-one- and two-vector case and returns a lattice pair (num, den).  A call that
-needs many Gram values builds one ``_Frame``: the model and every vector of
-the call on one denominator, q once per distinct vector and each column once,
-so that every further b is an O(n) maximum.  The CS layers (csfun, strata)
-work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
-``coords`` build TropValues, themselves reduced int pairs.
+for b(x, y), the max of that column plus y.  A call that needs several Gram
+values builds one ``_Frame``: the model and every vector of the call on one
+denominator, q once per distinct vector and each column once, so that every
+further b is an O(n) maximum.  The CS layers (csfun, strata, isotropy) read
+their Gram values off frames only and work on these ints; only the views
+``eval_q``, ``eval_b``, ``cs`` and ``coords`` build TropValues, themselves
+reduced int pairs, the first two through ``QuadraticPair._gram``.
 """
 
 from __future__ import annotations
@@ -312,10 +312,11 @@ class _Frame:
     """One call's lattice: the model and every vector and scalar of the call on
     one denominator ``den``, the lcm of all their denominators.
 
-    ``at(v)`` puts v on the lattice and evaluates q(v), once per distinct
-    vector; ``column(xs)`` forms B (x) x once, after which each b(x, y) is the
-    O(n) maximum ``b(col, ys)``.  A vector's dimension is checked when the
-    frame first reads it, so errors come in the order the caller reads.
+    ``at(v)`` puts v on the lattice (``on(v)``, for a vector whose q the
+    call may not need) and evaluates q(v), once per distinct vector;
+    ``column(xs)`` forms B (x) x once, after which each b(x, y) is the O(n)
+    maximum ``b(col, ys)``.  A vector's dimension is checked when the frame
+    first reads it, so errors come in the order the caller reads.
     """
 
     __slots__ = ("den", "_pair", "_qn", "_rows", "_s", "_seen")
@@ -325,12 +326,16 @@ class _Frame:
         self.den = den = lcm(d, *[v.d for v in vectors], *[c.den for c in scalars])
         self._pair, self._s, self._seen = pair, den // d, {}
 
+    def on(self, v: Vector):
+        """v's numerators on the lattice, its dimension checked."""
+        self._pair._check(v)
+        return _on(v, self.den)
+
     def at(self, v: Vector) -> tuple:
         """(xs, q): v's numerators and q(v) on the lattice, q None for the zero."""
         hit = self._seen.get(v)
         if hit is None:
-            self._pair._check(v)
-            xs = _on(v, self.den)
+            xs = self.on(v)
             hit = self._seen[v] = xs, _q_max(self._qn, self._rows, self._s, xs)
         return hit
 

@@ -224,9 +224,9 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     """
     rows, den, (a1, a12, a2) = _numerators(pair, interval.y1.base,
                                            interval.y2.base, family)
-    if (not drop_zero_end and a1[0] is None) or (not drop_inf_end and a2[0] is None):
+    if (not drop_zero_end and a1 is None) or (not drop_inf_end and a2 is None):
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
-    if (a1[0] is None and a12[0] is None and a2[0] is None
+    if (a1 is None and a12 is None and a2 is None
             and not all(row == _ZERO_ROW for row in rows)):
         raise IsotropicArgument("q vanishes along the whole interval")
     m = len(rows)

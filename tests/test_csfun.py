@@ -262,7 +262,7 @@ from troprays.semifield import INF, ONE, ZERO, t
 
 if __debug__:
     sys.exit(3)
-csfun._cs_ratio_pm = lambda *args: PmFunction(
+csfun._row_pm = lambda *args: PmFunction(
     (ZERO, t(50), t(60), INF), ((ONE, 0), (t(-50), 1), (t(10), 0)))
 try:
     csfun.build_fw(M1, m1_interval(), Vector.unit(2, 0))
@@ -394,6 +394,19 @@ def test_family_restriction_gram_count(m1, m1_iv, gram_calls, k):
     pms = cs_restriction_pm(m1, m1_iv.y1.base, m1_iv.y2.base, family)
     assert sum(gram_calls.values()) == 3 * k + 3
     assert not any(pm.is_constant_zero() for pm in pms)
+
+
+@pytest.mark.parametrize("w, count", [(vec(0, "-inf"), 5), (vec(0, -1), 6)])
+def test_build_fw_gram_count(m1, m1_iv, gram_calls, w, count):
+    """f_w reads q(eps1), q(eps2), q(w), b(eps1, w), b(eps2, w) and
+    b(eps1, eps2) off one frame; a witness equal to eps1 shares its q."""
+    build_fw(m1, m1_iv, w)
+    assert sum(gram_calls.values()) == count
+
+
+def test_q_profile_gram_count(m1, m1_iv, gram_calls):
+    q_segment_profile(m1, m1_iv)
+    assert gram_calls == {"eval_q": 2, "eval_b": 1}
 
 
 def test_zero_function_needs_an_anisotropic_ray_in_both_forms():

@@ -82,6 +82,12 @@ def read_numerators(result):
             [rational(*g) for g in q])
 
 
+def on_pairs(result):
+    """_numerators' Gram triple, ints over den, as the reference's pairs."""
+    rows, den, q = result
+    return rows, den, tuple((a, den) for a in q)
+
+
 def read_values(result):
     nums, den = result
     return [rational(n, den) for n in nums]
@@ -90,7 +96,7 @@ def read_values(result):
 def compare(pair, y1, y2, x, family):
     eps1, eps2 = y1.base, y2.base
     runs = {
-        "numerators": (lambda: _numerators(pair, eps1, eps2, family),
+        "numerators": (lambda: on_pairs(_numerators(pair, eps1, eps2, family)),
                        lambda: ref.numerators(pair, eps1, eps2, family), read_numerators),
         "values": (lambda: _values_at(pair, family, x),
                    lambda: ref.values_at(pair, family, x), read_values),

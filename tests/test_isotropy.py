@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from troprays.csfun import BasicFunction
 from troprays.errors import IllposedApproach, NoAnisotropicInterior
 from troprays.instances import M3, M3_C1
 from troprays.isotropy import (
@@ -10,13 +11,40 @@ from troprays.isotropy import (
     stratify_halfopen,
 )
 from troprays.quadspace import QuadraticPair, Vector, vec
-from troprays.rays import Ray, RayInterval
+from troprays.rays import Ray, RayInterval, ray
 from troprays.semifield import INF, ZERO, t
-from troprays.strata import example_family, sign_vector_at
+from troprays.strata import TracePiece, example_family, sign_vector_at
 
 
 def units(n=3):
     return tuple(Vector.unit(n, i) for i in range(n))
+
+
+# the worked models of cases A, B, C2a and the swap, each with eps = e1 on the
+# interval (ray(e2), ray(e3))
+MODEL_A = QuadraticPair.from_rows(
+    ["-inf", "0", "0"],
+    [["-inf", "2", "1"],
+     ["2", "0", "0"],
+     ["1", "0", "0"]])
+# eps orthogonal to both base points
+MODEL_B = QuadraticPair.from_rows(
+    ["-inf", "0", "0"],
+    [["-inf", "-inf", "-inf"],
+     ["-inf", "0", "0"],
+     ["-inf", "0", "0"]])
+# CS(eps2, eps3) > e via beta23 = 3
+MODEL_C2A = QuadraticPair.from_rows(
+    ["-inf", "0", "0"],
+    [["-inf", "1", "-inf"],
+     ["1", "0", "3"],
+     ["-inf", "3", "0"]])
+# alpha12 = 0 < alpha13
+MODEL_SWAP = QuadraticPair.from_rows(
+    ["-inf", "0", "0"],
+    [["-inf", "-inf", "1"],
+     ["-inf", "0", "0"],
+     ["1", "0", "0"]])
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +89,7 @@ def test_entrance_m3_case_c1():
 
 def test_entrance_case_b_stratum_of_eta():
     # eps orthogonal to both base points: stratum of ray(eta) itself
-    pair = QuadraticPair.from_rows(
-        ["-inf", "0", "0"],
-        [["-inf", "-inf", "-inf"],
-         ["-inf", "0", "0"],
-         ["-inf", "0", "0"]])
+    pair = MODEL_B
     e1, e2, e3 = units()
     fam = example_family(pair, Ray(e2), Ray(e3))
     eta = vec("-inf", 0, 1)
@@ -76,11 +100,7 @@ def test_entrance_case_b_stratum_of_eta():
 
 
 def test_entrance_case_a_bound():
-    pair = QuadraticPair.from_rows(
-        ["-inf", "0", "0"],
-        [["-inf", "2", "1"],
-         ["2", "0", "0"],
-         ["1", "0", "0"]])
+    pair = MODEL_A
     e1, e2, e3 = units()
     fam = example_family(pair, Ray(e2), Ray(e3))
     eta = vec("-inf", 0, 0)
@@ -99,11 +119,7 @@ def test_entrance_case_a_bound():
 
 
 def test_entrance_case_a_infinite_denominators():
-    pair = QuadraticPair.from_rows(
-        ["-inf", "0", "0"],
-        [["-inf", "2", "1"],
-         ["2", "0", "0"],
-         ["1", "0", "0"]])
+    pair = MODEL_A
     e1, e2, e3 = units()
     fam = example_family(pair, Ray(e2), Ray(e3))
     approach = entrance_stratum(pair, fam, Ray(e2), Ray(e3), e1, e1 + e2)
@@ -113,11 +129,7 @@ def test_entrance_case_a_infinite_denominators():
 
 def test_entrance_case_c2a():
     # CS(eps2, eps3) > e via beta23 = 3: bound (alpha12 alpha2)/(alpha23 b(eta,eps3))
-    pair = QuadraticPair.from_rows(
-        ["-inf", "0", "0"],
-        [["-inf", "1", "-inf"],
-         ["1", "0", "3"],
-         ["-inf", "3", "0"]])
+    pair = MODEL_C2A
     e1, e2, e3 = units()
     fam = example_family(pair, Ray(e2), Ray(e3))
     approach = entrance_stratum(pair, fam, Ray(e2), Ray(e3), e1, e3)
@@ -130,11 +142,7 @@ def test_entrance_case_c2a():
 
 def test_entrance_mixed_case_swaps():
     # alpha12 = 0 < alpha13: the analysis swaps the interval base points
-    pair = QuadraticPair.from_rows(
-        ["-inf", "0", "0"],
-        [["-inf", "-inf", "1"],
-         ["-inf", "0", "0"],
-         ["1", "0", "0"]])
+    pair = MODEL_SWAP
     e1, e2, e3 = units()
     fam = example_family(pair, Ray(e2), Ray(e3))
     approach = entrance_stratum(pair, fam, Ray(e2), Ray(e3), e1, e2)
@@ -232,6 +240,34 @@ def test_halfopen_doubly_isotropic():
         assert sign_vector_at(pair, fam, trace.interval.pi(lam)) == piece.signs
 
 
+@pytest.mark.parametrize("end", [("0", "0", "-inf"), ("0", "0", "0"), ("0", "-inf", "0"),
+                                 ("0", "-1", "-1")])
+def test_halfopen_one_piece_with_w_prime_reached_at_e(m3_setup, end):
+    """pi(lam) = W' from lam = e on: W~ is picked below e, not at pi(e) = W'."""
+    pair, fam, y2, y3, e1, e2, e3 = m3_setup
+    w_prime = ray(*end)
+    trace = stratify_halfopen(pair, fam, Ray(e1), w_prime)
+    assert trace.interval.locate(w_prime) == t(0)
+    signs = sign_vector_at(pair, fam, trace.interval.pi(t(-1)))
+    assert trace.pieces == (TracePiece(signs, ZERO, False, INF, True),)
+    assert trace.separator_rays() == (Ray(e1), w_prime)
+
+
+def test_halfopen_doubly_isotropic_one_piece():
+    """W~ and W~' are distinct rays inside the one piece."""
+    pair = QuadraticPair.from_rows(
+        ["-inf", "-inf", "0"],
+        [["-inf", "0", "-inf"],
+         ["0", "-inf", "-inf"],
+         ["-inf", "-inf", "0"]])
+    e1, e2, e3 = units()
+    fam = (BasicFunction.zero(), BasicFunction.cs(Ray(e3)))
+    trace = stratify_halfopen(pair, fam, Ray(e1), Ray(e2))
+    signs = sign_vector_at(pair, fam, trace.interval.pi(t(0)))
+    assert trace.pieces == (TracePiece(signs, ZERO, False, INF, False),)
+    assert trace.separator_rays() == (Ray(e1), Ray(e2))
+
+
 def test_halfopen_no_anisotropic_interior():
     pair = QuadraticPair.from_rows(
         ["-inf", "-inf", "0"],
@@ -276,3 +312,23 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
     assert code == 0
     assert "stability over 25 samples: pass" in capsys.readouterr().out
     assert len(calls) == 26
+
+
+@pytest.mark.parametrize("model, eta, case, count", [
+    (M3, ("-inf", "-inf", 0), "C2b", 14),
+    (M3_C1, ("-inf", 0, "-inf"), "C1", 14),
+    (MODEL_A, ("-inf", 0, 0), "A", 14),
+    (MODEL_B, ("-inf", 0, 1), "B", 15),
+    (MODEL_C2A, ("-inf", "-inf", 0), "C2a", 14),
+    (MODEL_SWAP, ("-inf", 0, "-inf"), "C2b", 14),
+], ids=["C2b", "C1", "A", "B", "C2a", "swapped"])
+def test_entrance_gram_count(gram_calls, model, eta, case, count):
+    """The worked examples above, with the closing sign vector: nine Gram
+    values for the entrance (q(eta) only in case B, where b(eps, eta) = 0)
+    off one frame, and those of the sign vector."""
+    e1, e2, e3 = units()
+    fam = example_family(model, Ray(e2), Ray(e3))
+    gram_calls.update(eval_q=0, eval_b=0)
+    approach = entrance_stratum(model, fam, Ray(e2), Ray(e3), e1, vec(*eta))
+    assert approach.case == case
+    assert sum(gram_calls.values()) == count
