@@ -201,6 +201,8 @@ def cmd_junction(args):
 def cmd_butterfly(args):
     pair, rays, functions, _ = _load_context(args)
     fp, w, w2, u = _frontier_from_args(args, pair, rays, functions)
+    if w == w2:
+        raise SchemaError(f"--w {args.w} and --w2 {args.w2} must be different rays")
     try:
         bf = fp.construct_butterfly(w, w2, u)
     except VerificationFailed as ex:
@@ -347,10 +349,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as ex:
-        print(f"input error: {ex}", file=sys.stderr)
-        return 2
     except TropraysError as ex:
+        if ex.input_error:
+            print(f"input error: {ex}", file=sys.stderr)
+            return 2
         print(f"{type(ex).__name__}: {ex}", file=sys.stderr)
         return 1
 

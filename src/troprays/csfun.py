@@ -15,13 +15,12 @@ A basic function f = sum_j c_j CS(Y_j, -) restricts to f = N / q: all terms
 share the denominator q(eps1 + lam eps2), so the numerator
 N = sum_j (c_j / q(w_j)) (b(eps1,w_j)^2 + lam^2 b(eps2,w_j)^2) has at most
 two monomials, the row N = max(A, B lam^2) with A the largest of the
-degree-0 coefficients and B of the degree-2 ones (``_numerators``).
-:func:`cs_restriction_pm` hulls each row and multiplies it by 1/q, built
-once per interval.  Gram counts per interval: q once per distinct vector
-(eps1, eps2 and each live anchor that is not one of them), b(eps1, eps2),
-and b(eps1, w), b(eps2, w) once per distinct live anchor w: at most
-3 + 3 per anchor, and 7 for the canonical M1 family, whose anchors are the
-ends.  Traces (``strata._trace``) cut the rows alone with the int kernel
+degree-0 coefficients and B of the degree-2 ones.  With
+N(v) = max_j c_j / q(w_j) b(v, w_j)^2 the row is (A, B) = (N(eps1), N(eps2)),
+and the value at a ray is f(x) = N(x) / q(x): one numerator per vector
+serves values, sign vectors and traces.  :func:`cs_restriction_pm` hulls
+each row and multiplies it by 1/q, built once per interval.  Traces
+(``strata._trace``) cut the rows alone with the int kernel
 ``pmfunc.row_runs``: q is finite and nonzero on ]0, oo[, at 0 when
 q(eps1) != 0 and, read through lam^2, at oo when q(eps2) != 0, so dividing
 by it changes no sign; at oo each row reads B.  ``build_fw`` (f_w, six
@@ -29,17 +28,24 @@ Gram values) and the isotropy profiles read their values off one frame too
 and build their ratio by the same two rules: ``_row_pm`` hulls a row and
 multiplies it by ``_inverse_q``, the inverted q of a Gram triple.
 
-The integer lattice.  Gram values stay ints from the one Gram primitive,
-the kernel of ``quadspace``, to the rows: a restriction or a trace builds one
-lattice frame (``quadspace._Frame``) of eps1, eps2 and the live anchors, on
-the lcm of their denominators, the model's and the coefficients', and each
-numerator monomial has the exponent coeff - q(w) + 2 b(eps, w), formed in
-ints on it by the one term rule ``_maxima``; the envelopes of a row and of q
-are built by the int hull builder ``pmfunc._hull``.  Values at a ray
-(``_values_at``, behind :meth:`BasicFunction.eval` and sign vectors) run the
-same term rule on the frame of x and the anchors: q(x), the column of x, and
-q(w), b(w, x) once per distinct live anchor.  The public views return them
-as TropValues, reduced int pairs.
+The binding.  Every read of a family goes through one :class:`_Bound`, built
+once per (model, family): its live terms, and one lattice frame
+(``quadspace._Frame``) of the model, the live anchors and the coefficients,
+on the lcm of their denominators, which hands out the frame of a call's
+vectors, one per denominator.  On each frame the binding keeps N(v) per
+vector, formed in ints by the one term rule ``_Bound._maxima`` with the
+exponent coeff - q(w) + 2 b(v, w); the envelopes of a row and of q are built
+by the int hull builder ``pmfunc._hull``.  A one-off call (a restriction, a
+trace, a sign vector, :meth:`BasicFunction.eval`) binds, reads once and drops
+the binding, and its Gram counts are those of one call: per interval q once
+per distinct vector (eps1, eps2 and each live anchor that is not one of
+them), b(eps1, eps2), and b(eps1, w), b(eps2, w) once per distinct live
+anchor w (at most 3 + 3 per anchor, 7 for the canonical M1 family, whose
+anchors are the ends); per ray q(x), then q(w) and b(w, x) once per distinct
+live anchor.  A binding that lives longer (``strata.derivation_chart``,
+``frontier.FrontierPair``) reads q(w) once per frame and a vector's q, column
+and N once per frame, so a trace of two rays read before costs only
+b(eps1, eps2).  The public views return TropValues, reduced int pairs.
 
 Region analysis: f_w is constant on a maximal initial interval A_w and a
 maximal final interval C_w and is nowhere constant in between (B_w), unless
@@ -68,7 +74,7 @@ def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
     breakpoints alpha1/alpha12 and alpha12/alpha2.  Quasilinear case: degrees
     (0, 2) with breakpoint sqrt(alpha1/alpha2).
     """
-    _, den, (a1, a12, a2) = _numerators(pair, interval.y1.base, interval.y2.base, ())
+    _, den, (a1, a12, a2) = _Bound(pair, ()).numerators(interval.y1.base, interval.y2.base)
     if a1 is None or a2 is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
     return _hull([(a1, den, 0), (a12, den, 1), (a2, den, 2)])
@@ -97,71 +103,117 @@ class BasicFunction:
 
     def eval(self, pair: QuadraticPair, x: Ray) -> TropValue:
         """f(x); x must be anisotropic, also for the zero function."""
-        (num,), den = _values_at(pair, (self,), x)
+        (num,), den = _Bound(pair, (self,)).values(x.base)
         return _value(num, den)
 
     def anchors(self):
         return tuple(anchor for _, anchor in self.terms)
 
 
-def _frame(pair: QuadraticPair, vectors, family) -> tuple:
-    """(frame, live): each function's live terms (coeff, anchor base), a term
-    with coefficient 0 dropping out before its anchor is looked at, and the
-    lattice frame of the vectors and of the live anchors and coefficients."""
-    live = [[(coeff, anchor.base) for coeff, anchor in f.terms if coeff.kind == _KFINITE]
-            for f in family]
-    frame = _Frame(pair, (*vectors, *[w for terms in live for _, w in terms]),
-                   [coeff for terms in live for coeff, _ in terms])
-    return frame, live
-
-
-def _maxima(frame: _Frame, live, columns, message: str) -> list:
-    """The one term rule: for each function, given by its live terms, the
-    tuple over the columns of v (``frame.column``) of the max over its terms
-    of coeff / q(w) b(v, w)^2, on the frame's lattice (None for the zero).
-
-    q(w) and the b(v, w) are evaluated once per distinct anchor w, in the
-    order the terms are read; an isotropic anchor raises
-    IsotropicArgument(message).
+class _Bound:
+    """A family bound to a model: the one path by which values, sign vectors,
+    numerator rows and restrictions read the family (see "The binding"
+    above).  Per lattice frame it keeps the anchors' terms (``_terms_on``)
+    and each vector's N(v) and column, only from reads that succeeded: an
+    isotropic or wrong-dimension live anchor raises on every read, with its
+    caller's message.
     """
-    seen = {}
-    out = []
-    den = frame.den
-    for terms in live:
-        best = None
-        for coeff, w in terms:
-            monomials = seen.get(w)
-            if monomials is None:
-                ys, qw = frame.at(w)
-                if qw is None:
-                    raise IsotropicArgument(message)
-                monomials = seen[w] = [None if b is None else 2 * b - qw
-                                       for b in [frame.b(col, ys) for col in columns]]
-            c = coeff.num * (den // coeff.den)
-            monomials = [None if m is None else m + c for m in monomials]
-            best = monomials if best is None else [
-                m if b is None or (m is not None and b < m) else b
-                for b, m in zip(best, monomials)]
-        out.append((None,) * len(columns) if best is None else tuple(best))
-    return out
 
+    __slots__ = ("_live", "_frame", "_on")
 
-def _values_at(pair: QuadraticPair, family, x: Ray) -> tuple:
-    """The family's values at x on one lattice: (nums, den) with f_i(x) =
-    t^(nums[i]/den), nums[i] None for the zero.
+    def __init__(self, pair: QuadraticPair, family):
+        # a term with coefficient 0 drops out before its anchor is looked at
+        self._live = live = [[(coeff, anchor.base) for coeff, anchor in f.terms
+                              if coeff.kind == _KFINITE] for f in family]
+        self._frame = _Frame(pair, [w for terms in live for _, w in terms],
+                             [coeff for terms in live for coeff, _ in terms])
+        self._on = {}  # frame -> (anchors, terms, {id(frame.at(v)): (N(v), column)})
 
-    One frame holds x and the live anchors: q(x) once, the column of x once,
-    then q(w) and b(w, x) once per distinct live anchor (``_maxima``), and
-    q(x) subtracted from every maximum.  An isotropic x, also for a family
-    without live terms, or an isotropic live anchor raises IsotropicArgument.
-    """
-    xb = x.base
-    frame, live = _frame(pair, (xb,), family)
-    xs, qx = frame.at(xb)
-    if qx is None:
-        raise IsotropicArgument("CS-functions live on the anisotropic ray space")
-    values = _maxima(frame, live, (frame.column(xs),), "CS-ratio needs anisotropic arguments")
-    return [None if v is None else v - qx for v, in values], frame.den
+    def values(self, x: Vector) -> tuple:
+        """The family's values at x: (nums, den) with f_i(x) = t^(nums[i]/den),
+        nums[i] None for the zero.
+
+        q(x) once, then N(x); an isotropic x, also for a family without live
+        terms, or an isotropic live anchor raises IsotropicArgument.
+        """
+        frame = self._frame.over(x.d)
+        at = frame.at(x)
+        qx = at[1]
+        if qx is None:
+            raise IsotropicArgument("CS-functions live on the anisotropic ray space")
+        nums, _ = self._maxima(frame, at, "CS-ratio needs anisotropic arguments")
+        return [None if n is None else n - qx for n in nums], frame.den
+
+    def numerators(self, eps1: Vector, eps2: Vector) -> tuple:
+        """(rows, den, (a1, a12, a2)): the numerator row (A, B) of each
+        function of the family, ints over den with N = max(t^(A/den),
+        t^(B/den) lam^2) and f = N / q on the interval, A or B None for the
+        zero (``(None, None)``, ``_ZERO_ROW``, for the zero function), the
+        two-monomial row ``pmfunc.row_runs`` cuts at degree 2; and the Gram
+        values of q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2, ints over den
+        too.
+
+        q(eps1) and q(eps2), whose dimensions are checked first, then N(eps1),
+        N(eps2) and b(eps1, eps2); rows are built for isotropic ends too,
+        which traces with a dropped end read.  An isotropic live anchor raises
+        IsotropicArgument.
+        """
+        frame = self._frame.over(eps1.d, eps2.d)
+        at1, at2 = frame.at(eps1), frame.at(eps2)
+        message = "CS witness must be anisotropic"
+        n1, c1 = self._maxima(frame, at1, message)
+        n2, _ = self._maxima(frame, at2, message)
+        return list(zip(n1, n2)), frame.den, (at1[1], frame.b(c1, at2[0]), at2[1])
+
+    def _maxima(self, frame: _Frame, at: tuple, message: str) -> tuple:
+        """(N(v), column of v) for the frame entry ``at = frame.at(v)``: N(v)
+        by the one term rule, for each function the max over its live terms
+        of coeff / q(w) b(v, w)^2, ints on the frame's lattice (None for the
+        zero); the column once, then b(v, w) once per distinct anchor.  Both
+        are kept on success, keyed by the entry, which the frame keeps as
+        long as the binding lives and shares among equal vectors."""
+        on = self._on.get(frame)
+        if on is None:
+            on = self._on[frame] = self._terms_on(frame, message)
+        anchors, terms, known = on
+        hit = known.get(id(at))
+        if hit is None:
+            col, out = frame.column(at[0]), []
+            bs = [frame.b(col, ys) for ys in anchors]
+            for row in terms:
+                best = None
+                for c, i in row:
+                    b = bs[i]
+                    if b is not None:
+                        b = 2 * b + c
+                        if best is None or best < b:
+                            best = b
+                out.append(best)
+            hit = known[id(at)] = tuple(out), col
+        return hit
+
+    def _terms_on(self, frame: _Frame, message: str) -> tuple:
+        """(anchors, terms, {}) on the frame: the numerators ys of each
+        distinct live anchor w, in the order the terms read them, each
+        function's terms as (coeff - q(w), anchor index), ints over den, and
+        an empty memo of N.  An isotropic anchor raises
+        IsotropicArgument(message) and a wrong-dimension one
+        DimensionMismatch, before any later anchor is read."""
+        den, index, anchors, qs, terms = frame.den, {}, [], [], []
+        for live in self._live:
+            row = []
+            for coeff, w in live:
+                i = index.get(w)
+                if i is None:
+                    ys, qw = frame.at(w)
+                    if qw is None:
+                        raise IsotropicArgument(message)
+                    i = index[w] = len(anchors)
+                    anchors.append(ys)
+                    qs.append(qw)
+                row.append((coeff.num * (den // coeff.den) - qs[i], i))
+            terms.append(row)
+        return anchors, terms, {}
 
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
@@ -173,31 +225,9 @@ def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -
     isotropic unless q vanishes along the whole interval; a result may then
     take the value oo at a domain endpoint.
     """
-    rows, den, q = _numerators(pair, eps1, eps2, family)
+    rows, den, q = _Bound(pair, family).numerators(eps1, eps2)
     inv_q = None if all(row == _ZERO_ROW for row in rows) else _inverse_q(q, den)
     return tuple(_row_pm(row, den, inv_q) for row in rows)
-
-
-def _numerators(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
-    """(rows, den, (a1, a12, a2)): the numerator row (A, B) of each function
-    of the family, ints over den with N = max(t^(A/den), t^(B/den) lam^2) and
-    f = N / q on the interval, A or B None for the zero (``(None, None)``,
-    ``_ZERO_ROW``, for the zero function), the two-monomial row
-    ``pmfunc.row_runs`` cuts at degree 2; and the Gram values of
-    q(eps1 + lam eps2) = a1 + a12 lam + a2 lam^2, ints over den too.
-
-    One frame holds eps1, eps2 and the live anchors: q once per distinct
-    vector, so an anchor that is an interval end reuses a1 or a2, the columns
-    of eps1 and eps2 once, then b(eps1, eps2) and b(eps1, w), b(eps2, w) once
-    per distinct live anchor w.  An isotropic live anchor raises
-    IsotropicArgument.
-    """
-    frame, live = _frame(pair, (eps1, eps2), family)
-    (x1, a1), (x2, a2) = frame.at(eps1), frame.at(eps2)
-    c1 = frame.column(x1)
-    a12 = frame.b(c1, x2)
-    rows = _maxima(frame, live, (c1, frame.column(x2)), "CS witness must be anisotropic")
-    return rows, frame.den, (a1, a12, a2)
 
 
 _ZERO_ROW = (None, None)
@@ -213,7 +243,7 @@ def _inverse_q(q: tuple, den: int) -> PmFunction:
 
 
 def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
-    """The numerator row (A, B) over den (from :func:`_numerators`) hulled
+    """The numerator row (A, B) over den (from :meth:`_Bound.numerators`) hulled
     and multiplied by inv_q (from :func:`_inverse_q`); inv_q may be None for
     the zero row."""
     if row == _ZERO_ROW:

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all troprays modules."""
+"""Exception hierarchy shared by all troprays modules.
+
+``input_error`` marks the classes raised only for a caller's argument or file
+that breaks a documented requirement; the CLI exits 2 on them, 1 on the rest.
+"""
 
 
 class TropraysError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    input_error = False
 
 
 class UndefinedProduct(TropraysError):
@@ -12,6 +18,8 @@ class UndefinedProduct(TropraysError):
 class DimensionMismatch(TropraysError):
     """Vector/model dimensions disagree."""
 
+    input_error = True
+
 
 class IsotropicArgument(TropraysError):
     """An operation required an anisotropic vector but q evaluated to zero."""
@@ -20,9 +28,13 @@ class IsotropicArgument(TropraysError):
 class ZeroVector(TropraysError):
     """The zero vector was passed where a nonzero vector is required."""
 
+    input_error = True
+
 
 class NotOnInterval(TropraysError):
     """A ray is not a member of the closed ray interval under discussion."""
+
+    input_error = True
 
 
 class DiscontinuousInput(TropraysError):
@@ -31,6 +43,8 @@ class DiscontinuousInput(TropraysError):
 
 class BadSubinterval(TropraysError):
     """Subinterval endpoints are not strictly ordered."""
+
+    input_error = True
 
 
 class PerpendicularWitness(TropraysError):
@@ -44,9 +58,13 @@ class IsotropicEndpoint(TropraysError):
 class NotStrictPair(TropraysError):
     """A relaxation was requested for a pair whose sign is not strict."""
 
+    input_error = True
+
 
 class WitnessNotInStratum(TropraysError):
     """A claimed witness ray does not satisfy the stated sign vector."""
+
+    input_error = True
 
 
 class NoEntrance(TropraysError):
@@ -68,10 +86,16 @@ class NoAnisotropicInterior(TropraysError):
 class IllposedApproach(TropraysError):
     """q(eps + t*eta) vanishes for every parameter t."""
 
+    input_error = True
+
 
 class InfiniteCoefficient(TropraysError):
     """A basic function was given the coefficient oo."""
 
+    input_error = True
+
 
 class SchemaError(TropraysError):
     """An input file violates the documented JSON schema."""
+
+    input_error = True

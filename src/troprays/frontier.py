@@ -17,55 +17,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .csfun import _Bound
 from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStratum
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import (SignVector, _derivate_case, derivate_boundary, sign_vector_at,
-                     stratify_interval)
+from .strata import SignVector, _derivate_case, _sign_vector, _trace, derivate_boundary
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
 
 
-def _sign_at(pair: QuadraticPair, family, x: Ray, signs) -> SignVector:
+def _sign_at(bound: _Bound, x: Ray, signs) -> SignVector:
     """The sign vector of x, looked up in (and added to) the dict `signs`
     keyed by the canonical representative when `signs` is given."""
     if signs is None:
-        return sign_vector_at(pair, family, x)
+        return _sign_vector(bound, x)
     sv = signs.get(x.rep)
     if sv is None:
-        sv = signs[x.rep] = sign_vector_at(pair, family, x)
+        sv = signs[x.rep] = _sign_vector(bound, x)
     return sv
 
 
-def _trace_of(pair: QuadraticPair, family, y1: Ray, y2: Ray, traces):
+def _trace_of(bound: _Bound, y1: Ray, y2: Ray, traces):
     """The trace of [Y1, Y2], looked up in (and added to) the dict `traces`
     when given.  The key is the pair of pointed bases, not of rays: the
     trace's parameters and separators depend on the scale of eps1 and eps2."""
     if traces is None:
-        return stratify_interval(pair, family, RayInterval(y1, y2))
+        return _trace(bound, RayInterval(y1, y2))
     key = (y1.base, y2.base)
     trace = traces.get(key)
     if trace is None:
-        trace = traces[key] = stratify_interval(pair, family, RayInterval(y1, y2))
+        trace = traces[key] = _trace(bound, RayInterval(y1, y2))
     return trace
 
 
 def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _traces=None):
+                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _traces=None,
+                  _bound=None):
     """Entrance ray of [W, U] into T' plus its interval parameter.
 
     Requires the trace of [W, U] to be exactly a half-open T piece followed
     by a closed T' piece (case1), whose separator is the entrance; anything
     else raises NoEntrance.  `_signs` is a sign vector memo of the (pair,
-    family), as :func:`_sign_at` reads it, and `_traces` a trace memo as
-    :func:`_trace_of` reads it.
+    family), as :func:`_sign_at` reads it, `_traces` a trace memo as
+    :func:`_trace_of` reads it, and `_bound` the family bound to the pair
+    (``csfun._Bound``), bound here when not given.
     """
-    if _sign_at(pair, family, w, _signs) != t_vec:
+    bound = _Bound(pair, family) if _bound is None else _bound
+    if _sign_at(bound, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     if u == w:
         raise NoEntrance("U is W itself")
-    entry = derivate_boundary(_trace_of(pair, family, w, u, _traces), t_vec, t_prime)
+    entry = derivate_boundary(_trace_of(bound, w, u, _traces), t_vec, t_prime)
     if entry is None:
         raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
     closed, (lam, z) = entry
@@ -76,22 +79,23 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
                   t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None,
-                  _traces=None) -> bool:
+                  _traces=None, _bound=None) -> bool:
     """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
 
     `_memo` maps (W.rep, Z.rep) to earlier answers for the same (T, T');
-    `_signs` and `_traces` are memos as in :func:`entrance_data`.
+    `_signs`, `_traces` and `_bound` are as in :func:`entrance_data`.
     """
     if _memo is not None:
         key = (w.rep, z.rep)
         hit = _memo.get(key)
         if hit is not None:
             return hit
-    if _sign_at(pair, family, w, _signs) != t_vec:
+    bound = _Bound(pair, family) if _bound is None else _bound
+    if _sign_at(bound, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     result = False
-    if _sign_at(pair, family, z, _signs) == t_prime:
-        entry = derivate_boundary(_trace_of(pair, family, w, z, _traces), t_vec, t_prime)
+    if _sign_at(bound, z, _signs) == t_prime:
+        entry = derivate_boundary(_trace_of(bound, w, z, _traces), t_vec, t_prime)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
         result = entry is not None and entry[0] and entry[1][1] == z
@@ -166,20 +170,21 @@ class FrontierPair:
         self.family = family
         self.t = t_vec
         self.t_prime = t_prime
+        self._bound = _Bound(pair, family)  # numerators per vector, for signs and traces
         self._memo = {}    # sector memo: (W.rep, Z.rep) -> membership
-        self._signs = {}   # sign memo: ray.rep -> sign vector
-        self._traces = {}  # trace memo: (y1.base, y2.base) -> stratify_interval
+        self._signs = {}   # sign memo: ray.rep -> sign vector, whatever the pointed base
+        self._traces = {}  # trace memo: (y1.base, y2.base) -> trace off the binding
         self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
         self._last = None, None  # the pools and masks of the last _galois query
 
     @classmethod
     def certify(cls, pair, family, w: Ray, w_prime: Ray) -> "FrontierPair":
         """Build from witness rays, requiring a case1 certificate."""
-        t_vec = sign_vector_at(pair, family, w)
-        t_prime = sign_vector_at(pair, family, w_prime)
+        bound = _Bound(pair, family)
+        t_vec, t_prime = _sign_vector(bound, w), _sign_vector(bound, w_prime)
         if t_vec == t_prime:
             raise ValueError("the two strata must be different")
-        case = _derivate_case(pair, family, t_vec, t_prime, w, w_prime)
+        case = _derivate_case(bound, t_vec, t_prime, w, w_prime)
         if case != "case1":
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
@@ -188,14 +193,14 @@ class FrontierPair:
 
     def entrance_data(self, w: Ray, u: Ray):
         return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u,
-                             self._signs, self._traces)
+                             self._signs, self._traces, self._bound)
 
     def entrance_ray(self, w: Ray, u: Ray) -> Ray:
         return self.entrance_data(w, u)[0]
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
         return sector_member(self.pair, self.family, self.t, self.t_prime,
-                             w, z, self._memo, self._signs, self._traces)
+                             w, z, self._memo, self._signs, self._traces, self._bound)
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -220,7 +225,7 @@ class FrontierPair:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         for src in (w, w_prime):
-            if _sign_at(self.pair, self.family, src, self._signs) != self.t:
+            if _sign_at(self._bound, src, self._signs) != self.t:
                 raise WitnessNotInStratum("source rays must lie in T")
         z_ray, _ = self.entrance_data(w, u)
         sigma, tau = ZERO, ZERO
@@ -254,7 +259,7 @@ class FrontierPair:
         # budget exhausted: evaluate the limit candidate of the partial maxima
         z_inf = trace[0].vector + sigma * w.base + tau * w_prime.base
         limit = Ray(z_inf)
-        if (_sign_at(self.pair, self.family, limit, self._signs) == self.t_prime
+        if (_sign_at(self._bound, limit, self._signs) == self.t_prime
                 and self.is_junction(w, w_prime, limit)):
             return JunctionReport("limit_junction", limit, max_iter,
                                   tuple(trace), sigma, tau, False)
@@ -279,9 +284,9 @@ class FrontierPair:
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
-        if _sign_at(self.pair, self.family, w_prime, self._signs) != self.t:
+        if _sign_at(self._bound, w_prime, self._signs) != self.t:
             raise WitnessNotInStratum("W' must lie in T")
-        if _sign_at(self.pair, self.family, u, self._signs) != self.t_prime:
+        if _sign_at(self._bound, u, self._signs) != self.t_prime:
             raise WitnessNotInStratum("U must lie in T'")
         anchors = tuple(dict.fromkeys(a for f in self.family for a in f.anchors()))
         for y in anchors:

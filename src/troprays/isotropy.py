@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _inverse_q, _row_pm
+from .csfun import _Bound, _inverse_q, _row_pm
 from .errors import IllposedApproach, IsotropicArgument, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector, _Frame
@@ -167,7 +167,7 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
         raise NoAnisotropicInterior("no anisotropic ray between the endpoints")
 
     interval = RayInterval(w, w_prime)
-    trace = _trace(pair, family, interval, drop_zero_end=True,
+    trace = _trace(_Bound(pair, family), interval, drop_zero_end=True,
                    drop_inf_end=prime_isotropic)
     first, last = trace.pieces[0], trace.pieces[-1]
     # two choices of W~: the midpoint of the entrance piece, then the midpoint

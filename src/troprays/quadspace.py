@@ -27,15 +27,19 @@ arithmetic commutes with scaling by a positive integer: L * max(a, b) =
 max(L a, L b) and L * (a + b) = L a + L b, so the scaled maximum divided by
 L is the rational maximum itself.
 
-The one Gram primitive is an int kernel: ``_q_max`` for q(x), ``_column``
-for the column B (x) x (entry j the max over beta_ij + x_i) and ``_dot``
-for b(x, y), the max of that column plus y.  A call that needs several Gram
-values builds one ``_Frame``: the model and every vector of the call on one
-denominator, q once per distinct vector and each column once, so that every
-further b is an O(n) maximum.  The CS layers (csfun, strata, isotropy) read
-their Gram values off frames only and work on these ints; only the views
-``eval_q``, ``eval_b``, ``cs`` and ``coords`` build TropValues, themselves
-reduced int pairs, the first two through ``QuadraticPair._gram``.
+The one Gram primitive is an int kernel: ``_q_max`` for q(x) (the max over
+gamma_ij + x_i + x_j, i <= j, off the model's q rows: alpha_i at j = i,
+beta_ij at j > i), ``_column`` for the column B (x) x (entry j the max over
+beta_ij + x_i) and ``_dot`` for b(x, y), the max of that column plus y.  A
+call that needs several Gram values builds one ``_Frame``: the model and
+every vector of the call on one denominator, q once per distinct vector and
+each column once, so that every further b is an O(n) maximum.  A family
+bound to the model (``csfun._Bound``) keeps one frame, and the finer frames
+it hands out per denominator, for as long as the binding lives.  The CS
+layers (csfun, strata, isotropy) read their Gram values off frames only and
+work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
+``coords`` build TropValues, themselves reduced int pairs, the first two
+through ``QuadraticPair._gram``.
 """
 
 from __future__ import annotations
@@ -182,14 +186,16 @@ class QuadraticPair:
             for v in row:
                 if v.is_infinite():
                     raise SchemaError("b values must lie in [0, oo[")
-        # integer-lattice Gram data: one denominator d for every entry, the q
-        # numerators over d (None for the zero) and each companion row as its
-        # nonzero entries (j, numerator over d)
+        # integer-lattice Gram data: one denominator d for every entry, each
+        # row of the q coefficients (alpha_i at j = i, beta_ij at j > i) and
+        # each companion row as its nonzero entries (j, numerator over d)
         n = self.dim
         d, nums = _lattice([*self.q_diag, *(v for row in self.b for v in row)])
         rows = tuple(tuple((j, b) for j, b in enumerate(nums[n * (i + 1):n * (i + 2)])
                            if b is not None) for i in range(n))
-        object.__setattr__(self, "_lat", (d, nums[:n], rows))
+        q_rows = tuple(tuple(([] if nums[i] is None else [(i, nums[i])])
+                             + [(j, b) for j, b in rows[i] if j > i]) for i in range(n))
+        object.__setattr__(self, "_lat", (d, q_rows, rows))
 
     @classmethod
     def from_rows(cls, q_diag, b_rows) -> "QuadraticPair":
@@ -217,11 +223,11 @@ class QuadraticPair:
         This is the one- and two-vector case of the kernel :class:`_Frame`
         runs on: ``_q_max`` for q, ``_column`` and ``_dot`` for b.
         """
-        d, qn, rows = self._lat
+        d, q_rows, rows = self._lat
         if y is None:
             self._check(x)
             den = lcm(d, x.d)
-            return _q_max(qn, rows, den // d, _on(x, den)), den
+            return _q_max(q_rows, den // d, _on(x, den)), den
         self._check(x, y)
         den = lcm(d, x.d, y.d)
         return _dot(_column(rows, den // d, _on(x, den)), _on(y, den)), den
@@ -258,26 +264,20 @@ def _on(v: Vector, den: int):
     return v.nums if s == 1 else [None if x is None else x * s for x in v.nums]
 
 
-def _q_max(qn, rows, s: int, xs):
-    """q on the lattice: the max over alpha_i + 2 x_i and beta_ij + x_i + x_j
-    (i < j) of the model's ints qn, rows (nonzero entries (j, beta_ij)) times
-    s and the numerators xs."""
+def _q_max(q_rows, s: int, xs):
+    """q on the lattice: the max over gamma_ij + x_i + x_j (i <= j) of the
+    model's q rows (nonzero entries (j, gamma_ij): alpha_i at j = i, beta_ij
+    at j > i) times s and the numerators xs."""
     best = None
     for i, xi in enumerate(xs):
         if xi is None:
             continue
-        qi = qn[i]
-        if qi is not None:
-            v = qi * s + xi + xi
-            if best is None or best < v:
-                best = v
-        for j, bij in rows[i]:
-            if j > i:
-                xj = xs[j]
-                if xj is not None:
-                    v = bij * s + xi + xj
-                    if best is None or best < v:
-                        best = v
+        for j, c in q_rows[i]:
+            xj = xs[j]
+            if xj is not None:
+                v = c * s + xi + xj
+                if best is None or best < v:
+                    best = v
     return best
 
 
@@ -309,34 +309,56 @@ def _dot(col, ys):
 
 
 class _Frame:
-    """One call's lattice: the model and every vector and scalar of the call on
-    one denominator ``den``, the lcm of all their denominators.
+    """A lattice: the model and every vector and scalar of a call on one
+    denominator ``den``, the lcm of all their denominators (and of ``den``,
+    when given).
 
     ``at(v)`` puts v on the lattice (``on(v)``, for a vector whose q the
     call may not need) and evaluates q(v), once per distinct vector;
     ``column(xs)`` forms B (x) x once, after which each b(x, y) is the O(n)
     maximum ``b(col, ys)``.  A vector's dimension is checked when the frame
-    first reads it, so errors come in the order the caller reads.
+    first reads it, so errors come in the order the caller reads.  A frame
+    that outlives one call (``csfun._Bound`` keeps one per family) hands out
+    ``over(*dens)``: itself when a call's denominators divide den, else
+    one persistent finer frame per lattice denominator, so that a vector's
+    q is evaluated once per lattice however often it is read.
     """
 
-    __slots__ = ("den", "_pair", "_qn", "_rows", "_s", "_seen")
+    __slots__ = ("den", "_pair", "_q_rows", "_rows", "_s", "_seen", "_finer")
 
-    def __init__(self, pair: QuadraticPair, vectors, scalars=()):
-        d, self._qn, self._rows = pair._lat
-        self.den = den = lcm(d, *[v.d for v in vectors], *[c.den for c in scalars])
-        self._pair, self._s, self._seen = pair, den // d, {}
+    def __init__(self, pair: QuadraticPair, vectors=(), scalars=(), den: int = 1):
+        d, self._q_rows, self._rows = pair._lat
+        self.den = den = lcm(d, den, *[v.d for v in vectors], *[c.den for c in scalars])
+        self._pair, self._s, self._seen, self._finer = pair, den // d, {}, {}
+
+    def over(self, *dens: int) -> "_Frame":
+        """The frame of this one's lattice and the denominators `dens` of a
+        call's vectors, kept per lattice denominator."""
+        for d in dens:
+            if self.den % d:
+                break
+        else:
+            return self
+        den = lcm(self.den, *dens)
+        frame = self._finer.get(den)
+        if frame is None:
+            frame = self._finer[den] = _Frame(self._pair, den=den)
+        return frame
 
     def on(self, v: Vector):
         """v's numerators on the lattice, its dimension checked."""
-        self._pair._check(v)
+        if len(v.nums) != len(self._q_rows):
+            self._pair._check(v)
         return _on(v, self.den)
 
     def at(self, v: Vector) -> tuple:
         """(xs, q): v's numerators and q(v) on the lattice, q None for the zero."""
         hit = self._seen.get(v)
         if hit is None:
-            xs = self.on(v)
-            hit = self._seen[v] = xs, _q_max(self._qn, self._rows, self._s, xs)
+            if len(v.nums) != len(self._q_rows):
+                self._pair._check(v)
+            xs = _on(v, self.den)
+            hit = self._seen[v] = xs, _q_max(self._q_rows, self._s, xs)
         return hit
 
     def column(self, xs) -> list:

@@ -10,22 +10,26 @@ parameters; endpoint closures are decided by exact evaluation at the
 crossing, never by convention.
 
 Sign vectors are labelled on the integer lattice: at a ray the family values
-are ints over one denominator (``csfun._values_at``), on a trace the
+are ints over one denominator (``csfun._Bound.values``), on a trace the
 numerator rows share one lattice (``pmfunc.row_runs``), and both label the
-pairs with ``pmfunc._signs``.  Both read their Gram values off one lattice
-frame per call, the one Gram primitive of ``quadspace``: a trace evaluates q
-once per distinct vector among eps1, eps2 and the live anchors, b(eps1,
-eps2), and b(eps1, w), b(eps2, w) per distinct live anchor (7 on the M1
-family, whose anchors are the ends); a sign vector q(x) and q(w), b(w, x)
-per distinct live anchor.
+pairs with ``pmfunc._signs``.  Both read the family through one binding
+(``csfun._Bound``), which keeps each vector's numerators N(v) per lattice
+frame: the public :func:`sign_vector_at` and :func:`stratify_interval` bind
+per call, a trace then evaluating q once per distinct vector among eps1,
+eps2 and the live anchors, b(eps1, eps2), and b(eps1, w), b(eps2, w) per
+distinct live anchor (7 on the M1 family, whose anchors are the ends), and
+a sign vector q(x) and q(w), b(w, x) per distinct live anchor;
+:func:`derivation_chart` binds once per chart, so a trace between two
+sampled rays adds only b(eps1, eps2).
 
 A trace compares the numerators N_k of f_k = N_k / q, q = q(eps1 + lam eps2)
 the denominator shared by the whole family, and builds no pm function: each
-N_k is the two-monomial row max(A_k, B_k lam^2) of ``csfun._numerators``,
-cut by the int kernel ``pmfunc.row_runs`` at degree 2.  The end rule: the
-value 0 is labelled with N_k(0) = A_k, which needs q(eps1) != 0, and the
-value oo with N_k lam^-2 = B_k, which needs q(eps2) != 0; a kept end whose
-endpoint is isotropic raises IsotropicArgument (the proof is in ``_trace``).
+N_k is the two-monomial row max(A_k, B_k lam^2), (A_k, B_k) = (N_k(eps1),
+N_k(eps2)) from ``csfun._Bound.numerators``, cut by the int kernel
+``pmfunc.row_runs`` at degree 2.  The end rule: the value 0 is labelled with
+N_k(0) = A_k, which needs q(eps1) != 0, and the value oo with
+N_k lam^-2 = B_k, which needs q(eps2) != 0; a kept end whose endpoint is
+isotropic raises IsotropicArgument (the proof is in ``_trace``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .csfun import _ZERO_ROW, BasicFunction, _numerators, _values_at
+from .csfun import _ZERO_ROW, BasicFunction, _Bound
 from .errors import (IsotropicArgument, NotStrictPair, VerificationFailed,
                      WitnessNotInStratum)
 from .pmfunc import _signs, row_runs
@@ -137,7 +141,12 @@ def sign_vector_at(pair: QuadraticPair, family, x: Ray) -> SignVector:
     The values are compared as ints on one lattice (the zero below every
     finite value); an isotropic x or anchor raises IsotropicArgument.
     """
-    nums, _ = _values_at(pair, family, x)
+    return _sign_vector(_Bound(pair, family), x)
+
+
+def _sign_vector(bound: _Bound, x: Ray) -> SignVector:
+    """:func:`sign_vector_at` through a bound family."""
+    nums, _ = bound.values(x.base)
     low = min([n for n in nums if n is not None], default=0) - 1
     return SignVector(len(nums), _signs([low if n is None else n for n in nums]))
 
@@ -188,9 +197,9 @@ class StrataTrace:
         return tuple(r for _, r in self.boundaries)
 
 
-def _trace(pair: QuadraticPair, family, interval: RayInterval,
+def _trace(bound: _Bound, interval: RayInterval,
            drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
-    """The family's pieces on the interval, with the rays bounding them.
+    """The bound family's pieces on the interval, with the rays bounding them.
 
     Reads every basic function's numerator row on the interval, cuts the
     parameter domain at the rows' candidate points (``pmfunc.row_runs``), and
@@ -222,8 +231,7 @@ def _trace(pair: QuadraticPair, family, interval: RayInterval,
     kernel's candidate-point lemma: every zero of N_i - N_j that is isolated
     or ends an interval of agreement is among the points (A_i - B_j)/2.
     """
-    rows, den, (a1, a12, a2) = _numerators(pair, interval.y1.base,
-                                           interval.y2.base, family)
+    rows, den, (a1, a12, a2) = bound.numerators(interval.y1.base, interval.y2.base)
     if (not drop_zero_end and a1 is None) or (not drop_inf_end and a2 is None):
         raise IsotropicArgument("use the isotropy module for isotropic endpoints")
     if (a1 is None and a12 is None and a2 is None
@@ -258,7 +266,7 @@ def _assert_sign_monotone(pieces, m):
 
 def stratify_interval(pair: QuadraticPair, family, interval: RayInterval) -> StrataTrace:
     """Trace of the family's partition on [Y1, Y2] with separating rays."""
-    return _trace(pair, family, interval)
+    return _trace(_Bound(pair, family), interval)
 
 
 def relaxation_components(t_vec: SignVector, relaxed, realized=None):
@@ -331,19 +339,19 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
     """
     if t_vec == t_prime:
         raise ValueError("the two strata must be different")
-    if sign_vector_at(pair, family, w) != t_vec:
+    bound = _Bound(pair, family)
+    if _sign_vector(bound, w) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
-    if sign_vector_at(pair, family, w_prime) != t_prime:
+    if _sign_vector(bound, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
-    return _derivate_case(pair, family, t_vec, t_prime, w, w_prime)
+    return _derivate_case(bound, t_vec, t_prime, w, w_prime)
 
 
-def _derivate_case(pair: QuadraticPair, family, t_vec: SignVector,
-                   t_prime: SignVector, w: Ray, w_prime: Ray) -> str:
+def _derivate_case(bound: _Bound, t_vec: SignVector, t_prime: SignVector,
+                   w: Ray, w_prime: Ray) -> str:
     """:func:`is_direct_derivate` for witnesses whose sign vectors the caller
     already holds: T at W and T' at W', T != T'."""
-    entry = derivate_boundary(stratify_interval(pair, family, RayInterval(w, w_prime)),
-                              t_vec, t_prime)
+    entry = derivate_boundary(_trace(bound, RayInterval(w, w_prime)), t_vec, t_prime)
     if entry is None:
         return "not_neighbors"
     return "case1" if entry[0] else "case2"
@@ -375,9 +383,10 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
     """Chart of direct derivations realized by a finite sample of rays.
 
     Nodes are the sign vectors realized by the sample; an edge T -> T' is
-    recorded when some sampled witness pair certifies case1.  The result is
-    deterministic in the sample order; absences mean "not witnessed", not
-    "not neighbors".
+    recorded when some sampled witness pair certifies case1.  Every sign
+    vector and trace reads one binding of the family (``csfun._Bound``).
+    The result is deterministic in the sample order; absences mean "not
+    witnessed", not "not neighbors".
 
     Only ordered pairs with T' a derivate of T (:meth:`SignVector.is_derivate_of`)
     are tried, which loses no edge.  Lemma: a case1 certificate T -> T' forces
@@ -393,10 +402,11 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
     '=' as well.  Every sign of T' thus equals that of T or is '=' where T is
     strict, which is what is_derivate_of tests.
     """
+    bound = _Bound(pair, family)
     groups = {}
     order = []
     for x in sample:
-        sv = sign_vector_at(pair, family, x)
+        sv = _sign_vector(bound, x)
         if sv not in groups:
             groups[sv] = []
             order.append(sv)
@@ -410,7 +420,7 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
             found = None
             for w in groups[t_vec]:
                 for wp in groups[t_prime]:
-                    if _derivate_case(pair, family, t_vec, t_prime, w, wp) == "case1":
+                    if _derivate_case(bound, t_vec, t_prime, w, wp) == "case1":
                         found = (w, wp)
                         break
                 if found:

@@ -1,7 +1,7 @@
 """The lattice frame against per-value Gram evaluation.
 
-csfun._numerators (traces, restrictions), csfun._values_at (values at a ray,
-sign vectors) and QuadraticPair.cs put the model and every vector of a call
+csfun._Bound.numerators (traces, restrictions), csfun._Bound.values (values at
+a ray, sign vectors) and QuadraticPair.cs put the model and every vector of a call
 on one lattice frame (quadspace._Frame); tests/frame_reference.py computes
 the same with one QuadraticPair._gram call per value.  Hypothesis draws
 models of dimension 1-4 with isotropic basis vectors, vectors with zero
@@ -9,6 +9,10 @@ coordinates and denominators up to 6, families with zero coefficients and
 anchors repeated from a small pool that holds the interval's ends, and
 vectors of the wrong dimension; rows, Gram triples and values must be the
 same rationals, and errors the same type and message.
+
+One binding (csfun._Bound) read many times must answer as fresh one-off
+calls do: the same sign vectors, traces, values and rows, and the same first
+error, whatever the rays read before, on one frame or on several.
 """
 
 from fractions import Fraction
@@ -16,10 +20,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import frame_reference as ref
-from troprays.csfun import BasicFunction, _numerators, _values_at
+from troprays.csfun import BasicFunction, _Bound
 from troprays.quadspace import QuadraticPair, Vector
-from troprays.rays import Ray
+from troprays.rays import Ray, RayInterval
 from troprays.semifield import ZERO, t
+from troprays.strata import _sign_vector, _trace, sign_vector_at, stratify_interval
 
 exponents = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 finite = exponents.map(t)
@@ -96,9 +101,9 @@ def read_values(result):
 def compare(pair, y1, y2, x, family):
     eps1, eps2 = y1.base, y2.base
     runs = {
-        "numerators": (lambda: on_pairs(_numerators(pair, eps1, eps2, family)),
+        "numerators": (lambda: on_pairs(_Bound(pair, family).numerators(eps1, eps2)),
                        lambda: ref.numerators(pair, eps1, eps2, family), read_numerators),
-        "values": (lambda: _values_at(pair, family, x),
+        "values": (lambda: _Bound(pair, family).values(x.base),
                    lambda: ref.values_at(pair, family, x), read_values),
         "cs": (lambda: pair.cs(eps1, x.base), lambda: ref.cs(pair, eps1, x.base), str),
     }
@@ -147,3 +152,66 @@ def test_first_error_is_the_parents():
     # a zero coefficient drops the term before its anchor is read
     got = compare(PAIR, Y, E2, Y, (cs_of(short, E1, coeff=ZERO), cs_of(Y)))
     assert got["numerators"][0] == "ok" and got["values"][0] == "ok"
+
+
+# -- one binding, read many times -----------------------------------------------
+
+
+@st.composite
+def bound_reads(draw):
+    """A model, a family and a list of reads of it: sign vectors, values and
+    traces over a list of rays that holds equal copies and copies scaled onto
+    other denominators (the same rays with other pointed bases, so several
+    frames are live), with indices drawn again and again."""
+    pair = draw(models())
+    n = pair.dim
+    drawn = draw(st.lists(rays(n), min_size=1, max_size=3))
+    copies = [Ray(Vector(y.base)) for y in drawn]
+    scales = draw(st.lists(st.sampled_from([2, 7, 11]), min_size=len(drawn),
+                           max_size=len(drawn)))
+    scaled = [Ray(y.base.scale(t(Fraction(1, k)))) for y, k in zip(drawn, scales)]
+    pool = drawn + copies + scaled
+    anchors = pool + draw(st.lists(rays(n), max_size=2))
+    term = st.tuples(values, st.sampled_from(anchors))
+    functions = st.lists(term, max_size=3).map(lambda terms: BasicFunction(tuple(terms)))
+    family = tuple(draw(st.lists(functions, max_size=4)))
+    index = st.integers(0, len(pool) - 1)
+    read = st.one_of(st.tuples(st.just("sign"), index), st.tuples(st.just("values"), index),
+                     st.tuples(st.just("trace"), index, index))
+    return pair, family, pool, draw(st.lists(read, min_size=1, max_size=12))
+
+
+def read_trace(trace):
+    return ([(str(p.signs), p.lo, p.lo_closed, p.hi, p.hi_closed) for p in trace.pieces],
+            [(lam, ray.base) for lam, ray in trace.boundaries])
+
+
+@settings(max_examples=300)
+@given(bound_reads())
+def test_one_binding_read_many_times_matches_one_off_calls(case):
+    """Every read of one binding equals a fresh one-off call, errors (type,
+    message, the first one raised) included; values and rows equal the
+    per-value reference too, which fixes the order of the checks."""
+    pair, family, pool, reads = case
+    bound = _Bound(pair, family)
+    for kind, *at in reads:
+        x = pool[at[0]]
+        if kind == "sign":
+            got = outcome(lambda: _sign_vector(bound, x), str)
+            assert got == outcome(lambda: sign_vector_at(pair, family, x), str)
+        elif kind == "values":
+            got = outcome(lambda: bound.values(x.base), lambda r: r)
+            assert got == outcome(lambda: _Bound(pair, family).values(x.base), lambda r: r)
+            assert (outcome(lambda: bound.values(x.base), read_values)
+                    == outcome(lambda: ref.values_at(pair, family, x), read_values))
+        else:
+            try:
+                interval = RayInterval(x, pool[at[1]])
+            except ValueError:  # one ray twice, or two dimensions
+                continue
+            got = outcome(lambda: _trace(bound, interval), read_trace)
+            assert got == outcome(lambda: stratify_interval(pair, family, interval), read_trace)
+            eps1, eps2 = interval.y1.base, interval.y2.base
+            assert (outcome(lambda: on_pairs(bound.numerators(eps1, eps2)), read_numerators)
+                    == outcome(lambda: ref.numerators(pair, eps1, eps2, family),
+                               read_numerators))

@@ -697,3 +697,19 @@ def test_gorge_report_shape_with_stubbed_boundary(wall_frontier, monkeypatch):
     assert all(a < b for a, b in zip(evens, evens[1:]))
     assert all(a < b for a, b in zip(odds, odds[1:]))
     assert report.sigma == evens[-1] and report.tau == odds[-1]
+
+
+def test_bound_frontier_gram_counts(gram_calls):
+    """One binding per FrontierPair serves its sign vectors and traces, so a
+    ray read again costs no Gram value: on WALL the junction process reads
+    7 q + 14 b and the butterfly construction 14 q + 37 b, where binding per
+    call read 25 + 26 and 62 + 69."""
+    fam = wall_family()
+    w, w2, u = wall_scenario()
+    t_vec, t_prime = sign_vector_at(WALL, fam, w), sign_vector_at(WALL, fam, u)
+    gram_calls.update(eval_q=0, eval_b=0)
+    FrontierPair(WALL, fam, t_vec, t_prime).junction_process(w, w2, u)
+    assert gram_calls == {"eval_q": 7, "eval_b": 14}
+    gram_calls.update(eval_q=0, eval_b=0)
+    FrontierPair(WALL, fam, t_vec, t_prime).construct_butterfly(w, w2, u)
+    assert gram_calls == {"eval_q": 14, "eval_b": 37}

@@ -23,7 +23,7 @@ from test_cs_lattice import (E1, E2, EDGE, FRACTIONAL, MIXED, cases, cs_of, fini
                              outcome, rays)
 
 from troprays import csfun
-from troprays.csfun import BasicFunction, cs_restriction_pm
+from troprays.csfun import BasicFunction, _Bound, cs_restriction_pm
 from troprays.errors import IsotropicArgument
 from troprays.pmfunc import PmFunction, sign_runs
 from troprays.quadspace import QuadraticPair, Vector, vec
@@ -49,7 +49,7 @@ def ratio_trace(pair, family, interval, drop_zero_end=False, drop_inf_end=False)
 
 
 def numerator_trace(pair, family, interval, drop_zero_end=False, drop_inf_end=False):
-    trace = _trace(pair, family, interval, drop_zero_end, drop_inf_end)
+    trace = _trace(_Bound(pair, family), interval, drop_zero_end, drop_inf_end)
     pieces = [(str(p.signs), p.lo, p.lo_closed, p.hi, p.hi_closed) for p in trace.pieces]
     return pieces, list(trace.boundaries)
 
@@ -226,9 +226,9 @@ def test_kept_isotropic_end_raises():
     with pytest.raises(IsotropicArgument):
         stratify_interval(EDGE, family, RayInterval(E1, MIXED))
     with pytest.raises(IsotropicArgument):
-        _trace(EDGE, family, RayInterval(E1, MIXED), drop_inf_end=True)
+        _trace(_Bound(EDGE, family), RayInterval(E1, MIXED), drop_inf_end=True)
     with pytest.raises(IsotropicArgument):
-        _trace(EDGE, family, RayInterval(MIXED, E1), drop_zero_end=True)
+        _trace(_Bound(EDGE, family), RayInterval(MIXED, E1), drop_zero_end=True)
     # the ratio trace let the second and third through
     ratio_trace(EDGE, family, RayInterval(E1, MIXED), drop_inf_end=True)
     ratio_trace(EDGE, family, RayInterval(MIXED, E1), drop_zero_end=True)
@@ -240,9 +240,10 @@ def test_q_vanishing_along_the_interval():
     e1, e2, e3 = (Ray(Vector.unit(3, i)) for i in range(3))
     interval = RayInterval(e1, e2)
     with pytest.raises(IsotropicArgument, match="q vanishes"):
-        _trace(pair, (BasicFunction.zero(), cs_of(e3)), interval, True, True)
+        _trace(_Bound(pair, (BasicFunction.zero(), cs_of(e3))), interval, True, True)
     # all-zero numerators: f_k = 0 / q for every k, one piece of equalities
-    trace = _trace(pair, (BasicFunction.zero(), cs_of(e3, coeff=ZERO)), interval, True, True)
+    trace = _trace(_Bound(pair, (BasicFunction.zero(), cs_of(e3, coeff=ZERO))), interval,
+                   True, True)
     assert [str(p.signs) for p in trace.pieces] == ["="]
 
 

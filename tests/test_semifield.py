@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from troprays.errors import UndefinedProduct
-from troprays.semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, t
+from troprays.errors import SchemaError, UndefinedProduct
+from troprays.semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, t, value_of
 
 
 def finite_values():
@@ -137,3 +137,16 @@ def test_bool_exponents_are_rejected():
             with pytest.raises(TypeError, match="bool"):
                 make(flag)
     assert t(1) == TropValue.parse("1") and t(0) == ONE
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E-2", "1_0", "2.5e1"])
+def test_exponent_notation_and_separators_are_bad_text(text):
+    """Only "p/q", decimals and the infinities are text-encoded values: the
+    exponent notation and "_" separators that Fraction would read raise the
+    SchemaError of "abc" through value_of, the entry rule of every file, CLI
+    and constructor value."""
+    with pytest.raises(SchemaError, match="bad semifield value"):
+        value_of(text)
+    with pytest.raises(SchemaError, match="bad semifield value"):
+        value_of("abc")
+    assert value_of("0.5") == t(Fraction(1, 2)) and value_of("inf") == INF

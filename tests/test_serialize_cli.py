@@ -280,8 +280,9 @@ def assert_input_error(res):
     b'{"dim": 1, "q_diag": [' + b"9" * 5000 + b'], "b": [["0"]]}',
     b'{"dim": 2, "q_diag": ["0", "0"], "b": [["0", "2"]',
     None,
+    b'{"dim": 1, "q_diag": ["1e4000"], "b": [["0"]]}',
 ], ids=["scalar-q-diag", "not-utf8", "nested-too-deeply", "5000-digit-int", "truncated",
-                   "missing"])
+                   "missing", "exponent-notation"])
 def test_cli_bad_model_file_is_input_error(tmp_path, contents):
     model = tmp_path / "model.json"
     if contents is not None:
@@ -394,3 +395,28 @@ def test_cli_junction_toward_its_own_source_has_no_entrance():
                   data("family_wall.json"), "--w", "W", "--w2", "W2", "--u", "W")
     assert res.returncode == 1
     assert res.stderr.decode().splitlines() == ["NoEntrance: U is W itself"]
+
+
+# well-formed arguments that a run finds bad: an eta along which q vanishes and a
+# source outside T (library errors whose class sets input_error), and equal
+# butterfly sources, refused before the search
+BAD_ARGUMENTS = {
+    "ill-posed eta": ("isotropy-entry", "--model", data("m3.json"), "--b", data("family_m3.json"),
+                      "--from", "Y2", "--to", "Y3", "--eps=0,-inf,-inf", "--eta=0,-inf,-inf"),
+    "source outside T": ("junction", "--model", data("wall.json"), "--b",
+                         data("family_wall.json"), "--w", "U", "--w2", "W2", "--u", "W"),
+    "equal sources": ("butterfly", "--model", data("wall.json"), "--b",
+                      data("family_wall.json"), "--w", "W", "--w2", "W", "--u", "U"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_cli_bad_argument_is_input_error(case, capsys):
+    """A bad argument that only a run can tell exits 2 with one stderr line,
+    like a malformed one."""
+    assert cli.main(list(BAD_ARGUMENTS[case])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("input error: ")
+

@@ -101,7 +101,7 @@ def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, mo
             (t(0), False, INF, True, "<")]
     monkeypatch.setattr(strata, "row_runs", lambda *args: runs)
     with pytest.raises(VerificationFailed, match="not monotone"):
-        strata._trace(m1, m1_fam, m1_iv, drop_zero_end=True)
+        strata._trace(strata._Bound(m1, m1_fam), m1_iv, drop_zero_end=True)
 
 
 def test_sign_monotone_check_raises_under_optimize():
@@ -478,6 +478,15 @@ def test_sign_vector_gram_count(gram_calls):
         sign_vector_at(CORNER, family, x)
     assert gram_calls == {"eval_q": 6 + 18, "eval_b": 18}
     assert sum(gram_calls.values()) == 42
+
+
+def test_derivation_chart_gram_count(gram_calls):
+    """The chart binds its family once: a sampled ray's q, column and
+    numerators are formed once per lattice frame, and a trace between two
+    sampled rays adds only b(eps1, eps2).  Binding per call, it read 69 q
+    and 81 b."""
+    derivation_chart(CORNER, corner_family(), corner_sample())
+    assert gram_calls == {"eval_q": 14, "eval_b": 33}
 
 
 def test_sign_vector_rejects_isotropic_anchor():
