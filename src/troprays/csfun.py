@@ -20,7 +20,7 @@ N(v) = max_j c_j / q(w_j) b(v, w_j)^2 the row is (A, B) = (N(eps1), N(eps2)),
 and the value at a ray is f(x) = N(x) / q(x): one numerator per vector
 serves values, sign vectors and traces.  :func:`cs_restriction_pm` hulls
 each row and multiplies it by 1/q, built once per interval.  Traces
-(``strata._trace``) cut the rows alone with the int kernel
+(``strata._runs``) cut the rows alone with the int kernel
 ``pmfunc.row_runs``: q is finite and nonzero on ]0, oo[, at 0 when
 q(eps1) != 0 and, read through lam^2, at oo when q(eps2) != 0, so dividing
 by it changes no sign; at oo each row reads B.  ``build_fw`` (f_w, six

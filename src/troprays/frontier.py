@@ -22,9 +22,10 @@ from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStra
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import SignVector, _derivate_case, _sign_vector, _trace, derivate_boundary
+from .strata import SignVector, _boundary, _derivate_case, _sign_vector
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
+_MISS = object()  # a memo's answer for a key it has not seen
 
 
 def _sign_at(bound: _Bound, x: Ray, signs) -> SignVector:
@@ -38,37 +39,39 @@ def _sign_at(bound: _Bound, x: Ray, signs) -> SignVector:
     return sv
 
 
-def _trace_of(bound: _Bound, y1: Ray, y2: Ray, traces):
-    """The trace of [Y1, Y2], looked up in (and added to) the dict `traces`
-    when given.  The key is the pair of pointed bases, not of rays: the
-    trace's parameters and separators depend on the scale of eps1 and eps2."""
-    if traces is None:
-        return _trace(bound, RayInterval(y1, y2))
+def _boundary_of(bound: _Bound, t_vec: SignVector, t_prime: SignVector,
+                 y1: Ray, y2: Ray, boundaries):
+    """The derivate boundary of [Y1, Y2] for (T, T') (``strata._boundary``),
+    looked up in (and added to) the dict `boundaries` of that (T, T') when
+    given, None answers included.  The key is the pair of pointed bases, not
+    of rays: the separator's parameter depends on the scale of eps1 and eps2."""
+    if boundaries is None:
+        return _boundary(bound, RayInterval(y1, y2), t_vec, t_prime)
     key = (y1.base, y2.base)
-    trace = traces.get(key)
-    if trace is None:
-        trace = traces[key] = _trace(bound, RayInterval(y1, y2))
-    return trace
+    entry = boundaries.get(key, _MISS)
+    if entry is _MISS:
+        entry = boundaries[key] = _boundary(bound, RayInterval(y1, y2), t_vec, t_prime)
+    return entry
 
 
 def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _traces=None,
+                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _boundaries=None,
                   _bound=None):
     """Entrance ray of [W, U] into T' plus its interval parameter.
 
     Requires the trace of [W, U] to be exactly a half-open T piece followed
     by a closed T' piece (case1), whose separator is the entrance; anything
     else raises NoEntrance.  `_signs` is a sign vector memo of the (pair,
-    family), as :func:`_sign_at` reads it, `_traces` a trace memo as
-    :func:`_trace_of` reads it, and `_bound` the family bound to the pair
-    (``csfun._Bound``), bound here when not given.
+    family), as :func:`_sign_at` reads it, `_boundaries` a boundary memo of
+    (T, T') as :func:`_boundary_of` reads it, and `_bound` the family bound
+    to the pair (``csfun._Bound``), bound here when not given.
     """
     bound = _Bound(pair, family) if _bound is None else _bound
     if _sign_at(bound, w, _signs) != t_vec:
         raise WitnessNotInStratum("W does not satisfy T")
     if u == w:
         raise NoEntrance("U is W itself")
-    entry = derivate_boundary(_trace_of(bound, w, u, _traces), t_vec, t_prime)
+    entry = _boundary_of(bound, t_vec, t_prime, w, u, _boundaries)
     if entry is None:
         raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
     closed, (lam, z) = entry
@@ -79,11 +82,11 @@ def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
 
 def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
                   t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None,
-                  _traces=None, _bound=None) -> bool:
+                  _boundaries=None, _bound=None) -> bool:
     """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
 
     `_memo` maps (W.rep, Z.rep) to earlier answers for the same (T, T');
-    `_signs`, `_traces` and `_bound` are as in :func:`entrance_data`.
+    `_signs`, `_boundaries` and `_bound` are as in :func:`entrance_data`.
     """
     if _memo is not None:
         key = (w.rep, z.rep)
@@ -95,7 +98,7 @@ def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     result = False
     if _sign_at(bound, z, _signs) == t_prime:
-        entry = derivate_boundary(_trace_of(bound, w, z, _traces), t_vec, t_prime)
+        entry = _boundary_of(bound, t_vec, t_prime, w, z, _boundaries)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
         result = entry is not None and entry[0] and entry[1][1] == z
@@ -170,10 +173,10 @@ class FrontierPair:
         self.family = family
         self.t = t_vec
         self.t_prime = t_prime
-        self._bound = _Bound(pair, family)  # numerators per vector, for signs and traces
+        self._bound = _Bound(pair, family)  # numerators per vector, for signs and boundaries
         self._memo = {}    # sector memo: (W.rep, Z.rep) -> membership
         self._signs = {}   # sign memo: ray.rep -> sign vector, whatever the pointed base
-        self._traces = {}  # trace memo: (y1.base, y2.base) -> trace off the binding
+        self._boundaries = {}  # (y1.base, y2.base) -> derivate boundary for (T, T'), or None
         self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
         self._last = None, None  # the pools and masks of the last _galois query
 
@@ -189,18 +192,18 @@ class FrontierPair:
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
 
-    # -- entrances and sectors, sharing the sector, sign and trace memos ----------
+    # -- entrances and sectors, sharing the sector, sign and boundary memos -------
 
     def entrance_data(self, w: Ray, u: Ray):
         return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u,
-                             self._signs, self._traces, self._bound)
+                             self._signs, self._boundaries, self._bound)
 
     def entrance_ray(self, w: Ray, u: Ray) -> Ray:
         return self.entrance_data(w, u)[0]
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
         return sector_member(self.pair, self.family, self.t, self.t_prime,
-                             w, z, self._memo, self._signs, self._traces, self._bound)
+                             w, z, self._memo, self._signs, self._boundaries, self._bound)
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -321,8 +324,10 @@ class FrontierPair:
         of U_pool related to all of a P-query (S), read off the sector relation
         on U_pool x P_pool: one rep -> bitmask dict per pool, a W's row of
         P_pool indices and a Z's column of U_pool indices, each filled through
-        the sector memo on first use.  Masks are ANDed in query order until
-        none is left, as a short-circuiting per-ray test would evaluate them."""
+        the sector memo on first use, once every query ray is found in its
+        pool.  Masks are ANDed in query order until none is left, as a
+        short-circuiting per-ray test would evaluate them; a result no mask
+        cut is the image pool itself."""
         pools = (tuple(u_pool), tuple(p_pool))
         last, masks = self._last
         # the last pools first: tuple == matches identical rays without hashing them
@@ -333,18 +338,22 @@ class FrontierPair:
                                                        for pool in pools)
             self._last = pools, masks
         own, image = masks[dual], pools[not dual]
-        query = list(query)
-        if any(x.rep not in own for x in query):
+        query = tuple(query)
+        found = [own.get(x.rep, _MISS) for x in query]
+        if _MISS in found:
             raise ValueError("P must be a subset of P_pool" if dual
                              else "U must be a subset of U_pool")
-        related = (1 << len(image)) - 1
-        for x in query:
+        related = full = (1 << len(image)) - 1
+        for x, mask in zip(query, found):
             if not related:
                 break
-            mask = own[x.rep]
+            if mask is None:
+                mask = own[x.rep]  # filled meanwhile when an equal ray came earlier
             if mask is None:
                 mask = own[x.rep] = sum(
                     1 << i for i, y in enumerate(image)
                     if (self.sector_member(y, x) if dual else self.sector_member(x, y)))
             related &= mask
-        return tuple(y for i, y in enumerate(image) if related >> i & 1)
+        if related == full:
+            return image
+        return tuple([image[i] for i in range(len(image)) if related >> i & 1])

@@ -40,7 +40,7 @@ from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector, _Frame
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, TropValue, _value, midpoint, t
-from .strata import SignVector, StrataTrace, _trace, sign_vector_at, stratify_interval
+from .strata import SignVector, StrataTrace, _trace, sign_vector_at
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
     closed interval from W~ onward is stratified, and the entrance piece is
     prepended open at the isotropic end.  Separator rays are re-computed with
     a second choice of W~ and must agree, making the advertised independence
-    of the choice an executed check rather than an assumption.
+    of the choice an executed check rather than an assumption.  The three
+    traces read one binding of the family (``csfun._Bound``).
     """
     eps = w.base
     if not pair.eval_q(eps).is_zero():
@@ -166,9 +167,8 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
     if prime_isotropic and pair.eval_b(eps, end).is_zero():
         raise NoAnisotropicInterior("no anisotropic ray between the endpoints")
 
-    interval = RayInterval(w, w_prime)
-    trace = _trace(_Bound(pair, family), interval, drop_zero_end=True,
-                   drop_inf_end=prime_isotropic)
+    interval, bound = RayInterval(w, w_prime), _Bound(pair, family)
+    trace = _trace(bound, interval, drop_zero_end=True, drop_inf_end=prime_isotropic)
     first, last = trace.pieces[0], trace.pieces[-1]
     # two choices of W~: the midpoint of the entrance piece, then the midpoint
     # of its lower half; likewise for W~' in the last piece when W' is isotropic.
@@ -182,7 +182,7 @@ def stratify_halfopen(pair: QuadraticPair, family, w: Ray, w_prime: Ray) -> Stra
             s1 = midpoint(last.lo, s1)
             end_ray = interval.pi(s1)
         t1 = midpoint(first.lo, min(t1, interval.locate(end_ray)))
-        inner = stratify_interval(pair, family, RayInterval(interval.pi(t1), end_ray))
+        inner = _trace(bound, RayInterval(interval.pi(t1), end_ray))
         separators.append(inner.separator_rays()[1:-1])
     if separators[0] != separators[1]:
         raise VerificationFailed("separating rays depend on the choice of the interior ray")

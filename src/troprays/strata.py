@@ -29,7 +29,7 @@ N_k(eps2)) from ``csfun._Bound.numerators``, cut by the int kernel
 ``pmfunc.row_runs`` at degree 2.  The end rule: the value 0 is labelled with
 N_k(0) = A_k, which needs q(eps1) != 0, and the value oo with
 N_k lam^-2 = B_k, which needs q(eps2) != 0; a kept end whose endpoint is
-isotropic raises IsotropicArgument (the proof is in ``_trace``).
+isotropic raises IsotropicArgument (the proof is in ``_runs``).
 """
 
 from __future__ import annotations
@@ -197,17 +197,16 @@ class StrataTrace:
         return tuple(r for _, r in self.boundaries)
 
 
-def _trace(bound: _Bound, interval: RayInterval,
-           drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
-    """The bound family's pieces on the interval, with the rays bounding them.
+def _runs(bound: _Bound, interval: RayInterval,
+          drop_zero_end=False, drop_inf_end=False) -> tuple:
+    """(m, runs): the family's size m and its maximal runs of constant
+    pairwise signs on the interval, (lo, lo_closed, hi, hi_closed, label) as
+    ``pmfunc.row_runs`` gives them, each label the pairs' signs as one string.
 
-    Reads every basic function's numerator row on the interval, cuts the
-    parameter domain at the rows' candidate points (``pmfunc.row_runs``), and
-    merges cells with equal sign vectors into consecutive pieces.  When an
-    end is dropped (isotropic interval endpoint) the adjacent piece opens
-    there and the endpoint itself belongs to no piece; a kept end with an
-    isotropic endpoint raises IsotropicArgument.  Every trace, with dropped
-    ends or not, runs :func:`_assert_sign_monotone`.
+    Reads every numerator row and cuts the parameter domain at the rows'
+    candidate points.  A dropped end (isotropic endpoint) opens the adjacent
+    run and belongs to no run; a kept isotropic end raises IsotropicArgument.
+    Every run list, with dropped ends or not, runs :func:`_assert_sign_monotone`.
 
     The signs are read off the numerators N_k = max(A_k, B_k lam^2) of
     f_k = N_k / q, never off the ratios, and that loses nothing.  Claim:
@@ -238,27 +237,44 @@ def _trace(bound: _Bound, interval: RayInterval,
             and not all(row == _ZERO_ROW for row in rows)):
         raise IsotropicArgument("q vanishes along the whole interval")
     m = len(rows)
+    runs = row_runs(rows, den, 2, not drop_zero_end, not drop_inf_end)
+    _assert_sign_monotone([run[4] for run in runs], m)
+    return m, runs
+
+
+def _trace(bound: _Bound, interval: RayInterval,
+           drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
+    """The runs of :func:`_runs` as pieces, with a separator ray formed at
+    each parameter where two pieces meet."""
+    m, runs = _runs(bound, interval, drop_zero_end, drop_inf_end)
     pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
-                   for lo, lo_closed, hi, hi_closed, signs
-                   in row_runs(rows, den, 2, not drop_zero_end, not drop_inf_end))
-    _assert_sign_monotone(pieces, m)
-    boundaries = [(ZERO, interval.y1)]
-    boundaries += [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
-    boundaries.append((INF, interval.y2))
-    return StrataTrace(interval, pieces, tuple(boundaries))
+                   for lo, lo_closed, hi, hi_closed, signs in runs)
+    inner = [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
+    return StrataTrace(interval, pieces, ((ZERO, interval.y1), *inner, (INF, interval.y2)))
+
+
+def _boundary(bound: _Bound, interval: RayInterval, t_vec: SignVector,
+              t_prime: SignVector) -> tuple | None:
+    """:func:`derivate_boundary` of the interval's trace, read straight off
+    its runs: the labels are compared with those of T and T', and the one
+    separator is formed only when the runs are exactly T then T'."""
+    _, runs = _runs(bound, interval)
+    if len(runs) != 2 or runs[0][4] != str(t_vec) or runs[1][4] != str(t_prime):
+        return None
+    return runs[1][1], (runs[1][0], interval.pi(runs[1][0]))
 
 
 _MONOTONE = re.compile(r"<*=*>*|>*=*<*")
 
 
-def _assert_sign_monotone(pieces, m):
-    """Each pair's sign sequence along the trace is monotone with half-open
-    boundary structure (its column string matches ``<*=*>*|>*=*<*``);
-    CS-families always satisfy this, so a violation here means corrupted
-    inputs."""
+def _assert_sign_monotone(labels, m):
+    """Each pair's sign sequence along the run labels is monotone with
+    half-open boundary structure (its column string matches
+    ``<*=*>*|>*=*<*``); CS-families always satisfy this, so a violation here
+    means corrupted inputs."""
     pairs = ((k, l) for k in range(m) for l in range(k + 1, m))
-    # column i holds the signs of pair i (in pair_index order) along the trace
-    for (k, l), signs in zip(pairs, zip(*[p.signs.signs for p in pieces])):
+    # column i holds the signs of pair i (in pair_index order) along the runs
+    for (k, l), signs in zip(pairs, zip(*labels)):
         if _MONOTONE.fullmatch("".join(signs)) is None:
             raise VerificationFailed(
                 f"sign pattern of pair ({k},{l}) is not monotone: {list(signs)}")
@@ -351,7 +367,7 @@ def _derivate_case(bound: _Bound, t_vec: SignVector, t_prime: SignVector,
                    w: Ray, w_prime: Ray) -> str:
     """:func:`is_direct_derivate` for witnesses whose sign vectors the caller
     already holds: T at W and T' at W', T != T'."""
-    entry = derivate_boundary(_trace(bound, RayInterval(w, w_prime)), t_vec, t_prime)
+    entry = _boundary(bound, RayInterval(w, w_prime), t_vec, t_prime)
     if entry is None:
         return "not_neighbors"
     return "case1" if entry[0] else "case2"

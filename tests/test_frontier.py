@@ -487,6 +487,52 @@ def test_galois_witness_outside_t_raises_where_the_definition_does():
     assert {(False, True, True), (False, True, False), (True, False, True)} <= outcomes
 
 
+def test_galois_every_subset_of_the_wall_pools_matches_the_definition():
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = galois_pools(fp)
+    for dual, pool in ((False, u_pool), (True, p_pool)):
+        for r in range(len(pool) + 1):
+            for query in itertools.combinations(pool, r):
+                got = galois_by_relation(fp, query, u_pool, p_pool, dual)
+                assert got == galois_by_definition(fp, query, u_pool, p_pool, dual), query
+
+
+def test_galois_empty_query_returns_the_pool_itself():
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = (tuple(pool) for pool in galois_pools(fp))
+    assert fp.galois_L((), u_pool, p_pool) is p_pool
+    assert fp.galois_S([], u_pool, p_pool) is u_pool
+    assert fp.galois_L([], list(u_pool), list(p_pool)) == p_pool
+
+
+def test_galois_non_member_after_an_emptying_ray_raises_and_fills_nothing():
+    """The query [W, outsider], where W's row of P_pool is empty: a per-ray
+    test would stop at W, but the membership check comes first, so the query
+    raises, whether W's row is known yet or not, and adds no sector answer."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 1)
+    w, z = next((w, z) for w in u_pool for z in p_pool
+                if not sector_member(fp.pair, fp.family, fp.t, fp.t_prime, w, z))
+    outsider = Ray(vec(0, -7, "-inf"))
+    for _ in range(2):
+        memo = dict(fp._memo)
+        with pytest.raises(ValueError, match="U must be a subset of U_pool"):
+            fp.galois_L([w, outsider], u_pool, [z])
+        assert fp._memo == memo
+        assert fp.galois_L([w], u_pool, [z]) == ()
+
+
+def test_galois_query_with_equal_rays_fills_their_row_once(counted_sectors):
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 1)
+    w = u_pool[0]
+    again = Ray(t(-2) * w.base)
+    assert again == w and again.base != w.base
+    del counted_sectors[:]
+    assert fp.galois_L([w, again], u_pool, p_pool) == fp.galois_L([w], u_pool, p_pool) != ()
+    assert len(counted_sectors) == len(p_pool)
+
+
 def test_entrance_trace_memo_is_keyed_by_pointed_bases():
     """[W, U] and [W, t^-3 U] are the same ray interval with different
     parameters: ray(w + lam t^-3 u) = pi(t^-3 lam), so the entrance parameter
@@ -503,22 +549,27 @@ def test_entrance_trace_memo_is_keyed_by_pointed_bases():
 
 
 def test_entrance_and_sector_read_the_trace_separator(monkeypatch):
-    """A fresh entrance computation forms rays only inside its trace, one per
-    separator between pieces, and returns the separator it built; a sector
-    memo miss on the same, now memoised, trace forms none."""
-    pi_calls = []
+    """A fresh entrance computation forms one ray, the separator of its
+    memoised boundary, and returns that ray; a sector memo miss on the same
+    boundary forms none."""
+    formed = []
     pi = RayInterval.pi
-    monkeypatch.setattr(RayInterval, "pi",
-                        lambda self, lam: pi_calls.append(lam) or pi(self, lam))
+
+    def counted(self, lam):
+        z = pi(self, lam)
+        formed.append((lam, z))
+        return z
+
+    monkeypatch.setattr(RayInterval, "pi", counted)
     fp = fresh_wall_frontier()
     w, _, u = wall_scenario()
     z, lam = fp.entrance_data(w, u)
-    (trace,) = fp._traces.values()
-    assert len(pi_calls) == len(trace.pieces) - 1
-    assert trace.boundaries[1] == (lam, z) and trace.boundaries[1][1] is z
-    del pi_calls[:]
+    (entry,) = fp._boundaries.values()
+    assert len(formed) == 1 and formed[0][0] == lam and formed[0][1] is z
+    assert entry == (True, (lam, z)) and entry[1][1] is z
+    del formed[:]
     assert fp.sector_member(w, u) == (z == u)
-    assert pi_calls == []
+    assert formed == []
 
 
 def butterfly_candidates(seed, wanted):

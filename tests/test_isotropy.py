@@ -212,6 +212,16 @@ def test_halfopen_trace_m3(m3_setup):
         assert sign_vector_at(pair, fam, witness) == piece.signs
 
 
+def test_halfopen_gram_count(gram_calls, m3_setup):
+    """One binding of the family serves the half-open trace of ]e1, Y2] on
+    M3 and both separator re-checks.  Binding once per trace, it read 11 q
+    and 15 b."""
+    pair, fam, y2, y3, e1, e2, e3 = m3_setup
+    gram_calls.update(eval_q=0, eval_b=0)
+    stratify_halfopen(pair, fam, Ray(e1), y2)
+    assert gram_calls == {"eval_q": 7, "eval_b": 11}
+
+
 def test_halfopen_entrance_matches_classification(m3_setup):
     pair, fam, y2, y3, e1, e2, e3 = m3_setup
     approach = entrance_stratum(pair, fam, y2, y3, e1, e3)

@@ -46,3 +46,19 @@ def test_workload_digests_prints_one_stable_line_per_seed():
     name, seed, digest = lines[0].split()
     assert (name, seed, len(digest)) == ("stratify-sweep", "1", 16)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_workload_digests_match_the_recorded_outputs():
+    """The results of one round at seed 1 of three workloads, fingerprinted:
+    a change that keeps these lines computed the same chart, junctions,
+    butterflies, Galois closures, traces and f_w checks on those inputs."""
+    script = os.path.join(SCRIPTS, "workload_digests.py")
+    run = subprocess.run([sys.executable, script, "frontier", "stratify-sweep", "fw-oracle",
+                          "--seeds", "1"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        'frontier 1 79569077573fb954 {"butterfly_scenarios_tried": 24, '
+        '"junction_scenarios_tried": 40}',
+        "stratify-sweep 1 0bcbe7e7ab779f49",
+        "fw-oracle 1 451c223067656ba0",
+    ]

@@ -18,7 +18,6 @@ from troprays.strata import (
     BasicFunction,
     Relaxation,
     SignVector,
-    TracePiece,
     _assert_sign_monotone,
     derivation_chart,
     example_family,
@@ -93,9 +92,8 @@ def test_stratify_m1_worked(m1, m1_fam, m1_iv):
 
 
 def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, monkeypatch):
-    pieces = [TracePiece(SignVector(2, [s]), ZERO, True, ZERO, True) for s in "<><"]
     with pytest.raises(VerificationFailed, match="not monotone"):
-        _assert_sign_monotone(pieces, 2)
+        _assert_sign_monotone(["<", ">", "<"], 2)
     # every trace runs the check, one with an end dropped too
     runs = [(ZERO, True, t(0), False, "<"), (t(0), True, t(0), True, ">"),
             (t(0), False, INF, True, "<")]
@@ -108,12 +106,9 @@ def test_sign_monotone_check_raises_under_optimize():
     """The self-check is a pattern match that raises VerificationFailed, so
     ``python -O``, which strips asserts, keeps it."""
     code = ("from troprays.errors import VerificationFailed\n"
-            "from troprays.semifield import ZERO\n"
-            "from troprays.strata import SignVector, TracePiece, _assert_sign_monotone\n"
-            "pieces = [TracePiece(SignVector(3, s), ZERO, True, ZERO, True)\n"
-            "          for s in ('<<<', '<=<', '<<<')]\n"
+            "from troprays.strata import _assert_sign_monotone\n"
             "try:\n"
-            "    _assert_sign_monotone(pieces, 3)\n"
+            "    _assert_sign_monotone(['<<<', '<=<', '<<<'], 3)\n"
             "except VerificationFailed as ex:\n"
             "    print(ex)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -456,14 +451,14 @@ def test_corner_chart_tries_only_derivate_pairs(monkeypatch):
 
     pair, family, sample = _corner_case(4)
     calls = []
-    decide = strata.derivate_boundary
+    decide = strata._boundary
 
-    # every witness pair the chart tries is decided by one derivate_boundary
-    def counted(trace, t_vec, t_prime):
+    # every witness pair the chart tries is decided by one _boundary
+    def counted(bound, interval, t_vec, t_prime):
         calls.append((t_vec, t_prime))
-        return decide(trace, t_vec, t_prime)
+        return decide(bound, interval, t_vec, t_prime)
 
-    monkeypatch.setattr(strata, "derivate_boundary", counted)
+    monkeypatch.setattr(strata, "_boundary", counted)
     chart = derivation_chart(pair, family, sample)
     assert len(chart.edges) == 7
     assert 7 <= len(calls) <= 20
