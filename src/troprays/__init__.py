@@ -5,66 +5,43 @@ log scale with arbitrary-precision rational exponents, so every operation in
 this package is exact: CS-ratios and their piecewise-monomial restrictions to
 ray intervals, sign-vector stratifications with separating rays, the junction
 and butterfly frontier processes, and the entrance analysis at isotropic rays.
+
+``import troprays`` loads no layer: a layer module is imported the first time
+one of its names below is read from the package (PEP 562), so a caller pays
+only for the layers it uses.
 """
 
-from .semifield import INF, ONE, ZERO, TropValue, t
-from .quadspace import QuadraticPair, Vector, ValidationReport, validate_pair, vec
-from .rays import Ray, RayInterval, ray
-from .pmfunc import PmFunction, SignPiece
-from .csfun import (
-    IntervalCsProfile,
-    build_fw,
-    cs_restriction_pm,
-    q_segment_profile,
-    uniqueness_classify,
-)
-from .strata import (
-    BasicFunction,
-    DerivationChart,
-    Relaxation,
-    SignVector,
-    StrataTrace,
-    TracePiece,
-    derivation_chart,
-    example_family,
-    is_direct_derivate,
-    minimal_relaxation,
-    relaxation_components,
-    sign_vector_at,
-    stratify_interval,
-)
-from .frontier import (
-    ButterflyResult,
-    FrontierPair,
-    JunctionReport,
-    JunctionStep,
-    regularity_bounds,
-    sector_member,
-)
-from .isotropy import (
-    IsotropicApproach,
-    StabilityReport,
-    entrance_stratum,
-    stability_check,
-    stratify_halfopen,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF", "ONE", "ZERO", "TropValue", "t",
-    "QuadraticPair", "Vector", "ValidationReport", "validate_pair", "vec",
-    "Ray", "RayInterval", "ray",
-    "PmFunction", "SignPiece",
-    "IntervalCsProfile", "build_fw", "cs_restriction_pm",
-    "q_segment_profile", "uniqueness_classify",
-    "BasicFunction", "DerivationChart", "Relaxation", "SignVector",
-    "StrataTrace", "TracePiece", "derivation_chart",
-    "example_family", "is_direct_derivate", "minimal_relaxation",
-    "relaxation_components", "sign_vector_at", "stratify_interval",
-    "ButterflyResult", "FrontierPair", "JunctionReport", "JunctionStep",
-    "regularity_bounds", "sector_member",
-    "IsotropicApproach", "StabilityReport", "entrance_stratum",
-    "stability_check", "stratify_halfopen",
-    "__version__",
-]
+# public name -> the module that defines it
+_HOME = {name: module for module, names in (
+    ("semifield", ("INF", "ONE", "ZERO", "TropValue", "t")),
+    ("quadspace", ("QuadraticPair", "Vector", "ValidationReport", "validate_pair", "vec")),
+    ("rays", ("Ray", "RayInterval", "ray")),
+    ("pmfunc", ("PmFunction", "SignPiece")),
+    ("csfun", ("IntervalCsProfile", "build_fw", "cs_restriction_pm",
+               "q_segment_profile", "uniqueness_classify")),
+    ("strata", ("BasicFunction", "DerivationChart", "Relaxation", "SignVector",
+                "StrataTrace", "TracePiece", "derivation_chart", "example_family",
+                "is_direct_derivate", "minimal_relaxation", "relaxation_components",
+                "sign_vector_at", "stratify_interval")),
+    ("frontier", ("ButterflyResult", "FrontierPair", "JunctionReport", "JunctionStep",
+                  "regularity_bounds", "sector_member")),
+    ("isotropy", ("IsotropicApproach", "StabilityReport", "entrance_stratum",
+                  "stability_check", "stratify_halfopen")),
+) for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,31 +2,24 @@
 
 Every run prints a deterministic document: the same model, arguments, and
 seed give byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 input or schema error.
+failure, 2 input or schema error.  Each handler imports the layer it runs
+when it is called, so a subcommand loads only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from . import serialize
 from .errors import IsotropicArgument, SchemaError, TropraysError, VerificationFailed
-from .csfun import build_fw, cs_restriction_pm
-from .frontier import FrontierPair
-from .isotropy import entrance_stratum, stability_check
-from .oracle import run_suite
 from .quadspace import Vector, validate_pair
-from .rays import Ray, RayInterval
 from .semifield import t
-from .serialize import (
-    dumps,
-    load_json_file,
-    model_from_json,
-    model_hash,
-    ray_to_json,
-)
-from .strata import derivation_chart, sign_vector_at, stratify_interval
+from .serialize import dumps, load_json_file, model_from_json, model_hash, ray_to_json
+
+if TYPE_CHECKING:
+    from .rays import Ray, RayInterval
 
 
 def _resolve_ray(spec: str, rays: dict, dim: int) -> Ray:
@@ -87,7 +80,7 @@ def cmd_eval(args):
     pair, _, _, _ = _load_context(args)
     x = _resolve_vector(args.vec, pair.dim)
     doc = {"q": str(pair.eval_q(x))}
-    if args.vec2:
+    if args.vec2 is not None:
         y = _resolve_vector(args.vec2, pair.dim)
         doc["b"] = str(pair.eval_b(x, y))
         try:
@@ -99,6 +92,7 @@ def cmd_eval(args):
 
 
 def _interval_from_args(args, pair, rays) -> RayInterval:
+    from .rays import RayInterval
     y1 = _resolve_ray(getattr(args, "from"), rays, pair.dim)
     y2 = _resolve_ray(args.to, rays, pair.dim)
     try:
@@ -109,6 +103,7 @@ def _interval_from_args(args, pair, rays) -> RayInterval:
 
 
 def cmd_interval_profile(args):
+    from .csfun import build_fw
     pair, rays, _, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     w = _resolve_vector(args.witness, pair.dim)
@@ -128,6 +123,7 @@ def cmd_interval_profile(args):
 
 
 def cmd_compare(args):
+    from .csfun import cs_restriction_pm
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     if not (0 <= args.f < len(functions) and 0 <= args.g < len(functions)):
@@ -140,6 +136,7 @@ def cmd_compare(args):
 
 
 def cmd_stratify(args):
+    from .strata import stratify_interval
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     trace = stratify_interval(pair, functions, interval)
@@ -152,6 +149,7 @@ def cmd_stratify(args):
 
 
 def cmd_chart(args):
+    from .strata import derivation_chart
     pair, rays, functions, samples = _load_context(args)
     if not samples:
         raise SchemaError('chart needs sample rays (family "samples" section)')
@@ -167,6 +165,8 @@ def cmd_chart(args):
 
 
 def _frontier_from_args(args, pair, rays, functions):
+    from .frontier import FrontierPair
+    from .strata import sign_vector_at
     w = _resolve_ray(args.w, rays, pair.dim)
     w2 = _resolve_ray(args.w2, rays, pair.dim)
     u = _resolve_ray(args.u, rays, pair.dim)
@@ -222,6 +222,9 @@ def cmd_butterfly(args):
 
 
 def cmd_isotropy_entry(args):
+    from .isotropy import entrance_stratum, stability_check
+    from .rays import Ray
+    from .strata import sign_vector_at
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     eps = _resolve_vector(args.eps, pair.dim)
@@ -262,6 +265,7 @@ def cmd_isotropy_entry(args):
 
 
 def cmd_oracle(args):
+    from .oracle import run_suite
     pair, _, _, _ = _load_context(args)
     results = run_suite(pair, args.seed, args.samples)
     total = sum(len(v) for v in results.values())

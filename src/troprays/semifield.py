@@ -195,18 +195,18 @@ def value_of(x) -> TropValue:
     """The one entry rule for scalars: a TropValue as it is, an int (not a
     bool) as t^x, a str in the text encoding of :meth:`TropValue.parse`.
     Anything else (a float, a bool, None), and bad text, raises SchemaError.
-    Exponent notation ("1e3") and "_" separators, which ``Fraction`` would
-    read, are bad text, refused before any int is built from them: so
-    "1e100000000" in a model file costs nothing."""
+    Exponent notation ("1e3"), "_" separators and non-ASCII digits ("١"),
+    which ``Fraction`` would read, are bad text, refused before any int is
+    built from them: so "1e100000000" in a model file costs nothing."""
     if isinstance(x, TropValue):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return TropValue(_KFINITE, x)
     if not isinstance(x, str):
         raise SchemaError(f"semifield value {x!r} is not a str, an int or a TropValue")
-    if any(c in x for c in "eE_"):
-        raise SchemaError(f"bad semifield value {x!r}: no exponent notation or '_' "
-                          "separators in the text encoding")
+    if not x.isascii() or any(c in x for c in "eE_"):
+        raise SchemaError(f"bad semifield value {x!r}: the text encoding is ASCII, "
+                          "with no exponent notation or '_' separators")
     try:
         return TropValue.parse(x)
     except (ValueError, ZeroDivisionError) as ex:

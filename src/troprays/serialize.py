@@ -3,20 +3,25 @@
 Semifield values are written in the text encoding "p/q" / "p" / "-inf" / "+inf"
 and read by ``value_of``: such a string or a JSON integer, never a float.
 Documents are emitted with sorted keys and no trailing whitespace so that
-identical inputs produce byte-identical outputs.
+identical inputs produce byte-identical outputs.  The layers whose objects
+are read (rays, families, pm functions) are imported by the function that
+builds them, so loading models and vectors imports none of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError, ZeroVector
-from .pmfunc import PmFunction, SignPiece
 from .quadspace import QuadraticPair, Vector
-from .rays import Ray
 from .semifield import value_of
-from .strata import BasicFunction, DerivationChart, SignVector, StrataTrace
+
+if TYPE_CHECKING:
+    from .pmfunc import PmFunction, SignPiece
+    from .rays import Ray
+    from .strata import DerivationChart, SignVector, StrataTrace
 
 
 def _array(obj, what: str) -> list:
@@ -47,6 +52,7 @@ def vector_to_json(v: Vector) -> list:
 
 
 def ray_from_json(obj) -> Ray:
+    from .rays import Ray
     if isinstance(obj, dict):
         if "base" not in obj:
             raise SchemaError('a pointed ray object needs a "base" array')
@@ -109,6 +115,7 @@ def _ray_of_dim(spec, dim: int, what: str) -> Ray:
 
 def family_from_json(obj, pair: QuadraticPair):
     """Returns (named rays, basic functions, sample rays)."""
+    from .strata import BasicFunction
     _object(obj, "family document")
     rays = {name: _ray_of_dim(spec, pair.dim, f'ray "{name}"')
             for name, spec in _object(obj.get("rays", {}), "rays").items()}
@@ -139,6 +146,7 @@ def pm_to_json(f: PmFunction) -> dict:
 
 
 def pm_from_json(obj) -> PmFunction:
+    from .pmfunc import PmFunction
     try:
         bps = [value_of(b) for b in obj["breakpoints"]]
         segs = [(value_of(s["coeff"]), s["degree"]) for s in obj["segments"]]

@@ -306,6 +306,7 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
 
     import troprays.cli as cli
     import troprays.isotropy as isotropy
+    import troprays.strata as strata
 
     data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
     calls = []
@@ -314,7 +315,7 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
         calls.append(args[2])
         return sign_vector_at(*args)
 
-    monkeypatch.setattr(cli, "sign_vector_at", counted)
+    monkeypatch.setattr(strata, "sign_vector_at", counted)
     monkeypatch.setattr(isotropy, "sign_vector_at", counted)
     code = cli.main(["isotropy-entry", "--model", os.path.join(data, "m3.json"),
                      "--b", os.path.join(data, "family_m3.json"), "--from", "Y2",

@@ -1,0 +1,68 @@
+"""Import schedule: a CLI subcommand imports only the layers it runs, and the
+package resolves its public names on first use (PEP 562)."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import troprays
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def loaded_after(code: str) -> set:
+    """The troprays modules in sys.modules after `code` runs in a fresh
+    interpreter started at the root of the checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    probe = (f"import sys\n{code}\n"
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'troprays'))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, cwd=REPO)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_eval_loads_no_layer_it_does_not_run():
+    """No pmfunc, rays, csfun, strata, frontier, isotropy, oracle, sampling
+    or instances: eval runs none of them."""
+    loaded = loaded_after(
+        "from troprays import cli\n"
+        "code = cli.main(['eval', '--model', 'data/m1.json', '--vec', '0,3',"
+        " '--vec2', '0,-inf'])\n"
+        "assert code == 0, code")
+    assert loaded == {"troprays", "troprays.cli", "troprays.errors",
+                      "troprays.semifield", "troprays.quadspace", "troprays.serialize"}
+
+
+def test_bare_import_loads_no_layer():
+    assert loaded_after("import troprays") == {"troprays"}
+    assert loaded_after("import troprays\ntroprays.t") == {
+        "troprays", "troprays.semifield", "troprays.errors"}
+
+
+def test_each_export_is_its_defining_modules_object():
+    for name in troprays.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(troprays, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("troprays."), name
+        assert getattr(home, name) is obj, name
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    assert set(troprays.__all__) <= set(dir(troprays))
+    with pytest.raises(AttributeError, match="nope"):
+        troprays.nope
+    assert not hasattr(troprays, "nope")
+
+
+def test_star_import_binds_all_exports():
+    namespace = {}
+    exec("from troprays import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(troprays.__all__)
+    assert all(namespace[n] is getattr(troprays, n) for n in troprays.__all__)

@@ -150,3 +150,13 @@ def test_exponent_notation_and_separators_are_bad_text(text):
     with pytest.raises(SchemaError, match="bad semifield value"):
         value_of("abc")
     assert value_of("0.5") == t(Fraction(1, 2)) and value_of("inf") == INF
+
+
+@pytest.mark.parametrize("text", ["\u0661", "\uff11\uff12", "\u0663/\u0664", "1\u00a0",
+                                  "\u00bd", "\U0001d7d9"])
+def test_non_ascii_text_is_bad_text(text):
+    """The text encoding is ASCII: the Arabic-Indic, fullwidth and other
+    Unicode digits and spaces that Fraction would read raise SchemaError."""
+    with pytest.raises(SchemaError, match="ASCII"):
+        value_of(text)
+    assert value_of(" 12 ") == t(12) and value_of("3/4") == t(Fraction(3, 4))

@@ -233,6 +233,19 @@ def test_cli_eval_evaluates_each_value_once(capsys, gram_calls):
     assert gram_calls == {"eval_q": 1 + 2, "eval_b": 1 + 1}
 
 
+@pytest.mark.parametrize("argv", [["--vec", ""], ["--vec", "0,3", "--vec2", ""],
+                                  ["--vec", "\u0661,2"]],
+                         ids=["empty-vec", "empty-vec2", "arabic-indic-digit"])
+def test_cli_eval_empty_or_non_ascii_vector_is_input_error(argv, capsys):
+    """A given empty --vec2 is an input error, as an empty --vec is, not an
+    absent --vec2; a non-ASCII digit is bad text."""
+    assert cli.main(["eval", "--model", data("m1.json"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("input error: bad semifield value")
+
+
 def test_cli_dispatches_to_the_current_handler(monkeypatch):
     """main() calls the cmd_* attribute current when it runs, as the
     benchmark tracer's per-command spans need: it wraps them after import."""
