@@ -28,7 +28,7 @@ _HOME = {name: module for module, names in (
                 "is_direct_derivate", "minimal_relaxation", "relaxation_components",
                 "sign_vector_at", "stratify_interval")),
     ("frontier", ("ButterflyResult", "FrontierPair", "JunctionReport", "JunctionStep",
-                  "regularity_bounds", "sector_member")),
+                  "regularity_bounds")),
     ("isotropy", ("IsotropicApproach", "StabilityReport", "entrance_stratum",
                   "stability_check", "stratify_halfopen")),
 ) for name in names}

@@ -28,85 +28,6 @@ SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butter
 _MISS = object()  # a memo's answer for a key it has not seen
 
 
-def _sign_at(bound: _Bound, x: Ray, signs) -> SignVector:
-    """The sign vector of x, looked up in (and added to) the dict `signs`
-    keyed by the canonical representative when `signs` is given."""
-    if signs is None:
-        return _sign_vector(bound, x)
-    sv = signs.get(x.rep)
-    if sv is None:
-        sv = signs[x.rep] = _sign_vector(bound, x)
-    return sv
-
-
-def _boundary_of(bound: _Bound, t_vec: SignVector, t_prime: SignVector,
-                 y1: Ray, y2: Ray, boundaries):
-    """The derivate boundary of [Y1, Y2] for (T, T') (``strata._boundary``),
-    looked up in (and added to) the dict `boundaries` of that (T, T') when
-    given, None answers included.  The key is the pair of pointed bases, not
-    of rays: the separator's parameter depends on the scale of eps1 and eps2."""
-    if boundaries is None:
-        return _boundary(bound, RayInterval(y1, y2), t_vec, t_prime)
-    key = (y1.base, y2.base)
-    entry = boundaries.get(key, _MISS)
-    if entry is _MISS:
-        entry = boundaries[key] = _boundary(bound, RayInterval(y1, y2), t_vec, t_prime)
-    return entry
-
-
-def entrance_data(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, u: Ray, _signs=None, _boundaries=None,
-                  _bound=None):
-    """Entrance ray of [W, U] into T' plus its interval parameter.
-
-    Requires the trace of [W, U] to be exactly a half-open T piece followed
-    by a closed T' piece (case1), whose separator is the entrance; anything
-    else raises NoEntrance.  `_signs` is a sign vector memo of the (pair,
-    family), as :func:`_sign_at` reads it, `_boundaries` a boundary memo of
-    (T, T') as :func:`_boundary_of` reads it, and `_bound` the family bound
-    to the pair (``csfun._Bound``), bound here when not given.
-    """
-    bound = _Bound(pair, family) if _bound is None else _bound
-    if _sign_at(bound, w, _signs) != t_vec:
-        raise WitnessNotInStratum("W does not satisfy T")
-    if u == w:
-        raise NoEntrance("U is W itself")
-    entry = _boundary_of(bound, t_vec, t_prime, w, u, _boundaries)
-    if entry is None:
-        raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
-    closed, (lam, z) = entry
-    if not closed:
-        raise NoEntrance("boundary case2: T' piece is open at its first ray")
-    return z, lam
-
-
-def sector_member(pair: QuadraticPair, family, t_vec: SignVector,
-                  t_prime: SignVector, w: Ray, z: Ray, _memo=None, _signs=None,
-                  _boundaries=None, _bound=None) -> bool:
-    """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
-
-    `_memo` maps (W.rep, Z.rep) to earlier answers for the same (T, T');
-    `_signs`, `_boundaries` and `_bound` are as in :func:`entrance_data`.
-    """
-    if _memo is not None:
-        key = (w.rep, z.rep)
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-    bound = _Bound(pair, family) if _bound is None else _bound
-    if _sign_at(bound, w, _signs) != t_vec:
-        raise WitnessNotInStratum("W does not satisfy T")
-    result = False
-    if _sign_at(bound, z, _signs) == t_prime:
-        entry = _boundary_of(bound, t_vec, t_prime, w, z, _boundaries)
-        # the T' piece may be a fat parameter interval when the fiber of Z
-        # under pi is; membership asks that its rays all equal Z
-        result = entry is not None and entry[0] and entry[1][1] == z
-    if _memo is not None:
-        _memo[key] = result
-    return result
-
-
 def regularity_bounds(pair: QuadraticPair, anchors, z: Vector, w: Vector,
                       w_prime: Vector):
     """Explicit (c, d) with q(z + mu w + lam w') = q(z) and
@@ -194,16 +115,64 @@ class FrontierPair:
 
     # -- entrances and sectors, sharing the sector, sign and boundary memos -------
 
+    def _sign(self, x: Ray) -> SignVector:
+        """The sign vector of x, memoised by its canonical representative."""
+        sv = self._signs.get(x.rep)
+        if sv is None:
+            sv = self._signs[x.rep] = _sign_vector(self._bound, x)
+        return sv
+
+    def _boundary_of(self, y1: Ray, y2: Ray):
+        """The derivate boundary of [Y1, Y2] for (T, T') (``strata._boundary``),
+        memoised with None answers included.  The key is the pair of pointed
+        bases, not of rays: the separator's parameter depends on the scale of
+        eps1 and eps2."""
+        key = (y1.base, y2.base)
+        entry = self._boundaries.get(key, _MISS)
+        if entry is _MISS:
+            entry = self._boundaries[key] = _boundary(
+                self._bound, RayInterval(y1, y2), self.t, self.t_prime)
+        return entry
+
     def entrance_data(self, w: Ray, u: Ray):
-        return entrance_data(self.pair, self.family, self.t, self.t_prime, w, u,
-                             self._signs, self._boundaries, self._bound)
+        """Entrance ray of [W, U] into T' plus its interval parameter.
+
+        Requires the trace of [W, U] to be exactly a half-open T piece followed
+        by a closed T' piece (case1), whose separator is the entrance; anything
+        else raises NoEntrance.
+        """
+        if self._sign(w) != self.t:
+            raise WitnessNotInStratum("W does not satisfy T")
+        if u == w:
+            raise NoEntrance("U is W itself")
+        entry = self._boundary_of(w, u)
+        if entry is None:
+            raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
+        closed, (lam, z) = entry
+        if not closed:
+            raise NoEntrance("boundary case2: T' piece is open at its first ray")
+        return z, lam
 
     def entrance_ray(self, w: Ray, u: Ray) -> Ray:
         return self.entrance_data(w, u)[0]
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
-        return sector_member(self.pair, self.family, self.t, self.t_prime,
-                             w, z, self._memo, self._signs, self._boundaries, self._bound)
+        """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
+        Answers are memoised, so a one-off test is a fresh pair's."""
+        key = (w.rep, z.rep)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if self._sign(w) != self.t:
+            raise WitnessNotInStratum("W does not satisfy T")
+        result = False
+        if self._sign(z) == self.t_prime:
+            entry = self._boundary_of(w, z)
+            # the T' piece may be a fat parameter interval when the fiber of Z
+            # under pi is; membership asks that its rays all equal Z
+            result = entry is not None and entry[0] and entry[1][1] == z
+        self._memo[key] = result
+        return result
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -228,7 +197,7 @@ class FrontierPair:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         for src in (w, w_prime):
-            if _sign_at(self._bound, src, self._signs) != self.t:
+            if self._sign(src) != self.t:
                 raise WitnessNotInStratum("source rays must lie in T")
         z_ray, _ = self.entrance_data(w, u)
         sigma, tau = ZERO, ZERO
@@ -262,7 +231,7 @@ class FrontierPair:
         # budget exhausted: evaluate the limit candidate of the partial maxima
         z_inf = trace[0].vector + sigma * w.base + tau * w_prime.base
         limit = Ray(z_inf)
-        if (_sign_at(self._bound, limit, self._signs) == self.t_prime
+        if (self._sign(limit) == self.t_prime
                 and self.is_junction(w, w_prime, limit)):
             return JunctionReport("limit_junction", limit, max_iter,
                                   tuple(trace), sigma, tau, False)
@@ -287,9 +256,9 @@ class FrontierPair:
         """
         if w == w_prime:
             raise VerificationFailed("degenerate source pair W = W'")
-        if _sign_at(self._bound, w_prime, self._signs) != self.t:
+        if self._sign(w_prime) != self.t:
             raise WitnessNotInStratum("W' must lie in T")
-        if _sign_at(self._bound, u, self._signs) != self.t_prime:
+        if self._sign(u) != self.t_prime:
             raise WitnessNotInStratum("U must lie in T'")
         anchors = tuple(dict.fromkeys(a for f in self.family for a in f.anchors()))
         for y in anchors:

@@ -3,17 +3,26 @@
 Every run through ``troprays.cli.main`` returns 0 (success), 1 (verification
 failure) or 2 (input error), or the argument parser exits with 2; no other
 exception may escape.  Documents are mostly well formed, so runs reach the
-computations, with one field replaced by junk in some of them.
+computations, with one field replaced by junk in some of them.  On the WALL
+frontier the input errors of ``junction`` and ``butterfly`` are pinned
+exactly: they are the source rays' sign vectors differing, or W = W2.
 """
 
 import contextlib
 import io
 import json
+import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from troprays import cli
+from troprays import cli, serialize
+from troprays.rays import Ray
+from troprays.sampling import Sampler
+from troprays.semifield import TropValue
+from troprays.strata import sign_vector_at
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 
 VALUES = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-inf"])
 COEFFS = st.sampled_from(["0", "1", "-2", "-inf"] * 5 + ["+inf"])
@@ -124,3 +133,51 @@ def test_cli_exit_code_contract(case, tmp_path_factory):
             assert ex.code == 2, (argv, err.getvalue())
             return
     assert code in (0, 1, 2), (argv, code)
+
+
+def wall_rays():
+    """The model and family argv of WALL, and its anisotropic rays: the named
+    ones of the family and six seeded vectors, each with its sign vector."""
+    files = [os.path.join(DATA, name) for name in ("wall.json", "family_wall.json")]
+    pair = serialize.model_from_json(serialize.load_json_file(files[0]))
+    named, family, _ = serialize.family_from_json(serialize.load_json_file(files[1]), pair)
+    sampler = Sampler(5)
+    rays = [*named.values(), *(Ray(sampler.vector(3)) for _ in range(6))]
+    rays = [(r, sign_vector_at(pair, family, r)) for r in rays
+            if not pair.is_isotropic(r.base)]
+    return ["--model", files[0], "--b", files[1]], named, rays
+
+
+WALL_ARGV, WALL_NAMED, WALL_RAYS = wall_rays()
+
+
+@st.composite
+def wall_ray_specs(draw):
+    """(ray, sign vector, --w/--w2/--u text): a named ray by its name, or any
+    ray by the coordinates of a representative shifted by 0, 1 or -2."""
+    ray_, signs = draw(st.sampled_from(WALL_RAYS))
+    names = [n for n, r in WALL_NAMED.items() if r == ray_]
+    if names and draw(st.booleans()):
+        return ray_, signs, names[0]
+    v = TropValue.finite(draw(st.sampled_from([0, 1, -2]))) * ray_.base
+    return ray_, signs, ",".join(str(c) for c in v.coords)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["junction", "butterfly"]),
+       w=wall_ray_specs(), w2=wall_ray_specs(), u=wall_ray_specs())
+def test_frontier_commands_reject_exactly_the_invalid_source_rays(command, w, w2, u):
+    """junction exits 2 exactly when W2's sign vector differs from W's,
+    butterfly exactly when that holds or W = W2; every other run exits 0
+    or 1.  An input error is one "input error:" line on stderr."""
+    argv = [command, *WALL_ARGV, f"--w={w[2]}", f"--w2={w2[2]}", f"--u={u[2]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    invalid = w2[1] != w[1] or (command == "butterfly" and w2[0] == w[0])
+    if invalid:
+        assert code == 2, (argv, code, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: "), (argv, lines)
+    else:
+        assert code in (0, 1), (argv, code, err.getvalue())

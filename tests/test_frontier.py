@@ -10,7 +10,7 @@ from troprays.errors import (
     VerificationFailed,
     WitnessNotInStratum,
 )
-from troprays.frontier import FrontierPair, regularity_bounds, sector_member
+from troprays.frontier import FrontierPair, regularity_bounds
 from troprays.instances import WALL, wall_family, wall_scenario
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval, ray
@@ -373,7 +373,7 @@ def galois_by_definition(fp, query, u_pool, p_pool, dual):
     definition, each evaluated afresh with no memo; an error is returned as
     its type."""
     def member(w, z):
-        return sector_member(fp.pair, fp.family, fp.t, fp.t_prime, w, z)
+        return FrontierPair(fp.pair, fp.family, fp.t, fp.t_prime).sector_member(w, z)
     query = list(query)
     try:
         if any(x not in (p_pool if dual else u_pool) for x in query):
@@ -409,13 +409,13 @@ def galois_queries(u_pool, p_pool, orders=False):
 def counted_sectors(monkeypatch):
     """Sector evaluations made through FrontierPair, memo hits included."""
     calls = []
-    original = frontier.sector_member
+    original = FrontierPair.sector_member
 
-    def counted(*args):
-        calls.append(args[4:6])
-        return original(*args)
+    def counted(self, w, z):
+        calls.append((w, z))
+        return original(self, w, z)
 
-    monkeypatch.setattr(frontier, "sector_member", counted)
+    monkeypatch.setattr(FrontierPair, "sector_member", counted)
     return calls
 
 
@@ -512,7 +512,7 @@ def test_galois_non_member_after_an_emptying_ray_raises_and_fills_nothing():
     fp = fresh_wall_frontier()
     u_pool, p_pool = seeded_wall_pools(fp, 1)
     w, z = next((w, z) for w in u_pool for z in p_pool
-                if not sector_member(fp.pair, fp.family, fp.t, fp.t_prime, w, z))
+                if not FrontierPair(fp.pair, fp.family, fp.t, fp.t_prime).sector_member(w, z))
     outsider = Ray(vec(0, -7, "-inf"))
     for _ in range(2):
         memo = dict(fp._memo)
