@@ -95,7 +95,6 @@ class FrontierPair:
         self.t = t_vec
         self.t_prime = t_prime
         self._bound = _Bound(pair, family)  # numerators per vector, for signs and boundaries
-        self._memo = {}    # sector memo: (W.rep, Z.rep) -> membership
         self._signs = {}   # sign memo: ray.rep -> sign vector, whatever the pointed base
         self._boundaries = {}  # (y1.base, y2.base) -> derivate boundary for (T, T'), or None
         self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
@@ -113,7 +112,7 @@ class FrontierPair:
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return cls(pair, family, t_vec, t_prime)
 
-    # -- entrances and sectors, sharing the sector, sign and boundary memos -------
+    # -- entrances and sectors, read off the sign and boundary memos ---------------
 
     def _sign(self, x: Ray) -> SignVector:
         """The sign vector of x, memoised by its canonical representative."""
@@ -158,21 +157,16 @@ class FrontierPair:
 
     def sector_member(self, w: Ray, z: Ray) -> bool:
         """Z in the sector of W: Z satisfies T' and [W, Z[ lies entirely in T.
-        Answers are memoised, so a one-off test is a fresh pair's."""
-        key = (w.rep, z.rep)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        Read off the sign and boundary memos; the answer depends on the two
+        rays only, whatever their pointed bases."""
         if self._sign(w) != self.t:
             raise WitnessNotInStratum("W does not satisfy T")
-        result = False
-        if self._sign(z) == self.t_prime:
-            entry = self._boundary_of(w, z)
-            # the T' piece may be a fat parameter interval when the fiber of Z
-            # under pi is; membership asks that its rays all equal Z
-            result = entry is not None and entry[0] and entry[1][1] == z
-        self._memo[key] = result
-        return result
+        if self._sign(z) != self.t_prime:
+            return False
+        entry = self._boundary_of(w, z)
+        # the T' piece may be a fat parameter interval when the fiber of Z
+        # under pi is; membership asks that its rays all equal Z
+        return entry is not None and entry[0] and entry[1][1] == z
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""
@@ -292,8 +286,8 @@ class FrontierPair:
         """Rays of P_pool related to all of a U-query (L) or, when `dual`, rays
         of U_pool related to all of a P-query (S), read off the sector relation
         on U_pool x P_pool: one rep -> bitmask dict per pool, a W's row of
-        P_pool indices and a Z's column of U_pool indices, each filled through
-        the sector memo on first use, once every query ray is found in its
+        P_pool indices and a Z's column of U_pool indices, each filled by
+        `sector_member` on first use, once every query ray is found in its
         pool.  Masks are ANDed in query order until none is left, as a
         short-circuiting per-ray test would evaluate them; a result no mask
         cut is the image pool itself."""

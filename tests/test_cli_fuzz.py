@@ -5,7 +5,9 @@ failure) or 2 (input error), or the argument parser exits with 2; no other
 exception may escape.  Documents are mostly well formed, so runs reach the
 computations, with one field replaced by junk in some of them.  On the WALL
 frontier the input errors of ``junction`` and ``butterfly`` are pinned
-exactly: they are the source rays' sign vectors differing, or W = W2.
+exactly: they are the source rays' sign vectors differing, or W = W2.  On
+``data/m3.json`` those of ``isotropy-entry --eta`` are: an approach along
+which q vanishes for every parameter.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from troprays import cli, serialize
+from troprays.quadspace import vec
 from troprays.rays import Ray
 from troprays.sampling import Sampler
 from troprays.semifield import TropValue
@@ -176,6 +179,32 @@ def test_frontier_commands_reject_exactly_the_invalid_source_rays(command, w, w2
         code = cli.main(argv)
     invalid = w2[1] != w[1] or (command == "butterfly" and w2[0] == w[0])
     if invalid:
+        assert code == 2, (argv, code, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: "), (argv, lines)
+    else:
+        assert code in (0, 1), (argv, code, err.getvalue())
+
+
+M3_ARGV = ["isotropy-entry", "--model", os.path.join(DATA, "m3.json"),
+           "--b", os.path.join(DATA, "family_m3.json"), "--from", "Y2", "--to", "Y3",
+           "--eps=0,-inf,-inf"]
+M3_PAIR = serialize.model_from_json(serialize.load_json_file(os.path.join(DATA, "m3.json")))
+ETA_VALUES = st.sampled_from(["-inf", "-2", "0", "1", "3/2"])
+
+
+@settings(max_examples=125)
+@given(eta=st.lists(ETA_VALUES, min_size=3, max_size=3))
+def test_isotropy_entry_rejects_exactly_the_illposed_eta(eta):
+    """isotropy-entry exits 2 exactly when q(eps + t eta) vanishes for every
+    t, that is b(eps, eta) = 0 and q(eta) = 0; every other run exits 0 or 1.
+    An input error is one "input error:" line on stderr."""
+    argv = [*M3_ARGV, f"--eta={','.join(eta)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    v = vec(*eta)
+    if M3_PAIR.eval_b(vec(0, "-inf", "-inf"), v).is_zero() and M3_PAIR.eval_q(v).is_zero():
         assert code == 2, (argv, code, err.getvalue())
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error: "), (argv, lines)

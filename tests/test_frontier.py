@@ -285,6 +285,11 @@ def test_certify_requires_case1(m1, m1_fam):
         FrontierPair.certify(m1, m1_fam, ray(0, 0), ray("-inf", 0))
 
 
+def test_certify_requires_different_strata(m1, m1_fam):
+    with pytest.raises(ValueError, match="the two strata must be different"):
+        FrontierPair.certify(m1, m1_fam, ray(0, -5), ray(0, -6))
+
+
 def galois_pools(frontier):
     w, w_prime, u = wall_scenario()
     z0 = frontier.entrance_ray(w, u)
@@ -508,17 +513,18 @@ def test_galois_empty_query_returns_the_pool_itself():
 def test_galois_non_member_after_an_emptying_ray_raises_and_fills_nothing():
     """The query [W, outsider], where W's row of P_pool is empty: a per-ray
     test would stop at W, but the membership check comes first, so the query
-    raises, whether W's row is known yet or not, and adds no sector answer."""
+    raises, whether W's row is known yet or not, and computes no sign vector
+    and no boundary."""
     fp = fresh_wall_frontier()
     u_pool, p_pool = seeded_wall_pools(fp, 1)
     w, z = next((w, z) for w in u_pool for z in p_pool
                 if not FrontierPair(fp.pair, fp.family, fp.t, fp.t_prime).sector_member(w, z))
     outsider = Ray(vec(0, -7, "-inf"))
     for _ in range(2):
-        memo = dict(fp._memo)
+        signs, boundaries = dict(fp._signs), dict(fp._boundaries)
         with pytest.raises(ValueError, match="U must be a subset of U_pool"):
             fp.galois_L([w, outsider], u_pool, [z])
-        assert fp._memo == memo
+        assert fp._signs == signs and fp._boundaries == boundaries
         assert fp.galois_L([w], u_pool, [z]) == ()
 
 
@@ -550,7 +556,7 @@ def test_entrance_trace_memo_is_keyed_by_pointed_bases():
 
 def test_entrance_and_sector_read_the_trace_separator(monkeypatch):
     """A fresh entrance computation forms one ray, the separator of its
-    memoised boundary, and returns that ray; a sector memo miss on the same
+    memoised boundary, and returns that ray; a sector test on the same
     boundary forms none."""
     formed = []
     pi = RayInterval.pi

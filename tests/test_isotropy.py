@@ -290,6 +290,11 @@ def test_halfopen_no_anisotropic_interior():
         stratify_halfopen(pair, fam, Ray(e1), Ray(e2))
 
 
+def test_halfopen_requires_isotropic_w(m1, m1_fam):
+    with pytest.raises(ValueError, match="W must be isotropic"):
+        stratify_halfopen(m1, m1_fam, ray(0, -5), ray(0, 0))
+
+
 def test_halfopen_interior_all_anisotropic(m3_setup):
     # ]W, W'] lies entirely inside the anisotropic ray space
     pair, fam, y2, y3, e1, e2, e3 = m3_setup
@@ -323,6 +328,49 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
     assert code == 0
     assert "stability over 25 samples: pass" in capsys.readouterr().out
     assert len(calls) == 26
+
+
+def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
+        monkeypatch, capsys, tmp_path):
+    """With CS(Y2,-) scaled by -3 and CS(Y3,-) by -1, the entrance <<= holds
+    at t = 0 only: the check stops at its first failing sample, and the table
+    evaluates each sample the check did not observe, once, for its row."""
+    import json
+    import os
+
+    import troprays.cli as cli
+    import troprays.isotropy as isotropy
+    import troprays.strata as strata
+
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({
+        "rays": {"Y2": ["-inf", "0", "-inf"], "Y3": ["-inf", "-inf", "0"]},
+        "functions": [{"name": "zero", "terms": []},
+                      {"name": "cs_y2", "terms": [{"coeff": "-3", "anchor": "Y2"}]},
+                      {"name": "cs_y3", "terms": [{"coeff": "-1", "anchor": "Y3"}]}]}))
+    argv = ["isotropy-entry", "--model", os.path.join(data, "m3.json"), "--b", str(family),
+            "--from", "Y2", "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0",
+            "--samples", "5"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sign_vector_at(*args)
+
+    monkeypatch.setattr(strata, "sign_vector_at", counted)
+    monkeypatch.setattr(isotropy, "sign_vector_at", counted)
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "entrance sign vector: <<=" in out
+    assert out[-6:] == ["0         <<=        yes",
+                        *(f"{k:<9} <<>        NO" for k in range(-1, -5, -1)),
+                        "stability over 1 samples: FAIL"]
+    assert len(calls) == 6
+    assert cli.main([*argv, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stable"] is False and doc["samples_checked"] == 1
+    assert [s["match"] for s in doc["samples"]] == [True, False, False, False, False]
 
 
 @pytest.mark.parametrize("model, eta, case, count", [
