@@ -3,12 +3,15 @@
 Every run prints a deterministic document: the same model, arguments, and
 seed give byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 input or schema error.  Each handler imports the layer it runs
-when it is called, so a subcommand loads only the modules it uses.
+when it is called, so a subcommand loads only the modules it uses.  The
+parser is built once per process; ``main`` looks the handler up by the
+subcommand name (``cmd_`` + the name with ``-`` as ``_``) each time it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING
 
@@ -299,40 +302,39 @@ def _count(least: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand table, built on the first call and reused: every
+    default is immutable and argparse fills a fresh namespace per parse."""
     parser = _Parser(
         prog="troprays",
         description="exact tropical quadratic-form computations on ray spaces")
     sub = parser.add_subparsers(dest="command", required=True)
     frontier_rays = [(f"--{name}", {"required": True}) for name in ("w", "w2", "u")]
-    # (name, handler, help, reads --b, reads --from/--to, own arguments), built
-    # per call so that handlers are the cmd_* attributes current at build time.
+    # (name, help, reads --b, reads --from/--to, own arguments)
     commands = [
-        ("validate", cmd_validate, "check the companion identity", False, False,
+        ("validate", "check the companion identity", False, False,
          [("--samples", {"type": _count(0), "default": 200})]),
-        ("eval", cmd_eval, "evaluate q, b, CS on vectors", False, False,
+        ("eval", "evaluate q, b, CS on vectors", False, False,
          [("--vec", {"required": True}), ("--vec2", {})]),
-        ("interval-profile", cmd_interval_profile,
-         "CS profile of a witness on an interval", True, True,
+        ("interval-profile", "CS profile of a witness on an interval", True, True,
          [("--witness", {"required": True})]),
-        ("compare", cmd_compare, "sign sequence of two family functions", True, True,
+        ("compare", "sign sequence of two family functions", True, True,
          [("--f", {"type": int, "required": True}),
           ("--g", {"type": int, "required": True})]),
-        ("stratify", cmd_stratify, "strata trace of an interval", True, True, []),
-        ("chart", cmd_chart, "derivation chart of sampled strata", True, False,
+        ("stratify", "strata trace of an interval", True, True, []),
+        ("chart", "derivation chart of sampled strata", True, False,
          [("--dot", {"help": "write DOT to this path"})]),
-        ("junction", cmd_junction, "run the junction process", True, False,
+        ("junction", "run the junction process", True, False,
          frontier_rays + [("--max-iter", {"type": _count(1), "default": 256})]),
-        ("butterfly", cmd_butterfly, "construct and verify a butterfly", True, False,
-         frontier_rays),
-        ("isotropy-entry", cmd_isotropy_entry, "entrance stratum at an isotropic ray",
-         True, True,
+        ("butterfly", "construct and verify a butterfly", True, False, frontier_rays),
+        ("isotropy-entry", "entrance stratum at an isotropic ray", True, True,
          [("--eps", {"required": True}), ("--eta", {"required": True}),
           ("--samples", {"type": _count(0), "default": 25})]),
-        ("oracle", cmd_oracle, "run the sampling cross-check suite", False, False,
+        ("oracle", "run the sampling cross-check suite", False, False,
          [("--samples", {"type": _count(0), "default": 500})]),
     ]
-    for name, handler, help_text, family, interval, own in commands:
+    for name, help_text, family, interval, own in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -344,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--to", required=True, help="interval end ray")
         for flag, options in own:
             p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # read at call time, so that a cmd_* attribute replaced after import runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except TropraysError as ex:
         if ex.input_error:
             print(f"input error: {ex}", file=sys.stderr)

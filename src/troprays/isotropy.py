@@ -40,7 +40,7 @@ from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector, _Frame
 from .rays import Ray, RayInterval
 from .semifield import INF, ONE, TropValue, _value, midpoint, t
-from .strata import SignVector, StrataTrace, _trace, sign_vector_at
+from .strata import SignVector, StrataTrace, _sign_vector, _trace, sign_vector_at
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,10 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
 
     Samples at or above the bound t0 are skipped (at t0 itself only for a
     strict bound).  For the all-t cases (B, C1) every positive sample counts.
-    The check stops at the first violation.
+    The check stops at the first violation.  Every sample is read through
+    one binding of the family (``csfun._Bound``).
     """
-    observed = {}
+    observed, bound = {}, _Bound(pair, family)
     for t_val in sorted(set(t_samples)):
         if t_val.is_zero() or t_val.is_infinite():
             continue
@@ -141,7 +142,7 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
                 continue
             if not approach.strict and t_val > approach.t0:
                 continue
-        sv = sign_vector_at(pair, family, Ray(approach.eps + t_val * approach.eta))
+        sv = _sign_vector(bound, Ray(approach.eps + t_val * approach.eta))
         observed[t_val] = sv
         if sv != approach.entrance:
             return StabilityReport(False, approach.entrance, len(observed),

@@ -255,9 +255,10 @@ def _trace(bound: _Bound, interval: RayInterval,
 
 def _boundary(bound: _Bound, interval: RayInterval, t_vec: SignVector,
               t_prime: SignVector) -> tuple | None:
-    """:func:`derivate_boundary` of the interval's trace, read straight off
-    its runs: the labels are compared with those of T and T', and the one
-    separator is formed only when the runs are exactly T then T'."""
+    """(closed, (lam, Z)) when the interval's trace is one T piece then one T'
+    piece, else None: Z is the T' piece's first ray, which it holds (`closed`,
+    case1) or not (case2).  Read straight off the runs: the one separator is
+    formed only when the run labels are exactly T then T'."""
     _, runs = _runs(bound, interval)
     if len(runs) != 2 or runs[0][4] != str(t_vec) or runs[1][4] != str(t_prime):
         return None
@@ -332,17 +333,6 @@ def minimal_relaxation(t_vec: SignVector, t_prime: SignVector) -> Relaxation | N
         else:
             signs.append("<=" if s == "<" else ">=")
     return Relaxation(t_vec.m, tuple(signs))
-
-
-def derivate_boundary(trace: StrataTrace, t_vec: SignVector,
-                      t_prime: SignVector) -> tuple | None:
-    """(closed, (lam, Z)) for a trace that is one T piece followed by one T'
-    piece, else None: (lam, Z) is the separator at the T' piece's first ray,
-    which that piece holds (`closed`, case1) or not (case2)."""
-    pieces = trace.pieces
-    if len(pieces) == 2 and pieces[0].signs == t_vec and pieces[1].signs == t_prime:
-        return pieces[1].lo_closed, trace.boundaries[1]
-    return None
 
 
 def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,

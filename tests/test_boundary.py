@@ -4,9 +4,10 @@ trace it summarises.
 ``strata._boundary`` decides whether the trace of an interval is one T piece
 followed by one T' piece by comparing the run labels of ``strata._runs``
 with T and T', and forms the one separator only then;
-``strata.derivate_boundary`` reads the same answer off the full trace of
-``strata._trace``.  Both must agree on every interval: the same closure, the
-same parameter and the same separator ray (rep and base), or the same error.
+``boundary_reference.derivate_boundary`` reads the same answer off the full
+trace of ``strata._trace``.  Both must agree on every interval: the same
+closure, the same parameter and the same separator ray (rep and base), or
+the same error.
 Entrances, sectors and the derivation chart read ``_boundary``, so they must
 also run the sign-monotone self-check as every trace does.
 """
@@ -14,6 +15,7 @@ also run the sign-monotone self-check as every trace does.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boundary_reference import derivate_boundary
 from troprays import strata
 from troprays.csfun import _Bound
 from troprays.errors import IsotropicArgument, TropraysError, VerificationFailed
@@ -24,8 +26,8 @@ from troprays.quadspace import Vector, vec
 from troprays.rays import Ray, RayInterval
 from troprays.sampling import Sampler
 from troprays.semifield import INF, ZERO, t
-from troprays.strata import (BasicFunction, _boundary, _sign_vector, _trace, derivate_boundary,
-                             derivation_chart, example_family, sign_vector_at, stratify_interval)
+from troprays.strata import (BasicFunction, _boundary, _sign_vector, _trace, derivation_chart,
+                             example_family, sign_vector_at, stratify_interval)
 
 BASIS = (BasicFunction.cs(Ray(Vector.unit(3, 0))), BasicFunction.cs(Ray(Vector.unit(3, 1))))
 

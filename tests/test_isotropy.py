@@ -13,7 +13,7 @@ from troprays.isotropy import (
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval, ray
 from troprays.semifield import INF, ZERO, t
-from troprays.strata import TracePiece, example_family, sign_vector_at
+from troprays.strata import TracePiece, _sign_vector, example_family, sign_vector_at
 
 
 def units(n=3):
@@ -316,12 +316,12 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
     data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
     calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return sign_vector_at(*args)
+    def counted(bound, x):
+        calls.append(x)
+        return _sign_vector(bound, x)
 
-    monkeypatch.setattr(strata, "sign_vector_at", counted)
-    monkeypatch.setattr(isotropy, "sign_vector_at", counted)
+    monkeypatch.setattr(strata, "_sign_vector", counted)
+    monkeypatch.setattr(isotropy, "_sign_vector", counted)
     code = cli.main(["isotropy-entry", "--model", os.path.join(data, "m3.json"),
                      "--b", os.path.join(data, "family_m3.json"), "--from", "Y2",
                      "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0"])
@@ -354,12 +354,12 @@ def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
             "--samples", "5"]
     calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return sign_vector_at(*args)
+    def counted(bound, x):
+        calls.append(x)
+        return _sign_vector(bound, x)
 
-    monkeypatch.setattr(strata, "sign_vector_at", counted)
-    monkeypatch.setattr(isotropy, "sign_vector_at", counted)
+    monkeypatch.setattr(strata, "_sign_vector", counted)
+    monkeypatch.setattr(isotropy, "_sign_vector", counted)
     assert cli.main(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert "entrance sign vector: <<=" in out

@@ -62,3 +62,14 @@ def test_workload_digests_match_the_recorded_outputs():
         "stratify-sweep 1 0bcbe7e7ab779f49",
         "fw-oracle 1 451c223067656ba0",
     ]
+
+
+def test_cli_docs_digest_matches_the_recorded_output():
+    """One cli-docs round at seed 1, fingerprinted: every README command, text
+    and --json, in-process and in a fresh process, plus the malformed ones,
+    printed the same exit codes, stdout and stderr as when it was recorded."""
+    script = os.path.join(SCRIPTS, "workload_digests.py")
+    run = subprocess.run([sys.executable, script, "cli-docs", "--seeds", "1"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["cli-docs 1 6bc64c4aaf379757"]

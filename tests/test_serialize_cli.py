@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -253,6 +255,75 @@ def test_cli_dispatches_to_the_current_handler(monkeypatch):
     monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.vec) or 7)
     assert cli.main(["eval", "--model", data("m1.json"), "--vec", "0,3"]) == 7
     assert calls == ["0,3"]
+
+
+def invoke(argv):
+    """(exit code, stdout, stderr) of one in-process main() call; an argument
+    error exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as ex:
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def readme_commands(tmp_path):
+    """The README commands on the data/ models, each in text and --json form."""
+    m1 = ("--model", data("m1.json"), "--b", data("family_m1.json"))
+    wall = ("--model", data("wall.json"), "--b", data("family_wall.json"))
+    interval = ("--from", "Y1", "--to", "Y2")
+    commands = [
+        ("validate", "--model", data("m1.json"), "--samples", "200"),
+        ("eval", "--model", data("m1.json"), "--vec", "0,3", "--vec2", "0,-inf"),
+        ("interval-profile", *m1, *interval, "--witness", "0,-inf"),
+        ("compare", *m1, *interval, "--f", "0", "--g", "1"),
+        ("stratify", *m1, *interval),
+        ("chart", *m1, "--dot", str(tmp_path / "chart.dot")),
+        ("junction", *wall, "--w", "W", "--w2", "W2", "--u", "U"),
+        ("butterfly", *wall, "--w", "W", "--w2", "W2", "--u", "U"),
+        ("isotropy-entry", "--model", data("m3.json"), "--b", data("family_m3.json"),
+         "--from", "Y2", "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0"),
+        ("oracle", "--model", data("m1.json"), "--samples", "500", "--seed", "7"),
+    ]
+    return [argv + extra for argv in commands for extra in ((), ("--json",))]
+
+
+def test_cli_builds_its_parser_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_reused_parser_gives_each_command_its_first_result(tmp_path):
+    """Every README command, text and --json, run twice in one process with
+    all the others in between: the second run of each prints what its first
+    did, with the same exit code."""
+    commands = readme_commands(tmp_path)
+    first = [invoke(argv) for argv in commands]
+    second = [invoke(argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0] * len(commands)
+    for argv, a, b in zip(commands, first, second):
+        assert a == b, argv
+
+
+def test_cli_reused_parser_restores_defaults(monkeypatch):
+    """An option given in one call does not carry over to the next: validate
+    after validate --samples 3 reads the default 200 samples."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.samples) or 0)
+    for argv in (["--samples", "3"], []):
+        assert cli.main(["validate", "--model", data("m1.json"), *argv]) == 0
+    assert seen == [3, 200]
+
+
+def test_cli_argument_error_leaves_the_next_call_unchanged():
+    argv = ["junction", "--model", data("wall.json"), "--b", data("family_wall.json"),
+            "--w", "W", "--w2", "W2", "--u", "U"]
+    before = invoke(argv)
+    code, out, err = invoke(argv + ["--max-iter", "0", "--dot", "x"])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("input error: troprays junction: ")
+    assert invoke(argv) == before
 
 
 def test_cli_eval_cs_of_isotropic_vector_is_input_error():
