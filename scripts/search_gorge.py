@@ -16,12 +16,13 @@ unbounded one contradicts the convexity of the source stratum.
 import itertools
 import sys
 
+from troprays.csfun import _Bound
 from troprays.errors import TropraysError
 from troprays.frontier import FrontierPair
 from troprays.quadspace import Vector
 from troprays.rays import Ray
 from troprays.sampling import Sampler
-from troprays.strata import BasicFunction, example_family, sign_vector_at
+from troprays.strata import BasicFunction, _strata_of, example_family
 
 
 def main(seed: int, trials: int) -> int:
@@ -38,14 +39,9 @@ def main(seed: int, trials: int) -> int:
                 family = example_family(pair, y1, y2)
             except TropraysError:
                 continue
-        groups = {}
-        for _ in range(14):
-            x = Ray(sampler.vector(dim, p_zero=0.3))
-            try:
-                sv = sign_vector_at(pair, family, x)
-            except TropraysError:
-                continue
-            groups.setdefault(sv, []).append(x)
+        # q has a finite diagonal, so every ray and anchor is anisotropic
+        groups = _strata_of(_Bound(pair, family),
+                            [Ray(sampler.vector(dim, p_zero=0.3)) for _ in range(14)])
         for t_vec, t_prime in itertools.permutations(groups, 2):
             sources = groups[t_vec]
             targets = groups[t_prime]

@@ -168,13 +168,14 @@ def cmd_chart(args):
 
 
 def _frontier_from_args(args, pair, rays, functions):
+    from .csfun import _Bound
     from .frontier import FrontierPair
-    from .strata import sign_vector_at
+    from .strata import _sign_vector
     w = _resolve_ray(args.w, rays, pair.dim)
     w2 = _resolve_ray(args.w2, rays, pair.dim)
     u = _resolve_ray(args.u, rays, pair.dim)
-    t_vec = sign_vector_at(pair, functions, w)
-    t_prime = sign_vector_at(pair, functions, u)
+    bound = _Bound(pair, functions)
+    t_vec, t_prime = _sign_vector(bound, w), _sign_vector(bound, u)
     return FrontierPair(pair, functions, t_vec, t_prime), w, w2, u
 
 
@@ -225,9 +226,10 @@ def cmd_butterfly(args):
 
 
 def cmd_isotropy_entry(args):
+    from .csfun import _Bound
     from .isotropy import entrance_stratum, stability_check
     from .rays import Ray
-    from .strata import sign_vector_at
+    from .strata import _sign_vector
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     eps = _resolve_vector(args.eps, pair.dim)
@@ -237,11 +239,11 @@ def cmd_isotropy_entry(args):
     approach = entrance_stratum(pair, functions, interval.y1, interval.y2, eps, eta)
     samples = [approach.t_checked * t(-k) for k in range(args.samples)]
     stability = stability_check(pair, functions, approach, samples)
-    rows = []
+    rows, bound = [], _Bound(pair, functions)
     for t_val in samples:
         sv = stability.observed.get(t_val)
         if sv is None:
-            sv = sign_vector_at(pair, functions, Ray(eps + t_val * eta))
+            sv = _sign_vector(bound, Ray(eps + t_val * eta))
         rows.append((str(t_val), str(sv), sv == approach.entrance))
     doc = {
         "case": approach.case,

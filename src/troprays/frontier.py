@@ -11,21 +11,26 @@ exhaustion is reported as "no stop within N", never as a proven gorge.
 
 The pool-restricted operators L and S form a Galois connection, so the
 saturation identities LSL = L and SLS = S hold exactly on pools.
+
+:func:`scenarios` is the one seeded source of random frontier scenarios:
+strata T, T' of a fixed family with two rays of T and one of T'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csfun import _Bound
-from .errors import NoEntrance, NotRegular, VerificationFailed, WitnessNotInStratum
+from .csfun import BasicFunction, _Bound
+from .errors import (NoEntrance, NotRegular, TropraysError, VerificationFailed,
+                     WitnessNotInStratum)
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import SignVector, _boundary, _derivate_case, _sign_vector
+from .strata import SignVector, _boundary, _derivate_case, _sign_vector, _strata_of
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
 _MISS = object()  # a memo's answer for a key it has not seen
+DRY_MODELS = 1000  # models in a row without a scenario before scenarios() gives up
 
 
 def regularity_bounds(pair: QuadraticPair, anchors, z: Vector, w: Vector,
@@ -320,3 +325,31 @@ class FrontierPair:
         if related == full:
             return image
         return tuple([image[i] for i in range(len(image)) if related >> i & 1])
+
+
+def scenarios(sampler):
+    """Seeded frontier scenarios (FrontierPair, W, W', U), endlessly.
+
+    Each model is a balanced dimension-3 model from `sampler`, followed by
+    ten rays (`sampler.vector(3, p_zero=0.3)`), grouped by their sign vectors
+    for the family CS(e1,-), CS(e2,-) through one binding.  A model yields
+    when two rays fall in T = (f0 < f1) and one in T' = (f0 = f1): the first
+    two of T as W, W' (equal rays are possible) and the first of T' as U,
+    with the pair (T, T') uncertified.  After ``DRY_MODELS`` models in a row
+    without a scenario it raises TropraysError.
+    """
+    family = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
+              BasicFunction.cs(Ray(Vector.unit(3, 1))))
+    below, level = SignVector(2, "<"), SignVector(2, "=")
+    dry = 0
+    while dry < DRY_MODELS:
+        pair = sampler.anisotropic_pair(3, balanced=True)
+        groups = _strata_of(_Bound(pair, family),
+                            [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)])
+        sources, targets = groups.get(below, ()), groups.get(level, ())
+        if len(sources) < 2 or not targets:
+            dry += 1
+            continue
+        dry = 0
+        yield FrontierPair(pair, family, below, level), sources[0], sources[1], targets[0]
+    raise TropraysError(f"no frontier scenario in {DRY_MODELS} models in a row")

@@ -188,9 +188,6 @@ class PmFunction:
         s = bisect_left(self.xs, -(-pd // q))
         return _value(self.cs[s] * q + self.ks[s] * pd, d * q)
 
-    def __call__(self, lam: TropValue) -> TropValue:
-        return self.eval(lam)
-
     def reduced_degrees(self) -> tuple:
         return self.normalize().ks
 

@@ -151,6 +151,16 @@ def _sign_vector(bound: _Bound, x: Ray) -> SignVector:
     return SignVector(len(nums), _signs([low if n is None else n for n in nums]))
 
 
+def _strata_of(bound: _Bound, rays) -> dict:
+    """The rays grouped by their sign vectors through a bound family:
+    {sign vector: [rays]}, the vectors and each group's rays in first-seen
+    order."""
+    groups = {}
+    for x in rays:
+        groups.setdefault(_sign_vector(bound, x), []).append(x)
+    return groups
+
+
 @dataclass(frozen=True)
 class TracePiece:
     signs: SignVector
@@ -409,18 +419,11 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
     strict, which is what is_derivate_of tests.
     """
     bound = _Bound(pair, family)
-    groups = {}
-    order = []
-    for x in sample:
-        sv = _sign_vector(bound, x)
-        if sv not in groups:
-            groups[sv] = []
-            order.append(sv)
-        groups[sv].append(x)
+    groups = _strata_of(bound, sample)
     edges = []
     witnesses = []
-    for t_vec in order:
-        for t_prime in order:
+    for t_vec in groups:
+        for t_prime in groups:
             if t_vec == t_prime or not t_prime.is_derivate_of(t_vec):
                 continue
             found = None
@@ -434,4 +437,4 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
             if found:
                 edges.append((t_vec, t_prime))
                 witnesses.append(((t_vec, t_prime), found))
-    return DerivationChart(tuple(order), tuple(edges), tuple(witnesses))
+    return DerivationChart(tuple(groups), tuple(edges), tuple(witnesses))

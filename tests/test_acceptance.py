@@ -20,7 +20,7 @@ import pytest
 from chart_reference import stratum_witnesses
 from troprays.csfun import build_fw
 from troprays.errors import TropraysError
-from troprays.frontier import FrontierPair
+from troprays.frontier import FrontierPair, scenarios
 from troprays.instances import (
     CHART_TARGET_EDGES,
     CHART_TARGET_NODES,
@@ -344,23 +344,8 @@ def test_criterion_9_junction_process():
     rep = fp.junction_process(ray(0, -5), ray(0, -3), ray(0, 0))
     assert rep.outcome == "junction" and rep.ray == ray(0, 0)
 
-    sampler = Sampler(909)
     verified = 0
-    while verified < 100:
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        family = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
-                  BasicFunction.cs(Ray(Vector.unit(3, 1))))
-        rays = [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)]
-        groups = {}
-        for x in rays:
-            groups.setdefault(str(sign_vector_at(pair, family, x)), []).append(x)
-        if len(groups.get("<", [])) < 2 or "=" not in groups:
-            continue
-        t_vec = sign_vector_at(pair, family, groups["<"][0])
-        t_prime = sign_vector_at(pair, family, groups["="][0])
-        frontier = FrontierPair(pair, family, t_vec, t_prime)
-        w, w_prime = groups["<"][:2]
-        u = groups["="][0]
+    for frontier, w, w_prime, u in itertools.islice(scenarios(Sampler(909)), 200):
         try:
             result = frontier.junction_process(w, w_prime, u, max_iter=32)
         except TropraysError:
@@ -383,6 +368,9 @@ def test_criterion_9_junction_process():
         odds = [s.lam for s in result.trace if s.k % 2 == 1]
         assert all(a <= b for a, b in zip(evens, evens[1:]))
         assert all(a <= b for a, b in zip(odds, odds[1:]))
+        if verified == 100:
+            break
+    assert verified == 100
     report(9, "100 junction processes verified: is_junction, stop criterion, "
               "vector identity, and the worked example Z = ray(0,0)")
 
@@ -395,26 +383,14 @@ def test_criterion_10_butterflies():
     frontier = FrontierPair(WALL, fam, t_vec, t_prime)
     butterflies = [frontier.construct_butterfly(w, w_prime, u)]
 
-    sampler = Sampler(1010)
-    while len(butterflies) < 3:
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        family = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
-                  BasicFunction.cs(Ray(Vector.unit(3, 1))))
-        rays = [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)]
-        groups = {}
-        for x in rays:
-            groups.setdefault(str(sign_vector_at(pair, family, x)), []).append(x)
-        if len(groups.get("<", [])) < 2 or "=" not in groups:
-            continue
-        tv = sign_vector_at(pair, family, groups["<"][0])
-        tp = sign_vector_at(pair, family, groups["="][0])
-        fp = FrontierPair(pair, family, tv, tp)
+    for fp, *rays in itertools.islice(scenarios(Sampler(1010)), 50):
         try:
-            bf = fp.construct_butterfly(groups["<"][0], groups["<"][1],
-                                        groups["="][0])
+            butterflies.append((fp, fp.construct_butterfly(*rays)))
         except TropraysError:
             continue
-        butterflies.append((fp, bf))
+        if len(butterflies) == 3:
+            break
+    assert len(butterflies) == 3
     frontiers = [(frontier, butterflies[0])] + butterflies[1:]
 
     probes = 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -10,12 +11,13 @@ from troprays.errors import (
     VerificationFailed,
     WitnessNotInStratum,
 )
-from troprays.frontier import FrontierPair, regularity_bounds
+from troprays.frontier import FrontierPair, regularity_bounds, scenarios
 from troprays.instances import WALL, wall_family, wall_scenario
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval, ray
 from troprays.sampling import Sampler
 from troprays.semifield import ONE, ZERO, t
+from troprays.serialize import model_hash, vector_to_json
 from troprays.strata import BasicFunction, sign_vector_at
 
 
@@ -203,28 +205,63 @@ def test_junction_propagates_no_entrance(m1, m1_fam):
 
 
 def test_junction_random_scenarios_verify():
-    sampler = Sampler(51)
     verified = 0
-    while verified < 25:
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        fam = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
-               BasicFunction.cs(Ray(Vector.unit(3, 1))))
-        rays = [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)]
-        groups = {}
-        for x in rays:
-            groups.setdefault(str(sign_vector_at(pair, fam, x)), []).append(x)
-        if "<" not in groups or "=" not in groups or len(groups["<"]) < 2:
-            continue
-        t_vec = sign_vector_at(pair, fam, groups["<"][0])
-        t_prime = sign_vector_at(pair, fam, groups["="][0])
-        fp = FrontierPair(pair, fam, t_vec, t_prime)
-        w, w_prime = groups["<"][0], groups["<"][1]
-        u = groups["="][0]
+    for fp, w, w_prime, u in itertools.islice(scenarios(Sampler(51)), 50):
         report = fp.junction_process(w, w_prime, u, max_iter=32)
         if report.outcome == "junction":
             verified += 1
             assert fp.is_junction(w, w_prime, report.ray)
             assert report.stop_criterion_held
+        if verified == 25:
+            break
+    assert verified == 25
+
+
+# sha-256 prefixes of the first 20 scenarios and the RNG state after them,
+# recorded from the hand-written loops that ``scenarios`` replaced
+SCENARIO_FINGERPRINTS = {
+    909: "08b17f8886c877c9", 1010: "abfbb7a60c2fbeef", 51: "4d70b47f1d22b950",
+    7: "2d730f694e02d39e", 13: "7ad3564b5a468625", 53: "4289b3ec6e2070d4",
+    113: "7df404b206b2b55d", 12: "ea5dde12d08ee80a",
+}
+
+
+@pytest.mark.parametrize("seed", SCENARIO_FINGERPRINTS)
+def test_scenarios_draw_the_recorded_scenarios(seed):
+    """Each scenario hashes as its model hash, the pointed bases of W, W', U
+    and the strata T, T' (f0 < f1 and f0 = f1)."""
+    sampler = Sampler(seed)
+    digest = hashlib.sha256()
+    for fp, w, w_prime, u in itertools.islice(scenarios(sampler), 20):
+        assert [fp._sign(x) for x in (w, w_prime, u)] == [fp.t, fp.t, fp.t_prime]
+        bases = [vector_to_json(x.base) for x in (w, w_prime, u)]
+        digest.update(repr((model_hash(fp.pair), bases, str(fp.t), str(fp.t_prime))).encode())
+    digest.update(repr(sampler.rng.getstate()).encode())
+    assert digest.hexdigest()[:16] == SCENARIO_FINGERPRINTS[seed]
+
+
+def test_scenarios_give_up_after_the_dry_model_budget():
+    """Ten equal rays make no scenario: once every ray is e3, the generator
+    raises after ``DRY_MODELS`` models, counted from the last scenario (the
+    dry models before it do not count), and draws no more."""
+    class Drying(Sampler):
+        models, dry = 0, False
+
+        def anisotropic_pair(self, dim, balanced=None):
+            self.models += 1
+            return super().anisotropic_pair(dim, balanced)
+
+        def vector(self, dim, p_zero=0.15, nonzero=True):
+            return Vector.unit(dim, 2) if self.dry else super().vector(dim, p_zero, nonzero)
+
+    sampler = Drying(909)
+    drawn = scenarios(sampler)
+    next(drawn)
+    assert sampler.models > 1
+    sampler.dry, sampler.models = True, 0
+    with pytest.raises(TropraysError, match=f"no frontier scenario in {frontier.DRY_MODELS}"):
+        next(drawn)
+    assert sampler.models == frontier.DRY_MODELS == 1000
 
 
 def test_construct_butterfly_wall(wall_frontier):
@@ -580,33 +617,22 @@ def test_entrance_and_sector_read_the_trace_separator(monkeypatch):
 
 def butterfly_candidates(seed, wanted):
     """Seeded inputs that reach the scale loop of the butterfly construction:
-    (frontier, W, W', U, entrance ray Z of [W, U], family anchors) with
-    W != W', U and Z regular, on balanced dimension-3 models with anchors
-    e1, e2."""
-    sampler = Sampler(seed)
-    fam = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
-           BasicFunction.cs(Ray(Vector.unit(3, 1))))
-    anchors = tuple(a for f in fam for a in f.anchors())
+    (frontier, W, W', U, entrance ray Z of [W, U], family anchors) from
+    ``frontier.scenarios`` with W != W', U and Z regular."""
     found = []
-    while len(found) < wanted:
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        groups = {}
-        for _ in range(10):
-            x = Ray(sampler.vector(3, p_zero=0.3))
-            groups.setdefault(str(sign_vector_at(pair, fam, x)), []).append(x)
-        if len(groups.get("<", [])) < 2 or "=" not in groups:
+    for fp, w, w_prime, u in itertools.islice(scenarios(Sampler(seed)), 100):
+        anchors = tuple(a for f in fp.family for a in f.anchors())
+        if w == w_prime or any(fp.pair.eval_b(u.base, y.base).is_zero() for y in anchors):
             continue
-        (w, w_prime), u = groups["<"][:2], groups["="][0]
-        if w == w_prime or any(pair.eval_b(u.base, y.base).is_zero() for y in anchors):
-            continue
-        fp = FrontierPair(pair, fam, sign_vector_at(pair, fam, w),
-                          sign_vector_at(pair, fam, u))
         try:
             z_ray, _ = fp.entrance_data(w, u)
-            regularity_bounds(pair, anchors, z_ray.base, w.base, w_prime.base)
+            regularity_bounds(fp.pair, anchors, z_ray.base, w.base, w_prime.base)
         except TropraysError:
             continue
         found.append((fp, w, w_prime, u, z_ray, anchors))
+        if len(found) == wanted:
+            break
+    assert len(found) == wanted, f"seed {seed}: {len(found)} of {wanted} candidates"
     return found
 
 
@@ -671,34 +697,21 @@ def scan_every_scale(fp, w, w_prime, u):
     raise VerificationFailed("candidate quadruple fails the butterfly test")
 
 
-def butterfly_selection(seed, construct, wanted=3, models=1000):
+def butterfly_selection(seed, construct, wanted=3):
     """The butterflies kept by the `frontier` benchmark set-up at `seed`, and
-    the scenarios it tried: balanced dimension-3 models with anchors e1, e2,
-    10 rays each, kept when `construct` returns a butterfly.  At most `models`
-    models are drawn (seeds 3, 5 and 11 draw 639, 118 and 415)."""
-    sampler = Sampler(seed * 10 + 3)
-    basis = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
-             BasicFunction.cs(Ray(Vector.unit(3, 1))))
+    the scenarios it tried (``frontier.scenarios``), each kept when
+    `construct` returns a butterfly.  At most 100 scenarios are tried (seeds
+    3, 5 and 11 try 49, 9 and 26)."""
     found, tried = [], 0
-    for _ in range(models):
-        if len(found) == wanted:
-            break
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        groups = {}
-        for x in [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)]:
-            groups.setdefault(str(sign_vector_at(pair, basis, x)), []).append(x)
-        if len(groups.get("<", [])) < 2 or "=" not in groups:
-            continue
+    for fp, w, w2, u in itertools.islice(scenarios(Sampler(seed * 10 + 3)), 100):
         tried += 1
-        (w, w2), u = groups["<"][:2], groups["="][0]
-        fp = FrontierPair(pair, basis, sign_vector_at(pair, basis, w),
-                          sign_vector_at(pair, basis, u))
         try:
             found.append(construct(fp, w, w2, u))
         except TropraysError:
-            pass
-    assert len(found) == wanted, (
-        f"seed {seed}: {len(found)} of {wanted} butterflies in {models} models")
+            continue
+        if len(found) == wanted:
+            break
+    assert len(found) == wanted, f"seed {seed}: {len(found)} of {wanted} butterflies"
     return found, tried
 
 

@@ -331,10 +331,11 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
 
 
 def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
-        monkeypatch, capsys, tmp_path):
+        monkeypatch, capsys, tmp_path, gram_calls):
     """With CS(Y2,-) scaled by -3 and CS(Y3,-) by -1, the entrance <<= holds
     at t = 0 only: the check stops at its first failing sample, and the table
-    evaluates each sample the check did not observe, once, for its row."""
+    evaluates each sample the check did not observe, once, for its row,
+    through one binding (a binding per row read 22 q)."""
     import json
     import os
 
@@ -367,6 +368,7 @@ def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
                         *(f"{k:<9} <<>        NO" for k in range(-1, -5, -1)),
                         "stability over 1 samples: FAIL"]
     assert len(calls) == 6
+    assert gram_calls == {"eval_q": 16, "eval_b": 18}
     assert cli.main([*argv, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["stable"] is False and doc["samples_checked"] == 1

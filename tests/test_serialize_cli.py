@@ -235,6 +235,18 @@ def test_cli_eval_evaluates_each_value_once(capsys, gram_calls):
     assert gram_calls == {"eval_q": 1 + 2, "eval_b": 1 + 1}
 
 
+@pytest.mark.parametrize("command, grams", [("junction", {"eval_q": 11, "eval_b": 18}),
+                                            ("butterfly", {"eval_q": 18, "eval_b": 41})])
+def test_cli_frontier_reads_both_strata_through_one_binding(command, grams, capsys,
+                                                            gram_calls):
+    """T at --w and T' at --u are read through one binding of the family; a
+    binding each read 13 q (junction) and 20 q (butterfly)."""
+    assert cli.main([command, "--model", data("wall.json"), "--b", data("family_wall.json"),
+                     "--w", "W", "--w2", "W2", "--u", "U"]) == 0
+    capsys.readouterr()
+    assert gram_calls == grams
+
+
 @pytest.mark.parametrize("argv", [["--vec", ""], ["--vec", "0,3", "--vec2", ""],
                                   ["--vec", "\u0661,2"]],
                          ids=["empty-vec", "empty-vec2", "arabic-indic-digit"])
