@@ -168,15 +168,11 @@ def cmd_chart(args):
 
 
 def _frontier_from_args(args, pair, rays, functions):
-    from .csfun import _Bound
     from .frontier import FrontierPair
-    from .strata import _sign_vector
     w = _resolve_ray(args.w, rays, pair.dim)
     w2 = _resolve_ray(args.w2, rays, pair.dim)
     u = _resolve_ray(args.u, rays, pair.dim)
-    bound = _Bound(pair, functions)
-    t_vec, t_prime = _sign_vector(bound, w), _sign_vector(bound, u)
-    return FrontierPair(pair, functions, t_vec, t_prime), w, w2, u
+    return FrontierPair.of_rays(pair, functions, w, u), w, w2, u
 
 
 def cmd_junction(args):

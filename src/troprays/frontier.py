@@ -13,7 +13,8 @@ The pool-restricted operators L and S form a Galois connection, so the
 saturation identities LSL = L and SLS = S hold exactly on pools.
 
 :func:`scenarios` is the one seeded source of random frontier scenarios:
-strata T, T' of a fixed family with two rays of T and one of T'.
+strata T, T' of a fixed family with two rays of T and one of T', grouped
+through the yielded pair's binding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (NoEntrance, NotRegular, TropraysError, VerificationFailed,
 from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .semifield import ZERO, TropValue
-from .strata import SignVector, _boundary, _derivate_case, _sign_vector, _strata_of
+from .strata import SignVector, _boundary, _sign_vector, _strata_of
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
 _MISS = object()  # a memo's answer for a key it has not seen
@@ -106,16 +107,24 @@ class FrontierPair:
         self._last = None, None  # the pools and masks of the last _galois query
 
     @classmethod
+    def of_rays(cls, pair, family, w: Ray, u: Ray) -> "FrontierPair":
+        """T the stratum of W and T' that of U, read through the pair's binding."""
+        fp = cls(pair, family, None, None)
+        fp.t, fp.t_prime = fp._sign(w), fp._sign(u)
+        return fp
+
+    @classmethod
     def certify(cls, pair, family, w: Ray, w_prime: Ray) -> "FrontierPair":
-        """Build from witness rays, requiring a case1 certificate."""
-        bound = _Bound(pair, family)
-        t_vec, t_prime = _sign_vector(bound, w), _sign_vector(bound, w_prime)
-        if t_vec == t_prime:
+        """Build from witness rays, requiring a case1 certificate, whose
+        boundary of [W, W'] stays memoised for the entrance of W' from W."""
+        fp = cls.of_rays(pair, family, w, w_prime)
+        if fp.t == fp.t_prime:
             raise ValueError("the two strata must be different")
-        case = _derivate_case(bound, t_vec, t_prime, w, w_prime)
-        if case != "case1":
+        entry = fp._boundary_of(w, w_prime)
+        if entry is None or not entry[0]:
+            case = "not_neighbors" if entry is None else "case2"
             raise VerificationFailed(f"witnesses certify {case}, not case1")
-        return cls(pair, family, t_vec, t_prime)
+        return fp
 
     # -- entrances and sectors, read off the sign and boundary memos ---------------
 
@@ -332,24 +341,23 @@ def scenarios(sampler):
 
     Each model is a balanced dimension-3 model from `sampler`, followed by
     ten rays (`sampler.vector(3, p_zero=0.3)`), grouped by their sign vectors
-    for the family CS(e1,-), CS(e2,-) through one binding.  A model yields
-    when two rays fall in T = (f0 < f1) and one in T' = (f0 = f1): the first
-    two of T as W, W' (equal rays are possible) and the first of T' as U,
-    with the pair (T, T') uncertified.  After ``DRY_MODELS`` models in a row
-    without a scenario it raises TropraysError.
+    for the family CS(e1,-), CS(e2,-) through the yielded pair's binding.  A
+    model yields when two rays fall in T = (f0 < f1) and one in T' = (f0 = f1):
+    the first two of T as W, W' (equal rays are possible) and the first of T'
+    as U, with the pair (T, T') uncertified.  After ``DRY_MODELS`` models in
+    a row without a scenario it raises TropraysError.
     """
     family = (BasicFunction.cs(Ray(Vector.unit(3, 0))),
               BasicFunction.cs(Ray(Vector.unit(3, 1))))
     below, level = SignVector(2, "<"), SignVector(2, "=")
     dry = 0
     while dry < DRY_MODELS:
-        pair = sampler.anisotropic_pair(3, balanced=True)
-        groups = _strata_of(_Bound(pair, family),
-                            [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)])
+        fp = FrontierPair(sampler.anisotropic_pair(3, balanced=True), family, below, level)
+        groups = _strata_of(fp._bound, [Ray(sampler.vector(3, p_zero=0.3)) for _ in range(10)])
         sources, targets = groups.get(below, ()), groups.get(level, ())
         if len(sources) < 2 or not targets:
             dry += 1
             continue
         dry = 0
-        yield FrontierPair(pair, family, below, level), sources[0], sources[1], targets[0]
+        yield fp, sources[0], sources[1], targets[0]
     raise TropraysError(f"no frontier scenario in {DRY_MODELS} models in a row")

@@ -360,13 +360,6 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     if _sign_vector(bound, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
-    return _derivate_case(bound, t_vec, t_prime, w, w_prime)
-
-
-def _derivate_case(bound: _Bound, t_vec: SignVector, t_prime: SignVector,
-                   w: Ray, w_prime: Ray) -> str:
-    """:func:`is_direct_derivate` for witnesses whose sign vectors the caller
-    already holds: T at W and T' at W', T != T'."""
     entry = _boundary(bound, RayInterval(w, w_prime), t_vec, t_prime)
     if entry is None:
         return "not_neighbors"
@@ -429,7 +422,8 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
             found = None
             for w in groups[t_vec]:
                 for wp in groups[t_prime]:
-                    if _derivate_case(bound, t_vec, t_prime, w, wp) == "case1":
+                    entry = _boundary(bound, RayInterval(w, wp), t_vec, t_prime)
+                    if entry is not None and entry[0]:
                         found = (w, wp)
                         break
                 if found:

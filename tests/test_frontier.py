@@ -240,6 +240,18 @@ def test_scenarios_draw_the_recorded_scenarios(seed):
     assert digest.hexdigest()[:16] == SCENARIO_FINGERPRINTS[seed]
 
 
+def test_scenarios_yield_pairs_that_read_their_rays_for_free(gram_calls):
+    """The rays are grouped through the yielded pair's binding, so reading the
+    sign vectors of W, W', U again through the pair reads no Gram value; a
+    grouping binding of its own left 1,886 to read over these 160 scenarios,
+    up to 15 in one."""
+    for seed in SCENARIO_FINGERPRINTS:
+        for fp, w, w_prime, u in itertools.islice(scenarios(Sampler(seed)), 20):
+            before = dict(gram_calls)
+            assert [fp._sign(x) for x in (w, w_prime, u)] == [fp.t, fp.t, fp.t_prime]
+            assert gram_calls == before, (seed, fp.pair)
+
+
 def test_scenarios_give_up_after_the_dry_model_budget():
     """Ten equal rays make no scenario: once every ray is e3, the generator
     raises after ``DRY_MODELS`` models, counted from the last scenario (the
@@ -320,6 +332,21 @@ def test_certify_requires_case1(m1, m1_fam):
     assert str(fp.t) == "<" and str(fp.t_prime) == "="
     with pytest.raises(VerificationFailed):
         FrontierPair.certify(m1, m1_fam, ray(0, 0), ray("-inf", 0))
+
+
+def test_certify_keeps_the_boundary_of_its_witnesses(m1, m1_fam, gram_calls):
+    """certify reads T at W, T' at W' and the boundary of [W, W'] through the
+    pair's own binding (4 q + 5 b), and the first entrance of [W, W'] reads
+    that boundary again at no Gram cost; a certificate read on a binding of
+    its own left 4 q + 5 b to read."""
+    w, w_prime = ray(0, -5), ray(0, 0)
+    gram_calls.update(eval_q=0, eval_b=0)
+    fp = FrontierPair.certify(m1, m1_fam, w, w_prime)
+    assert gram_calls == {"eval_q": 4, "eval_b": 5}
+    gram_calls.update(eval_q=0, eval_b=0)
+    z, _ = fp.entrance_data(w, w_prime)
+    assert gram_calls == {"eval_q": 0, "eval_b": 0}
+    assert fp._sign(z) == fp.t_prime
 
 
 def test_certify_requires_different_strata(m1, m1_fam):

@@ -73,3 +73,20 @@ def test_cli_docs_digest_matches_the_recorded_output():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["cli-docs 1 6bc64c4aaf379757"]
+
+
+def test_src_lines_counts_raw_and_code_lines():
+    """The total raw count is the modules' line count, and leaving out
+    docstrings, comments and blank lines counts fewer code lines."""
+    src = os.path.join(os.path.dirname(SCRIPTS), "src", "troprays")
+    run = subprocess.run([sys.executable, os.path.join(SCRIPTS, "src_lines.py")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    name, raw, code = run.stdout.splitlines()[-1].split()
+    lines = 0
+    for module in os.listdir(src):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module), encoding="utf-8") as f:
+                lines += sum(1 for _ in f)
+    assert (name, int(raw)) == ("total", lines)
+    assert 0 < int(code) < int(raw)

@@ -235,12 +235,14 @@ def test_cli_eval_evaluates_each_value_once(capsys, gram_calls):
     assert gram_calls == {"eval_q": 1 + 2, "eval_b": 1 + 1}
 
 
-@pytest.mark.parametrize("command, grams", [("junction", {"eval_q": 11, "eval_b": 18}),
-                                            ("butterfly", {"eval_q": 18, "eval_b": 41})])
+@pytest.mark.parametrize("command, grams", [("junction", {"eval_q": 7, "eval_b": 14}),
+                                            ("butterfly", {"eval_q": 14, "eval_b": 37})])
 def test_cli_frontier_reads_both_strata_through_one_binding(command, grams, capsys,
                                                             gram_calls):
-    """T at --w and T' at --u are read through one binding of the family; a
-    binding each read 13 q (junction) and 20 q (butterfly)."""
+    """T at --w and T' at --u are read through the FrontierPair's own binding,
+    so the command reads what the library's junction and butterfly read
+    (``test_bound_frontier_gram_counts``); a binding of its own read 11 q + 18 b
+    (junction) and 18 q + 41 b (butterfly), one per read 13 q and 20 q."""
     assert cli.main([command, "--model", data("wall.json"), "--b", data("family_wall.json"),
                      "--w", "W", "--w2", "W2", "--u", "U"]) == 0
     capsys.readouterr()
