@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Mutation check of the library's fast paths.
+
+    python3 scripts/mutants.py                 # every mutant
+    python3 scripts/mutants.py --only NAME...  # the named mutants
+
+Each entry of ``MUTANTS`` breaks one kernel on purpose: it names a file of the
+checkout, an exact text that occurs in it once, the text that replaces it, and
+the pytest node ids that must fail on the broken copy.  The script applies one
+mutant at a time to a temporary copy of the checkout, runs only those tests
+there under a CPU-time limit (``CPU_SECONDS``, an rlimit on the child), and
+prints one line per mutant:
+
+- ``killed``: every listed test failed;
+- ``killed (cpu limit)``: the run ran out of CPU time (or of four times as
+  much wall time) before it passed;
+- ``SURVIVED``: some listed test passed, named on the line;
+- ``STALE``: the old text is gone or not unique, so the entry needs updating;
+- ``ERROR``: pytest could not run the listed tests (a node id that does not
+  exist, or a mutant that breaks collection), so the entry needs updating.
+
+The exit status is 0 when every mutant run was killed, 1 otherwise.  A
+survivor is a finding about the tests, not about the list: keep the entry and
+strengthen the tests.  A change that adds a kernel adds its mutants here.
+"""
+
+import argparse
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a mutant that makes a kernel loop forever is stopped, not waited for
+CPU_SECONDS = 120
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                ".benchmarks", "out", "*.egg-info")
+
+SEMIFIELD = "src/troprays/semifield.py"
+QUADSPACE = "src/troprays/quadspace.py"
+SF_TESTS = "tests/test_semifield.py"
+SF_LATTICE = "tests/test_semifield_lattice.py"
+QS_TESTS = "tests/test_quadspace.py"
+VEC_LATTICE = "tests/test_vector_lattice.py"
+
+MUTANTS = [
+    {
+        "name": "value-unreduced",
+        "why": "_value keeps num/den as it is, so equal values get unequal pairs",
+        "file": SEMIFIELD,
+        "old": "    g = gcd(num, den)\n    return TropValue(_KFINITE, num // g, den // g)\n",
+        "new": "    return TropValue(_KFINITE, num, den)\n",
+        "tests": [
+            f"{SF_TESTS}::test_products_and_quotients_come_out_reduced",
+            f"{SF_LATTICE}::test_equal_values_by_different_routes",
+        ],
+    },
+    {
+        "name": "div-adds-exponents",
+        "why": "the finite quotient adds the exponents instead of subtracting them",
+        "file": SEMIFIELD,
+        "old": "return _value(self.num * d - other.num * b, b * d)",
+        "new": "return _value(self.num * d + other.num * b, b * d)",
+        "tests": [
+            f"{SF_TESTS}::test_products_and_quotients_come_out_reduced",
+            f"{SF_LATTICE}::test_binary_operations_and_order",
+        ],
+    },
+    {
+        "name": "vector-unreduced",
+        "why": "_vector keeps a common factor of d and the numerators",
+        "file": QUADSPACE,
+        "old": "        d //= g\n        nums = tuple([None if x is None else x // g for x in nums])\n",
+        "new": "        pass\n",
+        "tests": [
+            f"{QS_TESTS}::test_vector_sum_comes_out_reduced",
+            f"{QS_TESTS}::test_vector_scaling_comes_out_reduced",
+            f"{VEC_LATTICE}::test_add",
+            f"{VEC_LATTICE}::test_scale",
+        ],
+    },
+    {
+        "name": "vector-sum-takes-min",
+        "why": "the one-pass sum keeps the smaller of two finite numerators",
+        "file": QUADSPACE,
+        "old": "y is None or y * sy < x * sx else y * sy",
+        "new": "y is None or y * sy > x * sx else y * sy",
+        "tests": [
+            f"{QS_TESTS}::test_vector_sum_comes_out_reduced",
+            f"{QS_TESTS}::test_validate_passes_on_m1",
+            f"{VEC_LATTICE}::test_add",
+        ],
+    },
+    {
+        "name": "gram-b-skips-dimension-check",
+        "why": "b(x, y) reads vectors of the wrong length without DimensionMismatch",
+        "file": QUADSPACE,
+        "old": "        if len(x.nums) != self.dim or len(y.nums) != self.dim:\n"
+               "            self._check(x, y)\n",
+        "new": "",
+        "tests": [f"{QS_TESTS}::test_dimension_mismatch"],
+    },
+    {
+        "name": "gram-q-skips-dimension-check",
+        "why": "q(x) reads a vector of the wrong length without DimensionMismatch",
+        "file": QUADSPACE,
+        "old": "            if len(x.nums) != self.dim:\n                self._check(x)\n",
+        "new": "",
+        "tests": [f"{QS_TESTS}::test_dimension_mismatch"],
+    },
+]
+
+
+def copy_checkout(dest: str) -> str:
+    tree = os.path.join(dest, "checkout")
+    shutil.copytree(ROOT, tree, ignore=IGNORE)
+    return tree
+
+
+def apply(tree: str, mutant) -> bool:
+    """Replace the mutant's old text in its file; False when it is not there once."""
+    path = os.path.join(tree, mutant["file"])
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(mutant["old"]) != 1:
+        return False
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant["old"], mutant["new"]))
+    return True
+
+
+def run_tests(tree: str, tests):
+    """(returncode, failed node ids) of pytest on `tests` in `tree`; a negative
+    returncode when the run hit its CPU or wall-time limit."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                              *tests], cwd=tree, env=env, capture_output=True, text=True,
+                             preexec_fn=limit, timeout=4 * CPU_SECONDS)
+    except subprocess.TimeoutExpired:
+        return -1, set()
+    return run.returncode, set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
+
+
+def check(mutant) -> tuple:
+    """(killed, line) for one mutant, run on a fresh copy of the checkout."""
+    name = mutant["name"]
+    with tempfile.TemporaryDirectory(prefix="troprays-mutant-") as tmp:
+        tree = copy_checkout(tmp)
+        if not apply(tree, mutant):
+            return False, f"{name}: STALE (old text not found once in {mutant['file']})"
+        code, failed = run_tests(tree, mutant["tests"])
+    if code < 0:
+        return True, f"{name}: killed (cpu limit)"
+    if code not in (0, 1):
+        return False, f"{name}: ERROR (pytest exit status {code})"
+    passed = [t for t in mutant["tests"] if t not in failed]
+    if code == 0 or passed:
+        return False, f"{name}: SURVIVED ({', '.join(passed)} passed)"
+    return True, f"{name}: killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="mutation check of the library's fast paths")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    args = parser.parse_args(argv)
+    names = [m["name"] for m in MUTANTS]
+    unknown = sorted(set(args.only or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not args.only or m["name"] in args.only]
+    survivors = 0
+    for mutant in chosen:
+        killed, line = check(mutant)
+        survivors += not killed
+        print(line, flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

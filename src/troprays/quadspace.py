@@ -18,14 +18,17 @@ coordinate, reduced so that gcd(d, nums) = 1.  Equal vectors thus have equal
 (d, nums), whatever built them, and ``==`` and ``hash`` compare these ints;
 the TropValue view ``coords`` and the hash are built on first use.  Models
 keep their Gram data as numerators over one denominator too.  Every
-operation runs in Python ints over L, the lcm of the denominators involved:
-a sum takes the coordinatewise max of the numerators over L = lcm(d, d'), a
-scaling by t^(p/q) adds p L/q to every numerator over L = lcm(d, q), and q
-and b take their max-plus sums beta_ij + x_i + y_j over the lcm of the
-model's and the vectors' denominators.  This is exact because max-plus
-arithmetic commutes with scaling by a positive integer: L * max(a, b) =
-max(L a, L b) and L * (a + b) = L a + L b, so the scaled maximum divided by
-L is the rational maximum itself.
+operation runs in Python ints over L, the lcm of the denominators involved,
+in one pass with one reduction at the end (``_vector``, no gcd over L = 1):
+a sum scales and takes the coordinatewise max of the numerators over
+L = lcm(d, d') in one loop, a scaling by t^(p/q) adds p L/q to every
+numerator over L = lcm(d, q), and q and b take their max-plus sums
+beta_ij + x_i + y_j over the lcm of the model's and the vectors'
+denominators.  This is exact because max-plus arithmetic commutes with
+scaling by a positive integer: L * max(a, b) = max(L a, L b) and
+L * (a + b) = L a + L b, so the scaled maximum divided by L is the rational
+maximum itself.  ``+`` with an operand that is not a Vector, and ``scale``
+(or ``lam * x``) with a scalar that is not a TropValue, raise TypeError.
 
 The one Gram primitive is an int kernel: ``_q_max`` for q(x) (the max over
 gamma_ij + x_i + x_j, i <= j, off the model's q rows: alpha_i at j = i,
@@ -39,7 +42,8 @@ it hands out per denominator, for as long as the binding lives.  The CS
 layers (csfun, strata, isotropy) read their Gram values off frames only and
 work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
 ``coords`` build TropValues, themselves reduced int pairs, the first two
-through ``QuadraticPair._gram``.
+through ``QuadraticPair._gram``, which compares the vector lengths inline
+(``_check`` runs only on a mismatch) and leaves one value to reduce.
 """
 
 from __future__ import annotations
@@ -97,34 +101,35 @@ class Vector:
         return iter(self.coords)
 
     def __add__(self, other: "Vector") -> "Vector":
-        """The coordinatewise maximum, taken on the numerators over lcm(d, d')."""
+        """The coordinatewise maximum, taken on the numerators over lcm(d, d')
+        in one pass."""
+        if not isinstance(other, Vector):
+            return NotImplemented
         xs, ys = self.nums, other.nums
         if len(xs) != len(ys):
             raise DimensionMismatch("vector dimensions differ")
-        d = self.d
-        if other.d != d:
-            d = lcm(d, other.d)
-            sx, sy = d // self.d, d // other.d
-            xs = [None if x is None else x * sx for x in xs]
-            ys = [None if y is None else y * sy for y in ys]
-        return _vector(d, tuple([y if x is None else x if y is None or y < x else y
+        d = lcm(self.d, other.d)
+        sx, sy = d // self.d, d // other.d
+        return _vector(d, tuple([(y if y is None else y * sy) if x is None
+                                 else x * sx if y is None or y * sy < x * sx else y * sy
                                  for x, y in zip(xs, ys)]))
 
     def scale(self, lam: TropValue) -> "Vector":
         """lam * x; lam must lie in [0, oo[ so no coordinate becomes oo.
 
-        A finite lam = p/q adds p to every numerator over lcm(d, q)."""
+        A finite lam = p/q adds p L/q to every numerator over L = lcm(d, q)."""
+        if not isinstance(lam, TropValue):
+            raise TypeError(f"a vector scales by a TropValue, not {type(lam).__name__}")
         if lam.is_infinite():
             raise ValueError("scalars must lie in [0, oo[")
-        if lam.is_zero():
+        if lam.num is None:
             return _vector(1, (None,) * len(self.nums))
-        p, q = lam.num, lam.den
+        q = lam.den
         d = lcm(self.d, q)
-        s, shift = d // self.d, p * (d // q)
+        s, shift = d // self.d, lam.num * (d // q)
         return _vector(d, tuple([None if x is None else x * s + shift for x in self.nums]))
 
-    def __rmul__(self, lam: TropValue) -> "Vector":
-        return self.scale(lam)
+    __rmul__ = scale
 
     def is_zero(self) -> bool:
         return all(x is None for x in self.nums)
@@ -145,7 +150,10 @@ class Vector:
 
 def _vector(d: int, nums: tuple) -> Vector:
     """The vector with numerators nums over d, reduced to gcd(d, nums) = 1."""
-    g = gcd(d, *[x for x in nums if x is not None])
+    g = d
+    for x in nums:
+        if g > 1 and x is not None:
+            g = gcd(g, x)
     if g > 1:
         d //= g
         nums = tuple([None if x is None else x // g for x in nums])
@@ -225,10 +233,12 @@ class QuadraticPair:
         """
         d, q_rows, rows = self._lat
         if y is None:
-            self._check(x)
+            if len(x.nums) != self.dim:
+                self._check(x)
             den = lcm(d, x.d)
             return _q_max(q_rows, den // d, _on(x, den)), den
-        self._check(x, y)
+        if len(x.nums) != self.dim or len(y.nums) != self.dim:
+            self._check(x, y)
         den = lcm(d, x.d, y.d)
         return _dot(_column(rows, den // d, _on(x, den)), _on(y, den)), den
 

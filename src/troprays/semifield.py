@@ -8,12 +8,16 @@ of the exponents.  Zero and Infinity are explicit variants (``num = None``),
 never extreme rationals; the product 0*oo is undefined and raises
 :class:`~troprays.errors.UndefinedProduct`.
 
-Addition is the tropical maximum, written ``a + b``.  All values are
-immutable and hashable; equal values have equal pairs.  ``exp`` builds the
-exponent as a Fraction on demand.  The layers above compute on integer
-numerators over one denominator (the integer lattice); they convert
-TropValues to it with ``_lattice`` and back with ``_value``.  Input scalars
-enter by one rule, ``value_of``, which admits no float.
+Addition is the tropical maximum, written ``a + b``.  A product or quotient
+of finite values is one step on the int pairs, reduced once at the end by
+``_value`` (which skips the gcd over denominator 1).  A ``*`` or ``/`` whose
+other operand is not a TropValue raises TypeError, as Python does for any
+unsupported operand.  All values are immutable and hashable; equal values
+have equal pairs.  ``exp`` builds the exponent as a Fraction on demand.  The
+layers above compute on integer numerators over one denominator (the
+integer lattice); they convert TropValues to it with ``_lattice`` and back
+with ``_value``.  Input scalars enter by one rule, ``value_of``, which
+admits no float.
 """
 
 from __future__ import annotations
@@ -109,6 +113,12 @@ class TropValue:
         return INF if self.kind == _KZERO else ZERO
 
     def __truediv__(self, other: "TropValue") -> "TropValue":
+        """Exponent subtraction; the sentinels divide as ``self * other.inverse()``."""
+        if not isinstance(other, TropValue):
+            return NotImplemented
+        if self.kind == _KFINITE and other.kind == _KFINITE:
+            b, d = self.den, other.den
+            return _value(self.num * d - other.num * b, b * d)
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "TropValue":
@@ -175,6 +185,8 @@ def _value(num, den: int) -> TropValue:
     """The TropValue of a lattice value num/den, den > 0 (None for the zero)."""
     if num is None:
         return ZERO
+    if den == 1:
+        return TropValue(_KFINITE, num)
     g = gcd(num, den)
     return TropValue(_KFINITE, num // g, den // g)
 
@@ -213,15 +225,6 @@ def value_of(x) -> TropValue:
         raise SchemaError(f"bad semifield value {x!r}: {ex}") from ex
 
 
-def trop_sum(values, start: TropValue = ZERO) -> TropValue:
-    """Tropical sum (maximum) of an iterable of values."""
-    acc = start
-    for v in values:
-        if acc < v:
-            acc = v
-    return acc
-
-
 def midpoint(a: TropValue, b: TropValue) -> TropValue:
     """Some value strictly between a and b (requires a < b).
 
@@ -235,12 +238,3 @@ def midpoint(a: TropValue, b: TropValue) -> TropValue:
     if b.is_infinite():
         return TropValue(_KFINITE, a.num + a.den, a.den)
     return _value(a.num * b.den + b.num * a.den, 2 * a.den * b.den)
-
-
-def compare_sign(a: TropValue, b: TropValue) -> str:
-    """The sign of a relative to b: one of "<", "=", ">"."""
-    if a < b:
-        return "<"
-    if b < a:
-        return ">"
-    return "="

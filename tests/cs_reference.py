@@ -15,7 +15,25 @@ from __future__ import annotations
 from troprays.errors import (IsotropicArgument, IsotropicEndpoint, PerpendicularWitness,
                              VerificationFailed)
 from troprays.pmfunc import PmFunction
-from troprays.semifield import INF, ZERO, TropValue, compare_sign, trop_sum
+from troprays.semifield import INF, ZERO, TropValue
+
+
+def trop_sum(values, start: TropValue = ZERO) -> TropValue:
+    """Tropical sum (maximum) of an iterable of values."""
+    acc = start
+    for v in values:
+        if acc < v:
+            acc = v
+    return acc
+
+
+def compare_sign(a, b) -> str:
+    """The sign of a relative to b: one of "<", "=", ">"."""
+    if a < b:
+        return "<"
+    if b < a:
+        return ">"
+    return "="
 
 
 def cs(pair, x, y, qy=None) -> TropValue:

@@ -13,7 +13,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from troprays.errors import BadSubinterval, DiscontinuousInput, UndefinedProduct
-from troprays.semifield import INF, ZERO, TropValue, compare_sign, midpoint
+from troprays.semifield import INF, ZERO, TropValue, midpoint
+
+
+def compare_sign(a, b) -> str:
+    """The sign of a relative to b: one of "<", "=", ">"."""
+    if a < b:
+        return "<"
+    if b < a:
+        return ">"
+    return "="
+
 
 Segment = tuple  # (coeff: TropValue, degree: int)
 

@@ -191,7 +191,8 @@ def test_criterion_5_crossing_formula():
         assert f.eval(lam) == g.eval(lam)
         # the sign flips strictly across the crossing (domain endpoints may
         # carry their own equality singletons when the degrees share a sign)
-        from troprays.semifield import compare_sign, midpoint
+        from pm_reference import compare_sign
+        from troprays.semifield import midpoint
 
         before = compare_sign(f.eval(midpoint(ZERO, lam)),
                               g.eval(midpoint(ZERO, lam)))

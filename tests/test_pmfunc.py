@@ -278,7 +278,7 @@ def test_compare_trichotomy_covers_domain():
             assert a.sign != b.sign
         for piece in pieces:
             probe = piece.lo if piece.lo_closed else midpoint(piece.lo, piece.hi)
-            from troprays.semifield import compare_sign
+            from pm_reference import compare_sign
 
             assert compare_sign(f.eval(probe), g.eval(probe)) == piece.sign
 

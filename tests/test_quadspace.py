@@ -7,7 +7,16 @@ from troprays.errors import DimensionMismatch, IsotropicArgument, SchemaError, Z
 from troprays.quadspace import QuadraticPair, Vector, validate_pair, vec
 from troprays.rays import ray
 from troprays.sampling import Sampler
-from troprays.semifield import INF, ONE, ZERO, TropValue, t, trop_sum
+from troprays.semifield import INF, ONE, ZERO, TropValue, t
+
+
+def trop_sum(values, start: TropValue = ZERO) -> TropValue:
+    """Tropical sum (maximum) of an iterable of values."""
+    acc = start
+    for v in values:
+        if acc < v:
+            acc = v
+    return acc
 
 
 def test_vector_rejects_infinity():
@@ -29,6 +38,58 @@ def test_eval_b_worked_examples(m1):
     assert m1.eval_b(e1, e1) == t(0)
     assert m1.eval_b(vec(0, "-inf"), vec(0, -5)) == t(0)
 
+
+
+def test_vector_sum_comes_out_reduced():
+    """The one-pass sum reduces once at the end: on one denominator 2 the
+    maxima (2, 4)/2 are the integer vector (1, 2)."""
+    s = vec("1/2", 2) + vec(1, "1/2")
+    assert s == vec(1, 2) and s.d == 1 and hash(s) == hash(vec(1, 2))
+    s = vec("1/2", "-inf") + vec("1/3", "2/3")
+    assert s == vec("1/2", "2/3") and s.d == 6
+    s = vec("1/3", "-inf") + vec("1/2", "-inf")
+    assert s == vec("1/2", "-inf") and s.d == 2
+    assert (vec("-inf", "-inf") + vec("-inf", "-inf")).d == 1
+
+
+def test_vector_scaling_comes_out_reduced():
+    s = vec("1/2", "3/2").scale(t("1/2"))
+    assert s == vec(1, 2) and s.d == 1 and s.nums == (1, 2)
+    assert t("1/2") * vec("1/2", "-inf") == vec(1, "-inf")
+    s = vec("1/2", 1).scale(t(3))
+    assert s == vec("7/2", 4) and s.d == 2
+    s = vec(1, "-inf").scale(t("1/3"))
+    assert s == vec("4/3", "-inf") and s.d == 3
+    assert vec("1/2", 1).scale(ZERO) == vec("-inf", "-inf") and vec("1/2", 1).scale(ZERO).d == 1
+    with pytest.raises(ValueError):
+        vec(1, 2).scale(INF)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: v + 3, lambda v: 3 + v, lambda v: v + t(1), lambda v: v.scale(2),
+    lambda v: 2 * v, lambda v: v.scale(Fraction(1, 2)),
+], ids=["add-int", "radd-int", "add-value", "scale-int", "rmul-int", "scale-fraction"])
+def test_vector_mixed_operands_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call(vec(1, 2))
+
+
+def test_gram_values_on_mixed_denominators(m1):
+    """A model over d = 1 with vectors over d = 2, and the reverse: each value
+    agrees with the semifield reference and comes out reduced."""
+    x, y = vec("1/2", "-inf"), vec("-inf", "3/2")
+    assert m1.eval_q(x) == t(1) and m1.eval_q(x).den == 1
+    assert m1.eval_b(x, y) == t(4) and m1.eval_b(x, y).den == 1
+    assert m1.eval_q(vec("1/2", "1/3")) == t(Fraction(17, 6))
+    half = QuadraticPair.from_rows(["1/2", "1/2"], [["1/2", "3/2"], ["3/2", "1/2"]])
+    assert half.eval_q(vec(0, "-inf")) == t("1/2")
+    assert half.eval_q(vec(0, 0)) == t("3/2")
+    assert half.eval_b(vec(0, "-inf"), vec("-inf", 1)) == t("5/2")
+    assert half.eval_b(vec("1/2", "-inf"), vec("-inf", 1)) == t(3)
+    assert half.eval_b(vec("1/2", "-inf"), vec("-inf", 1)).den == 1
+    for pair, u, v in ((m1, x, y), (m1, vec("1/2", "1/3"), vec(1, 0)),
+                       (half, vec(0, 0), vec("-inf", 1)), (half, vec("1/2", "-inf"), vec(2, "1/2"))):
+        assert_kernel_matches(pair, u, v)
 
 def test_dimension_mismatch(m1):
     with pytest.raises(DimensionMismatch):

@@ -90,3 +90,43 @@ def test_src_lines_counts_raw_and_code_lines():
                 lines += sum(1 for _ in f)
     assert (name, int(raw)) == ("total", lines)
     assert 0 < int(code) < int(raw)
+
+
+def test_mutants_name_an_old_text_that_occurs_once():
+    """Every entry of scripts/mutants.py can still be applied: its name is
+    unique, its old text occurs once in its file, and it lists tests."""
+    mutants = load_script("mutants")
+    names = [m["name"] for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        with open(os.path.join(mutants.ROOT, m["file"]), encoding="utf-8") as f:
+            assert f.read().count(m["old"]) == 1, m["name"]
+        assert m["tests"] and m["old"] != m["new"], m["name"]
+
+
+def test_mutants_kills_one_mutant():
+    """One mutant, applied to a temporary copy and its test run under the
+    CPU-time limit, is killed, and the script exits 0."""
+    run = subprocess.run([sys.executable, os.path.join(SCRIPTS, "mutants.py"),
+                          "--only", "gram-b-skips-dimension-check"],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines() == ["gram-b-skips-dimension-check: killed",
+                                       "1 of 1 mutants killed"]
+
+
+def test_mutants_reports_survivors_and_broken_entries():
+    """A change that no listed test sees survives, an old text that is not in
+    the file is stale, and a test id that does not exist is an error; none
+    counts as killed."""
+    mutants = load_script("mutants")
+    harmless = {"name": "harmless", "file": "src/troprays/semifield.py",
+                "old": "_KINF = 1\n", "new": "_KINF = 1  # unchanged\n",
+                "tests": ["tests/test_quadspace.py::test_dimension_mismatch"]}
+    assert mutants.check(harmless) == (
+        False, "harmless: SURVIVED (tests/test_quadspace.py::test_dimension_mismatch passed)")
+    stale = dict(harmless, name="stale", old="no such text\n")
+    killed, line = mutants.check(stale)
+    assert not killed and line.startswith("stale: STALE")
+    missing = dict(harmless, name="missing", tests=["tests/test_quadspace.py::no_such_test"])
+    assert mutants.check(missing) == (False, "missing: ERROR (pytest exit status 4)")

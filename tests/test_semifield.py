@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from troprays.errors import SchemaError, UndefinedProduct
-from troprays.semifield import INF, ONE, ZERO, TropValue, compare_sign, midpoint, t, value_of
+from troprays.semifield import INF, ONE, ZERO, TropValue, midpoint, t, value_of
 
 
 def finite_values():
@@ -28,6 +28,30 @@ def test_multiplication_examples():
         ZERO * INF
     with pytest.raises(UndefinedProduct):
         INF * ZERO
+
+
+def test_products_and_quotients_come_out_reduced():
+    """`*` and `/` of finite values take one step on the int pairs and reduce
+    once at the end, so equal values keep equal pairs and hashes."""
+    half = t("1/2")
+    assert (half * half).den == 1 and half * half == t(1)
+    assert hash(half * half) == hash(t(1))
+    assert t("3/2") / half == t(1) and (t("3/2") / half).den == 1
+    assert t("1/6") * t("1/3") == t("1/2") and (t("1/6") * t("1/3")).den == 2
+    assert t("1/3") / t("1/6") == t("1/6")
+    assert t(5) / t(7) == t(-2) and (t(5) / t(7)).den == 1
+    assert ZERO / INF == ZERO and INF / ZERO == INF and t(1) / INF == ZERO
+    with pytest.raises(UndefinedProduct, match="0 \\* oo is not defined"):
+        ZERO / ZERO
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t(1) * 2, lambda: 2 * t(1), lambda: t(1) / 2, lambda: 2 / t(1),
+    lambda: t(1) / Fraction(1, 2),
+], ids=["mul", "rmul", "div", "rdiv", "div-fraction"])
+def test_mixed_operands_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_roots():
@@ -68,12 +92,6 @@ def test_midpoint_cases():
     assert t(1) < m < t(2)
     with pytest.raises(ValueError):
         midpoint(t(2), t(2))
-
-
-def test_compare_sign():
-    assert compare_sign(t(1), t(2)) == "<"
-    assert compare_sign(INF, INF) == "="
-    assert compare_sign(t(0), ZERO) == ">"
 
 
 @given(extended_values(), extended_values())

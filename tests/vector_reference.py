@@ -11,7 +11,16 @@ is the reference, not library code.
 from __future__ import annotations
 
 from troprays.errors import DimensionMismatch, ZeroVector
-from troprays.semifield import ONE, ZERO, TropValue, trop_sum
+from troprays.semifield import ONE, ZERO, TropValue
+
+
+def trop_sum(values, start: TropValue = ZERO) -> TropValue:
+    """Tropical sum (maximum) of an iterable of values."""
+    acc = start
+    for v in values:
+        if acc < v:
+            acc = v
+    return acc
 
 
 class Vector:
