@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Mutation check of the library's fast paths.
+"""Mutation check of the library's fast paths and checks.
 
     python3 scripts/mutants.py                 # every mutant
     python3 scripts/mutants.py --only NAME...  # the named mutants
 
-Each entry of ``MUTANTS`` breaks one kernel on purpose: it names a file of the
+Each entry of ``MUTANTS`` breaks one kernel or check on purpose: it names a file of the
 checkout, an exact text that occurs in it once, the text that replaces it, and
 the pytest node ids that must fail on the broken copy.  The script applies one
 mutant at a time to a temporary copy of the checkout, runs only those tests
@@ -45,6 +45,7 @@ SF_TESTS = "tests/test_semifield.py"
 SF_LATTICE = "tests/test_semifield_lattice.py"
 QS_TESTS = "tests/test_quadspace.py"
 VEC_LATTICE = "tests/test_vector_lattice.py"
+RECORDS = "tests/test_records.py"
 
 MUTANTS = [
     {
@@ -110,6 +111,95 @@ MUTANTS = [
         "old": "            if len(x.nums) != self.dim:\n                self._check(x)\n",
         "new": "",
         "tests": [f"{QS_TESTS}::test_dimension_mismatch"],
+    },
+    {
+        "name": "frozen-allows-assignment",
+        "why": "a model's field can be assigned, leaving its lattice form stale",
+        "file": QUADSPACE,
+        "old": '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "new": "        object.__setattr__(self, name, value)\n",
+        "tests": [
+            f"{RECORDS}::test_fields_cannot_be_assigned_or_deleted[QuadraticPair]",
+            f"{RECORDS}::test_fields_cannot_be_assigned_or_deleted[BasicFunction]",
+        ],
+    },
+    {
+        "name": "model-eq-ignores-b",
+        "why": "two models that differ only in b compare equal",
+        "file": QUADSPACE,
+        "old": "        return self._key() == other._key()\n",
+        "new": "        return self._key()[:2] == other._key()[:2]\n",
+        "tests": [f"{RECORDS}::test_model_equality_reads_every_field"],
+    },
+    {
+        "name": "family-admits-oo",
+        "why": "BasicFunction skips its check for an oo coefficient",
+        "file": "src/troprays/csfun.py",
+        "old": "        if any(coeff.is_infinite() for coeff, _ in terms):\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_csfun.py::test_basic_function_rejects_infinite_coefficient"],
+    },
+    {
+        "name": "add-skips-type-test",
+        "why": "t + f with a non-TropValue f reads f.kind: an int raises AttributeError, "
+               "a constant-oo PmFunction comes back as the sum",
+        "file": SEMIFIELD,
+        "old": '(bipotent)."""\n        if not isinstance(other, TropValue):\n'
+               "            return NotImplemented\n",
+        "new": '(bipotent)."""\n',
+        "tests": [
+            f"{SF_TESTS}::test_mixed_operands_raise_type_error[add-int]",
+            f"{SF_TESTS}::test_mixed_operands_raise_type_error[add-pm]",
+        ],
+    },
+    {
+        "name": "hull-keeps-collinear",
+        "why": "the hull builder keeps a line that passes through the crossing of its "
+               "neighbours, so two breakpoints coincide",
+        "file": "src/troprays/pmfunc.py",
+        "old": "if (c0 - c) * (k1 - k0) > (c0 - c1) * (k - k0):",
+        "new": "if (c0 - c) * (k1 - k0) >= (c0 - c1) * (k - k0):",
+        "tests": [
+            "tests/test_pm_lattice.py::test_canonical_form_across_routes",
+            "tests/test_csfun.py::test_q_profile_boundary_case",
+            "tests/test_isotropy.py::test_entrance_case_a_bound",
+        ],
+    },
+    {
+        "name": "numerator-b-for-2b",
+        "why": "the term rule reads b(v, w) for 2 b(v, w), so CS loses its square",
+        "file": "src/troprays/csfun.py",
+        "old": "                        b = 2 * b + c\n",
+        "new": "                        b = b + c\n",
+        "tests": [
+            "tests/test_cs_lattice.py::test_zero_coefficients",
+            "tests/test_cs_lattice.py::test_repeated_anchors",
+            "tests/test_frame.py::test_anchor_equal_to_an_end_shares_its_gram_value",
+        ],
+    },
+    {
+        "name": "c2a-non-strict",
+        "why": "the isotropic entrance reads CS(eps2, eps3) = e as case C2a",
+        "file": "src/troprays/isotropy.py",
+        "old": "2 * a23 > a2 + a3",
+        "new": "2 * a23 >= a2 + a3",
+        "tests": [
+            "tests/test_isotropy.py::test_entrance_m3_case_c2b",
+            "tests/test_isotropy.py::test_entrance_gram_count[C2b]",
+            "tests/test_serialize_cli.py::test_cli_isotropy_entry",
+        ],
+    },
+    {
+        "name": "derivate-reversed",
+        "why": "SignVector.is_derivate_of tests the reverse weakening, '=' to a strict sign",
+        "file": "src/troprays/strata.py",
+        "old": '(s == "=" and b in "<>")',
+        "new": '(b == "=" and s in "<>")',
+        "tests": [
+            "tests/test_strata.py::test_minimal_relaxation",
+            "tests/test_strata.py::test_chart_m1_chain",
+            "tests/test_strata.py::test_derivate_path_property",
+        ],
     },
 ]
 

@@ -57,12 +57,12 @@ of the denominator envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
 from .pmfunc import _ZERO_FN, PmFunction, _hull
-from .quadspace import QuadraticPair, Vector, _Frame
+from .quadspace import QuadraticPair, Vector, _Frame, _Frozen
 from .rays import Ray, RayInterval
 from .semifield import _KFINITE, INF, ONE, ZERO, TropValue, _value
 
@@ -80,18 +80,19 @@ def q_segment_profile(pair: QuadraticPair, interval: RayInterval) -> PmFunction:
     return _hull([(a1, den, 0), (a12, den, 1), (a2, den, 2)])
 
 
-@dataclass(frozen=True)
-class BasicFunction:
+class BasicFunction(_Frozen):
     """f = sum_j coeff_j * CS(anchor_j, -); the empty sum is the zero function.
 
     Coefficients lie in [0, oo[: an oo coefficient raises InfiniteCoefficient.
+    Immutable, like a model (:class:`~troprays.quadspace._Frozen`).
     """
 
-    terms: tuple  # of (coeff: TropValue, anchor: Ray)
+    __slots__ = _fields = ("terms",)  # of (coeff: TropValue, anchor: Ray)
 
-    def __post_init__(self):
-        if any(coeff.is_infinite() for coeff, _ in self.terms):
+    def __init__(self, terms: tuple):
+        if any(coeff.is_infinite() for coeff, _ in terms):
             raise InfiniteCoefficient("basic function coefficients must lie in [0, oo[")
+        self._set(terms)
 
     @classmethod
     def cs(cls, anchor: Ray, coeff: TropValue = ONE) -> "BasicFunction":
@@ -251,8 +252,7 @@ def _row_pm(row: tuple, den: int, inv_q: PmFunction | None) -> PmFunction:
     return _hull([(row[0], den, 0), (row[1], den, 2)]).mul(inv_q)
 
 
-@dataclass(frozen=True)
-class IntervalCsProfile:
+class IntervalCsProfile(NamedTuple):
     """f_w on an interval together with its constancy regions."""
 
     interval: RayInterval

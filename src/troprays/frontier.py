@@ -19,7 +19,7 @@ through the yielded pair's binding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .csfun import BasicFunction, _Bound
 from .errors import (NoEntrance, NotRegular, TropraysError, VerificationFailed,
@@ -62,16 +62,14 @@ def regularity_bounds(pair: QuadraticPair, anchors, z: Vector, w: Vector,
     return direction_bound(w_prime), direction_bound(w)
 
 
-@dataclass(frozen=True)
-class JunctionStep:
+class JunctionStep(NamedTuple):
     k: int
     lam: TropValue          # step scalar lambda_k (lambda_0 = 0 formally)
     ray: Ray                # Z_k
     vector: Vector          # z_k = z_0 + (even maxima) w + (odd maxima) w'
 
 
-@dataclass(frozen=True)
-class JunctionReport:
+class JunctionReport(NamedTuple):
     outcome: str            # "junction" | "gorge" | "limit_junction"
     ray: Ray | None
     steps: int
@@ -81,8 +79,7 @@ class JunctionReport:
     stop_criterion_held: bool
 
 
-@dataclass(frozen=True)
-class ButterflyResult:
+class ButterflyResult(NamedTuple):
     w: Ray
     w1: Ray
     z: Ray

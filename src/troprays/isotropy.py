@@ -32,7 +32,7 @@ rows hulled and multiplied by 1 / q(eps2 + t eps3) with the rules of f_w
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .csfun import _Bound, _inverse_q, _row_pm
 from .errors import IllposedApproach, IsotropicArgument, NoAnisotropicInterior, VerificationFailed
@@ -43,8 +43,7 @@ from .semifield import INF, ONE, TropValue, _value, midpoint, t
 from .strata import SignVector, StrataTrace, _sign_vector, _trace, sign_vector_at
 
 
-@dataclass(frozen=True)
-class IsotropicApproach:
+class IsotropicApproach(NamedTuple):
     """Classified entrance of ray(eps + t*eta) for small t."""
 
     eps: Vector
@@ -115,8 +114,7 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
                              entrance, t_checked, profile)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     ok: bool
     expected: SignVector
     samples_checked: int

@@ -46,8 +46,8 @@ normal.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import BadSubinterval, DiscontinuousInput, UndefinedProduct
 from .semifield import _KFINITE, _KINF, _KZERO, INF, ZERO, TropValue, _lattice, _value
@@ -425,8 +425,7 @@ _ZERO_FN = _constant(_KZERO)
 _INF_FN = _constant(_KINF)
 
 
-@dataclass(frozen=True)
-class SignPiece:
+class SignPiece(NamedTuple):
     """One maximal run of constant sign inside a comparison of two functions."""
 
     lo: TropValue

@@ -11,6 +11,9 @@ holds on basis pairs by construction; it holds for all vectors exactly when
 every diagonal entry satisfies beta_ii <= alpha_i.  The JSON loader rejects
 data violating that bound; :func:`validate_pair` reports violations on
 in-memory models.  Models with beta_ii = alpha_i for all i are *balanced*.
+A model is immutable: ``QuadraticPair`` checks its Gram data and computes
+its lattice form once, in ``__init__``, and assigning a field raises
+AttributeError, since a changed field would leave that form stale.
 
 The integer lattice.  A vector is stored only as (d, nums): nums[k] is d
 times the exponent of coordinate k, an int, or None for the zero
@@ -48,8 +51,8 @@ through ``QuadraticPair._gram``, which compares the vector lengths inline
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
 from .semifield import ZERO, TropValue, _lattice, _value, value_of
@@ -167,43 +170,80 @@ def vec(*items) -> Vector:
     return Vector.parse(items)
 
 
-@dataclass(frozen=True)
-class QuadraticPair:
-    """Gram data for a quadratic form q with bilinear companion b."""
+class _Frozen:
+    """An immutable record that validates its arguments: ``__init__`` checks
+    them and sets the slots once through ``_set``; ``==``, ``hash`` and
+    ``repr`` read the fields named in ``_fields``, assignment and deletion
+    raise AttributeError, and a copy or pickle rebuilds through ``__init__``."""
 
-    dim: int
-    q_diag: tuple
-    b: tuple
+    __slots__ = ()
+    _fields = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+class QuadraticPair(_Frozen):
+    """Gram data for a quadratic form q with bilinear companion b; immutable,
+    so that its lattice form ``_lat`` never goes stale."""
+
+    __slots__ = ("dim", "q_diag", "b", "_lat")
+    _fields = ("dim", "q_diag", "b")
+
+    def __init__(self, dim: int, q_diag: tuple, b: tuple):
+        if dim < 1:
             raise SchemaError("dimension must be >= 1")
-        if len(self.q_diag) != self.dim or len(self.b) != self.dim:
+        if len(q_diag) != dim or len(b) != dim:
             raise SchemaError("Gram data sizes do not match the dimension")
-        for row in self.b:
-            if len(row) != self.dim:
+        for row in b:
+            if len(row) != dim:
                 raise SchemaError("companion matrix is not square")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.b[i][j] != self.b[j][i]:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if b[i][j] != b[j][i]:
                     raise SchemaError("companion matrix must be symmetric")
-        for v in self.q_diag:
+        for v in q_diag:
             if v.is_infinite():
                 raise SchemaError("q values must lie in [0, oo[")
-        for row in self.b:
+        for row in b:
             for v in row:
                 if v.is_infinite():
                     raise SchemaError("b values must lie in [0, oo[")
         # integer-lattice Gram data: one denominator d for every entry, each
         # row of the q coefficients (alpha_i at j = i, beta_ij at j > i) and
         # each companion row as its nonzero entries (j, numerator over d)
-        n = self.dim
-        d, nums = _lattice([*self.q_diag, *(v for row in self.b for v in row)])
-        rows = tuple(tuple((j, b) for j, b in enumerate(nums[n * (i + 1):n * (i + 2)])
-                           if b is not None) for i in range(n))
+        n = dim
+        d, nums = _lattice([*q_diag, *(v for row in b for v in row)])
+        rows = tuple(tuple((j, v) for j, v in enumerate(nums[n * (i + 1):n * (i + 2)])
+                           if v is not None) for i in range(n))
         q_rows = tuple(tuple(([] if nums[i] is None else [(i, nums[i])])
-                             + [(j, b) for j, b in rows[i] if j > i]) for i in range(n))
-        object.__setattr__(self, "_lat", (d, q_rows, rows))
+                             + [(j, v) for j, v in rows[i] if j > i]) for i in range(n))
+        self._set(dim, q_diag, b, (d, q_rows, rows))
 
     @classmethod
     def from_rows(cls, q_diag, b_rows) -> "QuadraticPair":
@@ -379,12 +419,11 @@ class _Frame:
         return _dot(col, ys)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     balanced: bool
     pairs_checked: int
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 def validate_pair(pair: QuadraticPair, samples: int = 0, rng=None) -> ValidationReport:

@@ -10,14 +10,14 @@ never extreme rationals; the product 0*oo is undefined and raises
 
 Addition is the tropical maximum, written ``a + b``.  A product or quotient
 of finite values is one step on the int pairs, reduced once at the end by
-``_value`` (which skips the gcd over denominator 1).  A ``*`` or ``/`` whose
-other operand is not a TropValue raises TypeError, as Python does for any
-unsupported operand.  All values are immutable and hashable; equal values
-have equal pairs.  ``exp`` builds the exponent as a Fraction on demand.  The
-layers above compute on integer numerators over one denominator (the
-integer lattice); they convert TropValues to it with ``_lattice`` and back
-with ``_value``.  Input scalars enter by one rule, ``value_of``, which
-admits no float.
+``_value`` (which skips the gcd over denominator 1).  A ``+``, ``*``, ``/``,
+``<`` or ``<=`` whose other operand is not a TropValue raises TypeError, as
+Python does for any unsupported operand.  All values are immutable and
+hashable; equal values have equal pairs.  ``exp`` builds the exponent as a
+Fraction on demand.  The layers above compute on integer numerators over one
+denominator (the integer lattice); they convert TropValues to it with
+``_lattice`` and back with ``_value``.  Input scalars enter by one rule,
+``value_of``, which admits no float.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ class TropValue:
 
     def __add__(self, other: "TropValue") -> "TropValue":
         """Tropical addition: the maximum of the two values (bipotent)."""
+        if not isinstance(other, TropValue):
+            return NotImplemented
         if self.kind != other.kind:
             return self if self.kind > other.kind else other
         if self.kind == _KFINITE and self.num * other.den < other.num * self.den:
@@ -150,12 +152,16 @@ class TropValue:
         return self.kind == other.kind and self.num == other.num and self.den == other.den
 
     def __lt__(self, other: "TropValue") -> bool:
+        if not isinstance(other, TropValue):
+            return NotImplemented
         if self.kind != other.kind:
             return self.kind < other.kind
         return self.kind == _KFINITE and self.num * other.den < other.num * self.den
 
     # a > b and a >= b are the reflected b < a and b <= a
     def __le__(self, other: "TropValue") -> bool:
+        if not isinstance(other, TropValue):
+            return NotImplemented
         return self == other or self < other
 
     def __hash__(self):

@@ -35,7 +35,7 @@ isotropic raises IsotropicArgument (the proof is in ``_runs``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .csfun import _ZERO_ROW, BasicFunction, _Bound
 from .errors import (IsotropicArgument, NotStrictPair, VerificationFailed,
@@ -110,8 +110,7 @@ class SignVector:
                    for s, b in zip(self.signs, base.signs))
 
 
-@dataclass(frozen=True)
-class Relaxation:
+class Relaxation(NamedTuple):
     """A sign vector with some strict signs weakened to '<=', '>='."""
 
     m: int
@@ -161,8 +160,7 @@ def _strata_of(bound: _Bound, rays) -> dict:
     return groups
 
 
-@dataclass(frozen=True)
-class TracePiece:
+class TracePiece(NamedTuple):
     signs: SignVector
     lo: TropValue
     lo_closed: bool
@@ -190,8 +188,7 @@ class TracePiece:
         return f"{lb}{self.lo}, {self.hi}{rb} {self.signs}"
 
 
-@dataclass(frozen=True)
-class StrataTrace:
+class StrataTrace(NamedTuple):
     """Ordered strata pieces covering a parameter range, with separator rays.
 
     boundaries[i] is the (parameter, ray) pair bounding piece i on the left;
@@ -366,8 +363,7 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
     return "case1" if entry[0] else "case2"
 
 
-@dataclass(frozen=True)
-class DerivationChart:
+class DerivationChart(NamedTuple):
     """Directed graph of certified direct derivations among sampled strata."""
 
     nodes: tuple  # of SignVector, in first-seen order

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from troprays.csfun import BasicFunction
@@ -179,7 +177,7 @@ def test_stability_detects_change_across_threshold(m3_setup):
     # forcing a sample beyond the bound into a fake approach shows the change
     beyond = sign_vector_at(pair, fam, Ray(e1 + t(2) * e3))
     assert beyond != approach.entrance
-    unbounded = dataclasses.replace(approach, t0=INF, strict=False)
+    unbounded = approach._replace(t0=INF, strict=False)
     report = stability_check(pair, fam, unbounded, inside + [t(2), t(5)])
     assert not report.ok
     assert report.first_violation == (t(2), beyond)

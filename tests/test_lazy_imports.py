@@ -13,28 +13,46 @@ import troprays
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def loaded_after(code: str) -> set:
-    """The troprays modules in sys.modules after `code` runs in a fresh
-    interpreter started at the root of the checkout."""
+CLI_EVAL = ("from troprays import cli\n"
+            "code = cli.main(['eval', '--model', 'data/m1.json', '--vec', '0,3',"
+            " '--vec2', '0,-inf'])\n"
+            "assert code == 0, code")
+EVERY_LAYER = ("import troprays.frontier, troprays.isotropy, troprays.oracle, "
+               "troprays.instances, troprays.serialize")
+# the standard library's code-introspection modules, which dataclasses loads
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def modules_after(code: str) -> set:
+    """The names in sys.modules after `code` runs in a fresh interpreter
+    started at the root of the checkout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    probe = (f"import sys\n{code}\n"
-             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'troprays'))")
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=env, cwd=REPO)
     assert res.returncode == 0, res.stderr
     return set(res.stdout.splitlines()[-1].split())
 
 
+def loaded_after(code: str) -> set:
+    """The troprays modules in sys.modules after `code` runs."""
+    return {m for m in modules_after(code) if m.split(".")[0] == "troprays"}
+
+
 def test_eval_loads_no_layer_it_does_not_run():
     """No pmfunc, rays, csfun, strata, frontier, isotropy, oracle, sampling
     or instances: eval runs none of them."""
-    loaded = loaded_after(
-        "from troprays import cli\n"
-        "code = cli.main(['eval', '--model', 'data/m1.json', '--vec', '0,3',"
-        " '--vec2', '0,-inf'])\n"
-        "assert code == 0, code")
-    assert loaded == {"troprays", "troprays.cli", "troprays.errors",
-                      "troprays.semifield", "troprays.quadspace", "troprays.serialize"}
+    assert loaded_after(CLI_EVAL) == {
+        "troprays", "troprays.cli", "troprays.errors", "troprays.semifield",
+        "troprays.quadspace", "troprays.serialize"}
+
+
+@pytest.mark.parametrize("code", [CLI_EVAL, EVERY_LAYER], ids=["cli-eval", "every-layer"])
+def test_records_load_no_introspection_module(code):
+    """The records are NamedTuples and slotted classes, so neither the CLI nor
+    any layer loads dataclasses or what it imports.  The baseline is what a
+    bare interpreter loads here (a site hook may load some of them)."""
+    assert (modules_after(code) - modules_after("pass")) & INTROSPECTION == set()
 
 
 def test_bare_import_loads_no_layer():

@@ -50,11 +50,11 @@ def outcome(call):
 def render(result):
     if isinstance(result, (PmFunction, ref.PmFunction)):
         return ("pm", result.breakpoints, result.segments, str(result), repr(result))
-    if isinstance(result, (tuple, list)):
-        return tuple(render(r) for r in result)
-    if type(result).__name__ == "SignPiece":
+    if type(result).__name__ == "SignPiece":  # a NamedTuple: before the tuples
         return ("piece", result.lo, result.lo_closed, result.hi, result.hi_closed,
                 result.sign, str(result))
+    if isinstance(result, (tuple, list)):
+        return tuple(render(r) for r in result)
     return (result, str(result))
 
 

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from troprays.errors import SchemaError, UndefinedProduct
+from troprays.pmfunc import PmFunction
 from troprays.semifield import INF, ONE, ZERO, TropValue, midpoint, t, value_of
+
+
+OO_FN = PmFunction.constant(INF)  # has a `kind`, as a TropValue has
 
 
 def finite_values():
@@ -48,7 +52,12 @@ def test_products_and_quotients_come_out_reduced():
 @pytest.mark.parametrize("call", [
     lambda: t(1) * 2, lambda: 2 * t(1), lambda: t(1) / 2, lambda: 2 / t(1),
     lambda: t(1) / Fraction(1, 2),
-], ids=["mul", "rmul", "div", "rdiv", "div-fraction"])
+    lambda: t(1) + 2, lambda: 2 + t(1), lambda: t(1) < 2, lambda: t(1) <= 2,
+    lambda: t(1) > 2, lambda: t(1) >= 2,
+    lambda: t(1) + OO_FN, lambda: t(1) < OO_FN, lambda: t(1) <= OO_FN,
+], ids=["mul", "rmul", "div", "rdiv", "div-fraction",
+        "add-int", "radd-int", "lt-int", "le-int", "gt-int", "ge-int",
+        "add-pm", "lt-pm", "le-pm"])
 def test_mixed_operands_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
