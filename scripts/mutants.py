@@ -46,6 +46,9 @@ SF_LATTICE = "tests/test_semifield_lattice.py"
 QS_TESTS = "tests/test_quadspace.py"
 VEC_LATTICE = "tests/test_vector_lattice.py"
 RECORDS = "tests/test_records.py"
+STRATA = "src/troprays/strata.py"
+ISOTROPY = "src/troprays/isotropy.py"
+ISO_TESTS = "tests/test_isotropy.py"
 
 MUTANTS = [
     {
@@ -180,7 +183,7 @@ MUTANTS = [
     {
         "name": "c2a-non-strict",
         "why": "the isotropic entrance reads CS(eps2, eps3) = e as case C2a",
-        "file": "src/troprays/isotropy.py",
+        "file": ISOTROPY,
         "old": "2 * a23 > a2 + a3",
         "new": "2 * a23 >= a2 + a3",
         "tests": [
@@ -192,13 +195,63 @@ MUTANTS = [
     {
         "name": "derivate-reversed",
         "why": "SignVector.is_derivate_of tests the reverse weakening, '=' to a strict sign",
-        "file": "src/troprays/strata.py",
+        "file": STRATA,
         "old": '(s == "=" and b in "<>")',
         "new": '(b == "=" and s in "<>")',
         "tests": [
             "tests/test_strata.py::test_minimal_relaxation",
             "tests/test_strata.py::test_chart_m1_chain",
             "tests/test_strata.py::test_derivate_path_property",
+        ],
+    },
+    {
+        "name": "boundary-reads-t-for-t-prime",
+        "why": "_boundary checks the T' run against T, so a T then T' trace forms no separator",
+        "file": STRATA,
+        "old": "runs[1][4] != t_prime.signs",
+        "new": "runs[1][4] != t_vec.signs",
+        "tests": [
+            "tests/test_boundary.py::test_boundary_matches_the_trace_on_every_kind_of_trace",
+            "tests/test_frontier.py::test_entrance_worked",
+            "tests/test_strata.py::test_chart_m1_chain",
+        ],
+    },
+    {
+        "name": "stability-last-violation",
+        "why": "stability_check reports the last violating sample instead of the first",
+        "file": ISOTROPY,
+        "old": "for checked, (t_val, sv) in enumerate(observed.items(), 1):",
+        "new": "for checked, (t_val, sv) in reversed(list(enumerate(observed.items(), 1))):",
+        "tests": [
+            f"{ISO_TESTS}::test_stability_detects_change_across_threshold",
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[scaled-cli]",
+            f"{ISO_TESTS}::test_isotropy_entry_rows_are_the_failing_checks_readings",
+        ],
+    },
+    {
+        "name": "stability-counts-every-sample",
+        "why": "a failing stability_check counts every in-bound sample, not those up to "
+               "the first violation",
+        "file": ISOTROPY,
+        "old": "return StabilityReport(False, approach.entrance, checked,",
+        "new": "return StabilityReport(False, approach.entrance, len(observed),",
+        "tests": [
+            f"{ISO_TESTS}::test_stability_detects_change_across_threshold",
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[scaled-cli]",
+            f"{ISO_TESTS}::test_isotropy_entry_rows_are_the_failing_checks_readings",
+        ],
+    },
+    {
+        "name": "stability-reads-strict-t0",
+        "why": "under a strict bound stability_check reads the sample at t0, which lies "
+               "outside the entrance stratum",
+        "file": ISOTROPY,
+        "old": "if approach.strict and t_val >= approach.t0:",
+        "new": "if approach.strict and t_val > approach.t0:",
+        "tests": [
+            f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2a]",
+            f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2b]",
+            f"{ISO_TESTS}::test_entrance_case_c2a",
         ],
     },
 ]

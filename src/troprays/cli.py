@@ -222,10 +222,7 @@ def cmd_butterfly(args):
 
 
 def cmd_isotropy_entry(args):
-    from .csfun import _Bound
     from .isotropy import entrance_stratum, stability_check
-    from .rays import Ray
-    from .strata import _sign_vector
     pair, rays, functions, _ = _load_context(args)
     interval = _interval_from_args(args, pair, rays)
     eps = _resolve_vector(args.eps, pair.dim)
@@ -235,11 +232,9 @@ def cmd_isotropy_entry(args):
     approach = entrance_stratum(pair, functions, interval.y1, interval.y2, eps, eta)
     samples = [approach.t_checked * t(-k) for k in range(args.samples)]
     stability = stability_check(pair, functions, approach, samples)
-    rows, bound = [], _Bound(pair, functions)
+    rows = []
     for t_val in samples:
-        sv = stability.observed.get(t_val)
-        if sv is None:
-            sv = _sign_vector(bound, Ray(eps + t_val * eta))
+        sv = stability.observed[t_val]
         rows.append((str(t_val), str(sv), sv == approach.entrance))
     doc = {
         "case": approach.case,

@@ -119,7 +119,7 @@ class StabilityReport(NamedTuple):
     expected: SignVector
     samples_checked: int
     first_violation: tuple | None   # (t, observed sign vector)
-    observed: dict                  # t -> sign vector, for every checked sample
+    observed: dict                  # t -> sign vector, for every in-bound sample
 
 
 def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
@@ -128,8 +128,10 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
 
     Samples at or above the bound t0 are skipped (at t0 itself only for a
     strict bound).  For the all-t cases (B, C1) every positive sample counts.
-    The check stops at the first violation.  Every sample is read through
-    one binding of the family (``csfun._Bound``).
+    Every in-bound sample is read, through one binding of the family
+    (``csfun._Bound``), and ``observed`` holds them all.  The verdict is that
+    of the smallest violating sample: ``samples_checked`` counts the in-bound
+    samples up to and including it, or all of them when there is none.
     """
     observed, bound = {}, _Bound(pair, family)
     for t_val in sorted(set(t_samples)):
@@ -140,11 +142,10 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
                 continue
             if not approach.strict and t_val > approach.t0:
                 continue
-        sv = _sign_vector(bound, Ray(approach.eps + t_val * approach.eta))
-        observed[t_val] = sv
+        observed[t_val] = _sign_vector(bound, Ray(approach.eps + t_val * approach.eta))
+    for checked, (t_val, sv) in enumerate(observed.items(), 1):
         if sv != approach.entrance:
-            return StabilityReport(False, approach.entrance, len(observed),
-                                   (t_val, sv), observed)
+            return StabilityReport(False, approach.entrance, checked, (t_val, sv), observed)
     return StabilityReport(True, approach.entrance, len(observed), None, observed)
 
 

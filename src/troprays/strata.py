@@ -12,15 +12,15 @@ crossing, never by convention.
 Sign vectors are labelled on the integer lattice: at a ray the family values
 are ints over one denominator (``csfun._Bound.values``), on a trace the
 numerator rows share one lattice (``pmfunc.row_runs``), and both label the
-pairs with ``pmfunc._signs``.  Both read the family through one binding
-(``csfun._Bound``), which keeps each vector's numerators N(v) per lattice
-frame: the public :func:`sign_vector_at` and :func:`stratify_interval` bind
-per call, a trace then evaluating q once per distinct vector among eps1,
-eps2 and the live anchors, b(eps1, eps2), and b(eps1, w), b(eps2, w) per
-distinct live anchor (7 on the M1 family, whose anchors are the ends), and
-a sign vector q(x) and q(w), b(w, x) per distinct live anchor;
-:func:`derivation_chart` binds once per chart, so a trace between two
-sampled rays adds only b(eps1, eps2).
+pairs with ``pmfunc._signs``, the label string kept as ``SignVector.signs``.
+Both read the family through one binding (``csfun._Bound``), which keeps
+each vector's numerators N(v) per lattice frame: the public
+:func:`sign_vector_at` and :func:`stratify_interval` bind per call, a trace
+then evaluating q once per distinct vector among eps1, eps2 and the live
+anchors, b(eps1, eps2), and b(eps1, w), b(eps2, w) per distinct live anchor
+(7 on the M1 family, whose anchors are the ends), and a sign vector q(x)
+and q(w), b(w, x) per distinct live anchor; :func:`derivation_chart` binds
+once per chart, so a trace between two sampled rays adds only b(eps1, eps2).
 
 A trace compares the numerators N_k of f_k = N_k / q, q = q(eps1 + lam eps2)
 the denominator shared by the whole family, and builds no pm function: each
@@ -65,7 +65,7 @@ class SignVector:
     __slots__ = ("m", "signs")
 
     def __init__(self, m: int, signs):
-        signs = tuple(signs)
+        signs = "".join(signs)
         if len(signs) != m * (m - 1) // 2:
             raise ValueError("wrong number of pairwise signs")
         self.m = m
@@ -96,7 +96,7 @@ class SignVector:
         return hash((self.m, self.signs))
 
     def __str__(self) -> str:
-        return "".join(self.signs)
+        return self.signs
 
     def __repr__(self) -> str:
         body = ", ".join(f"f{k}{s}f{l}" for (k, l), s in self.pairs())
@@ -254,7 +254,7 @@ def _trace(bound: _Bound, interval: RayInterval,
     """The runs of :func:`_runs` as pieces, with a separator ray formed at
     each parameter where two pieces meet."""
     m, runs = _runs(bound, interval, drop_zero_end, drop_inf_end)
-    pieces = tuple(TracePiece(SignVector(m, tuple(signs)), lo, lo_closed, hi, hi_closed)
+    pieces = tuple(TracePiece(SignVector(m, signs), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs in runs)
     inner = [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
     return StrataTrace(interval, pieces, ((ZERO, interval.y1), *inner, (INF, interval.y2)))
@@ -267,7 +267,7 @@ def _boundary(bound: _Bound, interval: RayInterval, t_vec: SignVector,
     case1) or not (case2).  Read straight off the runs: the one separator is
     formed only when the run labels are exactly T then T'."""
     _, runs = _runs(bound, interval)
-    if len(runs) != 2 or runs[0][4] != str(t_vec) or runs[1][4] != str(t_prime):
+    if len(runs) != 2 or runs[0][4] != t_vec.signs or runs[1][4] != t_prime.signs:
         return None
     return runs[1][1], (runs[1][0], interval.pi(runs[1][0]))
 
@@ -316,7 +316,7 @@ def relaxation_components(t_vec: SignVector, relaxed, realized=None):
         for bit, i in enumerate(idxs):
             if mask >> bit & 1:
                 signs[i] = "="
-        out.append(SignVector(m, tuple(signs)))
+        out.append(SignVector(m, signs))
     seen = set()
     unique = [sv for sv in out if not (sv in seen or seen.add(sv))]
     if realized is not None:

@@ -109,7 +109,7 @@ def compare(pair, y1, y2, x, family) -> dict:
         live = tuple(live_terms(pair, f) for f in family)
     runs = {
         "cs": (lambda: pair.cs(eps1, x.base), lambda: ref.cs(pair, eps1, x.base)),
-        "sign": (lambda: sign_vector_at(pair, family, x).signs,
+        "sign": (lambda: tuple(sign_vector_at(pair, family, x).signs),
                  lambda: ref.sign_vector_at(pair, live, x)),
     }
     for i, (f, g) in enumerate(zip(family, live)):

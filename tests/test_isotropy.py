@@ -181,7 +181,7 @@ def test_stability_detects_change_across_threshold(m3_setup):
     report = stability_check(pair, fam, unbounded, inside + [t(2), t(5)])
     assert not report.ok
     assert report.first_violation == (t(2), beyond)
-    assert report.samples_checked == len(inside) + 1  # stops there: t^5 unchecked
+    assert report.samples_checked == len(inside) + 1  # counted up to the first violation
 
 
 def test_stability_case_c1_wide_range():
@@ -192,6 +192,93 @@ def test_stability_case_c1_wide_range():
     report = stability_check(M3_C1, fam, approach, samples)
     assert report.ok
     assert report.samples_checked == len(samples)
+
+
+def in_bound(approach, samples):
+    """The samples a stability check reads, ascending: 0, oo and those past
+    the bound (at t0 itself for a strict bound) left out."""
+    t0 = approach.t0
+    return [t_val for t_val in sorted(set(samples))
+            if not (t_val.is_zero() or t_val.is_infinite() or (
+                t0.is_finite() and (t_val >= t0 if approach.strict else t_val > t0)))]
+
+
+def stop_at_first_violation(pair, fam, approach, samples):
+    """A check that stops at its first in-bound sample off the entrance, each
+    sample bound on its own: (ok, samples_checked, first_violation, observed)."""
+    observed = {}
+    for t_val in in_bound(approach, samples):
+        sv = observed[t_val] = sign_vector_at(pair, fam, Ray(approach.eps + t_val * approach.eta))
+        if sv != approach.entrance:
+            return False, len(observed), (t_val, sv), observed
+    return True, len(observed), None, observed
+
+
+def scaled_m3_family():
+    """CS(Y2,-) scaled by -3 and CS(Y3,-) by -1 on M3: the entrance <<= at
+    e1 toward e3 holds at t = 0 only."""
+    e1, e2, e3 = units()
+    return (BasicFunction.zero(), BasicFunction.cs(Ray(e2), t(-3)),
+            BasicFunction.cs(Ray(e3), t(-1)))
+
+
+def stability_cases():
+    """(pair, family, approach, samples) of the stability checks above, the
+    failing ones included."""
+    e1, e2, e3 = units()
+    fam_m3 = example_family(M3, Ray(e2), Ray(e3))
+    m3 = entrance_stratum(M3, fam_m3, Ray(e2), Ray(e3), e1, e3)
+    inside = [t(k) for k in range(-10, 1)]
+    fam_a = example_family(MODEL_A, Ray(e2), Ray(e3))
+    case_a = entrance_stratum(MODEL_A, fam_a, Ray(e2), Ray(e3), e1, vec("-inf", 0, 0))
+    fam_c2a = example_family(MODEL_C2A, Ray(e2), Ray(e3))
+    c2a = entrance_stratum(MODEL_C2A, fam_c2a, Ray(e2), Ray(e3), e1, e3)
+    fam_c1 = example_family(M3_C1, Ray(e2), Ray(e3))
+    c1 = entrance_stratum(M3_C1, fam_c1, Ray(e2), Ray(e3), e1, e2)
+    scaled = scaled_m3_family()
+    fails = entrance_stratum(M3, scaled, Ray(e2), Ray(e3), e1, e3)
+    return [
+        (MODEL_A, fam_a, case_a, [t(k) for k in range(-8, 2)] + [case_a.t0]),
+        (MODEL_A, fam_a, case_a, [ZERO, INF, t(2), case_a.t0, t(-1)]),
+        (MODEL_C2A, fam_c2a, c2a, [t(k) for k in range(-12, 0)]),
+        (M3, fam_m3, m3, inside + [t(2), t(5)]),
+        (M3, fam_m3, m3._replace(t0=INF, strict=False), inside + [t(2), t(5)]),
+        (M3_C1, fam_c1, c1, [t(k) for k in range(-10, 11, 2)]),
+        (M3, scaled, fails, [fails.t_checked * t(-k) for k in range(5)]),
+        (M3, scaled, fails, [t(k) for k in range(-3, 3)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8), ids=[
+    "A", "A-skips", "C2a", "C2b", "C2b-unbounded", "C1", "scaled-cli", "scaled"])
+def test_stability_reads_past_the_first_violation(case):
+    """The verdict, the count and the first violation are those of a check
+    that stops at the first violation; ``observed`` holds every in-bound
+    sample, those past the violation included."""
+    pair, fam, approach, samples = stability_cases()[case]
+    ok, checked, first, stopped = stop_at_first_violation(pair, fam, approach, samples)
+    report = stability_check(pair, fam, approach, samples)
+    assert (report.ok, report.samples_checked, report.first_violation) == (ok, checked, first)
+    assert report.observed.items() >= stopped.items()
+    assert list(report.observed) == in_bound(approach, samples)
+
+
+@pytest.mark.parametrize("model, eta", [
+    (MODEL_C2A, ("-inf", "-inf", 0)),
+    (M3, ("-inf", "-inf", 0)),
+    (MODEL_SWAP, ("-inf", 0, "-inf")),
+], ids=["C2a", "C2b", "swapped"])
+def test_strict_bound_skips_a_sample_at_t0(model, eta):
+    """Under a strict bound the ray at t0 leaves the entrance stratum, and a
+    sample there is skipped."""
+    e1, e2, e3 = units()
+    fam = example_family(model, Ray(e2), Ray(e3))
+    approach = entrance_stratum(model, fam, Ray(e2), Ray(e3), e1, vec(*eta))
+    assert approach.strict
+    assert sign_vector_at(model, fam, Ray(e1 + approach.t0 * vec(*eta))) != approach.entrance
+    below = approach.t0 * t(-1)
+    report = stability_check(model, fam, approach, [approach.t0, below])
+    assert report.ok and set(report.observed) == {below}
 
 
 def test_halfopen_trace_m3(m3_setup):
@@ -328,12 +415,38 @@ def test_isotropy_entry_evaluates_each_sample_once(monkeypatch, capsys):
     assert len(calls) == 26
 
 
-def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
+def test_isotropy_entry_binds_the_family_twice(monkeypatch, capsys):
+    """The README isotropy-entry command binds the family once for the
+    entrance witness and once for the stability check; the table reads the
+    check's readings and binds nothing."""
+    import os
+
+    import troprays.cli as cli
+    import troprays.csfun as csfun
+
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+    bindings = []
+    init = csfun._Bound.__init__
+
+    def counted(self, *args):
+        bindings.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(csfun._Bound, "__init__", counted)
+    code = cli.main(["isotropy-entry", "--model", os.path.join(data, "m3.json"),
+                     "--b", os.path.join(data, "family_m3.json"), "--from", "Y2",
+                     "--to", "Y3", "--eps=0,-inf,-inf", "--eta=-inf,-inf,0"])
+    assert code == 0
+    assert "stability over 25 samples: pass" in capsys.readouterr().out
+    assert len(bindings) == 2
+
+
+def test_isotropy_entry_rows_are_the_failing_checks_readings(
         monkeypatch, capsys, tmp_path, gram_calls):
     """With CS(Y2,-) scaled by -3 and CS(Y3,-) by -1, the entrance <<= holds
-    at t = 0 only: the check stops at its first failing sample, and the table
-    evaluates each sample the check did not observe, once, for its row,
-    through one binding (a binding per row read 22 q)."""
+    at t = 0 only: the check reads every sample, once, through its one
+    binding and fails at the smallest, and the table is those readings, none
+    read again (a binding per row read 22 q)."""
     import json
     import os
 
@@ -366,7 +479,7 @@ def test_isotropy_entry_fills_in_the_samples_a_failing_check_skipped(
                         *(f"{k:<9} <<>        NO" for k in range(-1, -5, -1)),
                         "stability over 1 samples: FAIL"]
     assert len(calls) == 6
-    assert gram_calls == {"eval_q": 16, "eval_b": 18}
+    assert gram_calls == {"eval_q": 14, "eval_b": 18}
     assert cli.main([*argv, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["stable"] is False and doc["samples_checked"] == 1

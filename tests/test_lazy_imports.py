@@ -1,6 +1,8 @@
-"""Import schedule: a CLI subcommand imports only the layers it runs, and the
-package resolves its public names on first use (PEP 562)."""
+"""Import schedule: a CLI subcommand imports only the layers it runs, and only
+their public names, and the package resolves its public names on first use
+(PEP 562)."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -53,6 +55,18 @@ def test_records_load_no_introspection_module(code):
     any layer loads dataclasses or what it imports.  The baseline is what a
     bare interpreter loads here (a site hook may load some of them)."""
     assert (modules_after(code) - modules_after("pass")) & INTROSPECTION == set()
+
+
+def test_cli_imports_no_private_name():
+    """The CLI runs the layers through their public entry points: no
+    ``from ... import`` in cli.py names an _-prefixed symbol."""
+    path = os.path.join(REPO, "src", "troprays", "cli.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    private = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"cli.py imports private names: {private}"
 
 
 def test_bare_import_loads_no_layer():
