@@ -49,6 +49,8 @@ RECORDS = "tests/test_records.py"
 STRATA = "src/troprays/strata.py"
 ISOTROPY = "src/troprays/isotropy.py"
 ISO_TESTS = "tests/test_isotropy.py"
+PMFUNC = "src/troprays/pmfunc.py"
+PM_LATTICE = "tests/test_pm_lattice.py"
 
 MUTANTS = [
     {
@@ -214,6 +216,59 @@ MUTANTS = [
             "tests/test_boundary.py::test_boundary_matches_the_trace_on_every_kind_of_trace",
             "tests/test_frontier.py::test_entrance_worked",
             "tests/test_strata.py::test_chart_m1_chain",
+        ],
+    },
+    {
+        "name": "row-runs-left-stretch-reads-the-point",
+        "why": "a pair cut where its constant meets the other row's line reads '=' left of "
+               "the cut, the sign at the point, instead of the sign inside the stretch",
+        "file": PMFUNC,
+        "old": 'cuts.append((a - e, zero, ">" if c < a else "=", "<" if b < e else "=", inf))',
+        "new": 'cuts.append((a - e, zero, "=", "<" if b < e else "=", inf))',
+        "tests": [
+            f"{PM_LATTICE}::test_row_runs_are_the_runs_of_the_ratios",
+            f"{PM_LATTICE}::test_row_runs_match_the_frozen_cell_by_cell_kernel",
+            "tests/test_rays.py::test_locate_examples",
+            "tests/test_strata.py::test_chart_m1_chain",
+        ],
+    },
+    {
+        "name": "row-runs-drops-mirrored-candidate",
+        "why": "row_runs cuts a pair only where row i's constant meets row j's line, so a "
+               "pair whose candidate is the mirrored point is read as one sign",
+        "file": PMFUNC,
+        "old": "            elif low < c and low < b and e <= b and a <= c:\n",
+        "new": "            elif False:\n",
+        "tests": [
+            f"{PM_LATTICE}::test_row_runs_are_the_runs_of_the_ratios",
+            f"{PM_LATTICE}::test_row_runs_match_the_frozen_cell_by_cell_kernel",
+            "tests/test_strata.py::test_stratify_m1_worked",
+            "tests/test_rays.py::test_locate_matches_frozen_reference",
+        ],
+    },
+    {
+        "name": "monotone-match-reads-first-column",
+        "why": "the one-match sign-monotone check admits any signs after the first pair's "
+               "column, so a trace whose later pair is not monotone passes",
+        "file": STRATA,
+        "old": '(?:,(?:{_MONOTONE.pattern}))*")',
+        "new": '(?:,[<=>]*)*")',
+        "tests": [
+            "tests/test_strata.py::test_sign_monotone_check_raises_under_optimize",
+            "tests/test_strata.py::test_sign_monotone_check_names_the_pair_the_reference_names",
+        ],
+    },
+    {
+        "name": "trace-reuses-first-separator",
+        "why": "a trace forms the ray at its first inner parameter and reuses it as every "
+               "later separator",
+        "file": STRATA,
+        "old": "if last is None or last[0] != piece.lo:",
+        "new": "if last is None:",
+        "tests": [
+            "tests/test_strata.py::test_m1_trace_forms_one_separator_ray_per_parameter",
+            "tests/test_numerator_trace.py::test_numerator_trace_matches_ratio_trace",
+            "tests/test_numerator_trace.py::test_numerator_trace_matches_on_sampled_families",
         ],
     },
     {

@@ -64,13 +64,8 @@ def m1_family():
     return (BasicFunction.cs(interval.y1), BasicFunction.cs(interval.y2))
 
 
-def wall_interval() -> RayInterval:
-    return RayInterval(Ray(Vector.unit(3, 0)), Ray(Vector.unit(3, 1)))
-
-
 def wall_family():
-    interval = wall_interval()
-    return (BasicFunction.cs(interval.y1), BasicFunction.cs(interval.y2))
+    return (BasicFunction.cs(Ray(Vector.unit(3, 0))), BasicFunction.cs(Ray(Vector.unit(3, 1))))
 
 
 def wall_scenario():
@@ -81,13 +76,8 @@ def wall_scenario():
     return w, w_prime, u
 
 
-def chart_interval() -> RayInterval:
-    return RayInterval(Ray(Vector.unit(3, 0)), Ray(Vector.unit(3, 1)))
-
-
 def chart_family():
-    interval = chart_interval()
-    return example_family(CHART, interval.y1, interval.y2)
+    return example_family(CHART, Ray(Vector.unit(3, 0)), Ray(Vector.unit(3, 1)))
 
 
 def chart_sample():

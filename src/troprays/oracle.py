@@ -156,12 +156,6 @@ def check_reverse_identity(pair: QuadraticPair, sampler: Sampler, count: int) ->
     return failures
 
 
-def _interval_params(pair, interval, w, sampler, count):
-    """Sample points of [0, oo] including all breakpoints of the profile."""
-    profile = build_fw(pair, interval, w)
-    return profile, sampler.many_parameters(count, include=profile.f.breakpoints)
-
-
 def _draw_admissible(pair: QuadraticPair, sampler: Sampler, interval=None) -> tuple:
     """(interval, w) of one f_w check, drawn in this order: the interval
     unless given (distinct, anisotropic ends), then w (anisotropic, not
@@ -191,8 +185,9 @@ def check_fw_oracle(pair: QuadraticPair, sampler: Sampler, witnesses: int,
             break
         if w is None:
             continue
-        profile, params = _interval_params(pair, interval, w, sampler, count)
-        for lam in params:
+        profile = build_fw(pair, interval, w)
+        # sample points of [0, oo] including all breakpoints of the profile
+        for lam in sampler.many_parameters(count, include=profile.f.breakpoints):
             got = profile.f.eval(lam)
             want = pair.cs(interval.pi(lam).base, w)
             if got != want:

@@ -511,7 +511,13 @@ def sign_runs(fns, zero_end: bool = True, inf_end: bool = True) -> list:
         return _signs([cs[j] if not ks[j] else far if (ks[j] > 0) == (j < 0) else -far
                        for _, cs, ks in table])
 
-    return _cut(points, D * L, at, at_end, zero_end, inf_end)
+    labels = [at_end(0)]
+    lo = None
+    for p in points:
+        labels += at(_probe(lo, p)), at(2 * p)
+        lo = p
+    labels += at(_probe(lo, None)), at_end(-1)
+    return _cut(points, D * L, labels, zero_end, inf_end)
 
 
 def row_runs(rows, den: int, degree: int, zero_end: bool = True,
@@ -533,56 +539,67 @@ def row_runs(rows, den: int, degree: int, zero_end: bool = True,
     through its constant and the other through its line, x is that point.
     If both go through their constants (lines), they agree near x unless one
     of them leaves its constant (line) at x; by continuity its line
-    (constant) takes v there too, so x is that point again.  Each pair thus
-    keeps one sign on each open cell between consecutive candidates: it
-    agrees on the whole cell or nowhere in it.  Over den the candidate is
-    the int A_i - B_j on the lattice degree * den, and at a point or probe v
-    over twice that lattice a row is max(2A, 2B + v): two ints per row.
+    (constant) takes v there too, so x is that point again.  Over den the
+    candidate is the int A_i - B_j on the lattice degree * den.
+
+    The cut is per pair, and a pair has at most one candidate of its own: the
+    point A_i - B_j needs B_i <= B_j and A_j <= A_i, the point A_j - B_i the
+    reverse, so both exist only for equal rows, and then they coincide.  The
+    pair's signs follow from its four entries, the zero below every finite
+    value.  At the candidate both rows take A_i: "=".  Left of it N_i = A_i
+    and N_j < A_i unless A_j = A_i: ">" or "=".  Right of it N_j is the line
+    B_j + degree x and N_i is below it unless B_i = B_j: "<" or "=" (mirrored
+    for A_j - B_i).  A pair without a candidate keeps one sign on ]0, oo[,
+    read at x = 0 as max(A_i, B_i) against max(A_j, B_j).  The ends read A
+    at 0 and B at oo.  Each pair's signs are spread over the 2n + 3 cells of
+    the cut at all n candidates as one column string, in the layout of
+    :func:`_cut`, and a cell's label joins the pairs' columns there.
     """
-    points = set()
+    # the zero is read as low, below every entry
+    low = min([v for row in rows for v in row if v is not None], default=0) - 1
+    rows = [(low if a is None else a, low if b is None else b) for a, b in rows]
+    cuts = []
     for i, (a, b) in enumerate(rows):
         for c, e in rows[i + 1:]:
+            zero, inf = "=><"[(a > c) - (a < c)], "=><"[(b > e) - (b < e)]
             # the constant of one row meets the line of the other, both maxima
-            if (a is not None and e is not None
-                    and (b is None or b <= e) and (c is None or c <= a)):
-                points.add(a - e)
-            if (c is not None and b is not None
-                    and (e is None or e <= b) and (a is None or a <= c)):
-                points.add(c - b)
-    points = sorted(points)
-    # a zero monomial is -far, and -far + v stays below every row at every v
-    reach = 2 * max([abs(p) for p in points], default=0) + 2
-    far = 1 + 2 * max([abs(v) for row in rows for v in row if v is not None], default=0) \
-        + 2 * reach
-    table = [(-far if a is None else 2 * a, -far if b is None else 2 * b) for a, b in rows]
-
-    def at(v):
-        return _signs([a if a > b + v else b + v for a, b in table])
-
-    def at_end(j):
-        # j = 0 at 0 reads the constants, j = -1 at oo the lines over lam^degree
-        return _signs([row[j] for row in table])
-
-    return _cut(points, degree * den, at, at_end, zero_end, inf_end)
+            if low < a and low < e and b <= e and c <= a:
+                cuts.append((a - e, zero, ">" if c < a else "=", "<" if b < e else "=", inf))
+            elif low < c and low < b and e <= b and a <= c:
+                cuts.append((c - b, zero, "<" if a < c else "=", ">" if e < b else "=", inf))
+            else:
+                x, y = max(a, b), max(c, e)
+                cuts.append((None, zero, "=><"[(x > y) - (x < y)], None, inf))
+    points = sorted({cut[0] for cut in cuts if cut[0] is not None})
+    size = 2 * len(points) + 3
+    cell = {p: 2 * i + 2 for i, p in enumerate(points)}
+    columns = [zero + left * (size - 2) + inf if p is None else
+               zero + left * (cell[p] - 1) + "=" + right * (size - 2 - cell[p]) + inf
+               for p, zero, left, right, inf in cuts]
+    labels = list(map("".join, zip(*columns))) if columns else [""] * size
+    return _cut(points, degree * den, labels, zero_end, inf_end)
 
 
-def _cut(points, den, at, at_end, zero_end, inf_end) -> list:
-    """The runs of the labels along [0, oo] cut at the sorted int `points`
-    over `den`: `at(v)` labels the point or probe v over 2 den, `at_end(0)`
-    and `at_end(-1)` the ends 0 and oo, read only when kept."""
+def _cut(points, den, labels, zero_end, inf_end) -> list:
+    """The runs of `labels` along [0, oo] cut at the sorted int `points` over
+    `den`.  The labels are those of the 2n + 3 cells of the cut at the n
+    points, from 0 to oo: the point 0, the open cell ]0, p_0[, the point
+    p_0, ..., the open cell ]p_(n-1), oo[ and the point oo; the labels of the
+    two ends are read only when the end is kept.  A run's ends are the only
+    TropValues made."""
     n = len(points)
-    runs = _Runs()
-    if zero_end:
-        runs.cell(0, at_end(0), 0, True)
-    for i in range(n + 1):
-        b = points[i] if i < n else None
-        runs.cell(i + 1, at(_probe(points[i - 1] if i else None, b)), i, False)
-        if b is not None:
-            runs.cell(i + 1, at(2 * b), i + 1, True)
-    if inf_end:
-        runs.cell(n + 1, at_end(-1), n + 1, True)
-    bounds = [ZERO, *[_value(p, den) for p in points], INF]
-    return [(bounds[lo], lc, bounds[hi], hc, label) for lo, lc, hi, hc, label in runs]
+    first, stop = (0 if zero_end else 1), (2 * n + 3 if inf_end else 2 * n + 2)
+    runs, lo, hi, at = [], ZERO, ZERO, 0
+    for j in range(first + 1, stop):
+        if labels[j] != labels[j - 1]:
+            # cell j starts a run at the point j // 2 of 0, p_0, ..., oo
+            if j // 2 != at:
+                at = j // 2
+                hi = INF if at > n else _value(points[at - 1], den)
+            runs.append((lo, first % 2 == 0, hi, j % 2 == 1, labels[first]))
+            lo, first = hi, j
+    runs.append((lo, first % 2 == 0, INF, stop % 2 == 1, labels[first]))
+    return runs
 
 
 def _signs(values) -> str:
@@ -593,24 +610,21 @@ def _signs(values) -> str:
 
 
 class _Runs(list):
-    """Runs [lo, lo_closed, hi, hi_closed, label] of cells appended from 0 to
-    oo; a cell with the label of the last run extends that run.
+    """Runs [hi, label] of open cells appended from 0 to oo; a cell with the
+    label of the last run extends that run.
 
-    The one builder of every result: sign runs label point and open cells
-    with signs; pm results label open cells with monomials (c, k) and need
-    only the right ends, so equal neighbours merge and the result comes out
-    normal.
+    Every pm result is made from these runs: the cells are labelled with
+    monomials (c, k) and only their right ends are kept, so equal
+    neighbours merge and the result comes out normal.
     """
 
     __slots__ = ()
 
-    def cell(self, hi, label, lo=None, closed=False):
-        if self and self[-1][4] == label:
-            run = self[-1]
-            run[2] = hi
-            run[3] = closed
+    def cell(self, hi, label):
+        if self and self[-1][1] == label:
+            self[-1][0] = hi
         else:
-            self.append([lo, closed, hi, closed, label])
+            self.append([hi, label])
 
 
 def _point(n, den=1):
@@ -628,11 +642,11 @@ def _crossing(cf, kf, cg, kg) -> tuple:
 def _function(D, runs) -> PmFunction:
     """The pm function of runs labelled (c, k) over D, each ending at a point
     (n, den); the lattice widens by the lcm of the dens."""
-    ends = [run[2] for run in runs[:-1]]
+    ends = [hi for hi, _ in runs[:-1]]
     L = lcm(*[den for _, den in ends])
     return _make(D * L, tuple([n * (L // den) for n, den in ends]),
-                 tuple([run[4][0] * L for run in runs]),
-                 tuple([run[4][1] for run in runs]))
+                 tuple([c * L for _, (c, _) in runs]),
+                 tuple([k for _, (_, k) in runs]))
 
 
 def _probe(a, b) -> int:

@@ -9,10 +9,13 @@ whose boundary rays (separators) are computed exactly from crossing
 parameters; endpoint closures are decided by exact evaluation at the
 crossing, never by convention.
 
-Sign vectors are labelled on the integer lattice: at a ray the family values
-are ints over one denominator (``csfun._Bound.values``), on a trace the
-numerator rows share one lattice (``pmfunc.row_runs``), and both label the
-pairs with ``pmfunc._signs``, the label string kept as ``SignVector.signs``.
+Sign vectors are labelled on the integer lattice, one sign per pair in
+``SignVector.pair_index`` order, the label string kept as
+``SignVector.signs``.  At a ray the family values are ints over one
+denominator (``csfun._Bound.values``), labelled by ``pmfunc._signs``; on a
+trace the numerator rows share one lattice, and ``pmfunc.row_runs`` reads
+each pair only at its own candidate point and zips the pairs' column strings
+into the label of each cell of the cut.
 Both read the family through one binding (``csfun._Bound``), which keeps
 each vector's numerators N(v) per lattice frame: the public
 :func:`sign_vector_at` and :func:`stratify_interval` bind per call, a trace
@@ -233,9 +236,10 @@ def _runs(bound: _Bound, interval: RayInterval,
     order; as k is 2 when B_k is nonzero and 0 otherwise, it is B_k or the
     zero, which is how ``row_runs`` reads oo at degree 2.  The labels thus
     agree at every kept point, so the maximal runs and the separators at their
-    ends are those of the ratios.  Inside, one probe per cell is exact by the
-    kernel's candidate-point lemma: every zero of N_i - N_j that is isolated
-    or ends an interval of agreement is among the points (A_i - B_j)/2.
+    ends are those of the ratios.  Inside, one sign per pair and open stretch
+    is exact by the kernel's candidate-point lemma: every zero of N_i - N_j
+    that is isolated or ends an interval of agreement is among the points
+    (A_i - B_j)/2.
     """
     rows, den, (a1, a12, a2) = bound.numerators(interval.y1.base, interval.y2.base)
     if (not drop_zero_end and a1 is None) or (not drop_inf_end and a2 is None):
@@ -251,12 +255,17 @@ def _runs(bound: _Bound, interval: RayInterval,
 
 def _trace(bound: _Bound, interval: RayInterval,
            drop_zero_end=False, drop_inf_end=False) -> StrataTrace:
-    """The runs of :func:`_runs` as pieces, with a separator ray formed at
-    each parameter where two pieces meet."""
+    """The runs of :func:`_runs` as pieces, with one separator ray formed
+    per parameter where pieces meet."""
     m, runs = _runs(bound, interval, drop_zero_end, drop_inf_end)
     pieces = tuple(TracePiece(SignVector(m, signs), lo, lo_closed, hi, hi_closed)
                    for lo, lo_closed, hi, hi_closed, signs in runs)
-    inner = [(piece.lo, interval.pi(piece.lo)) for piece in pieces[1:]]
+    # a one-point piece and the piece after it start at one parameter: one ray
+    inner, last = [], None
+    for piece in pieces[1:]:
+        if last is None or last[0] != piece.lo:
+            last = (piece.lo, interval.pi(piece.lo))
+        inner.append(last)
     return StrataTrace(interval, pieces, ((ZERO, interval.y1), *inner, (INF, interval.y2)))
 
 
@@ -273,17 +282,23 @@ def _boundary(bound: _Bound, interval: RayInterval, t_vec: SignVector,
 
 
 _MONOTONE = re.compile(r"<*=*>*|>*=*<*")
+_ALL_MONOTONE = re.compile(rf"(?:{_MONOTONE.pattern})(?:,(?:{_MONOTONE.pattern}))*")
 
 
 def _assert_sign_monotone(labels, m):
     """Each pair's sign sequence along the run labels is monotone with
     half-open boundary structure (its column string matches
     ``<*=*>*|>*=*<*``); CS-families always satisfy this, so a violation here
-    means corrupted inputs."""
-    pairs = ((k, l) for k in range(m) for l in range(k + 1, m))
+    means corrupted inputs.  The columns are matched as one ``,``-joined
+    string; only a failed match walks the pairs to name the first failing
+    one."""
     # column i holds the signs of pair i (in pair_index order) along the runs
-    for (k, l), signs in zip(pairs, zip(*labels)):
-        if _MONOTONE.fullmatch("".join(signs)) is None:
+    columns = list(map("".join, zip(*labels)))
+    if _ALL_MONOTONE.fullmatch(",".join(columns)) is not None:
+        return
+    pairs = ((k, l) for k in range(m) for l in range(k + 1, m))
+    for (k, l), signs in zip(pairs, columns):
+        if _MONOTONE.fullmatch(signs) is None:
             raise VerificationFailed(
                 f"sign pattern of pair ({k},{l}) is not monotone: {list(signs)}")
 

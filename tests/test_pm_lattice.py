@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pm_reference as ref
+import row_runs_reference
 from troprays.oracle import reconstruct_pm
 from troprays.pmfunc import PmFunction, _hull, crossing_points, row_runs, sign_runs
 from troprays.sampling import Sampler
@@ -129,6 +130,21 @@ def test_row_runs_are_the_runs_of_the_ratios(seed, degree, den, rows, zero_end, 
         ratios.append(f if f.is_constant_zero() else f.mul(inverse))
     assert (row_runs(rows, den, degree, zero_end, inf_end)
             == sign_runs(ratios, zero_end, inf_end))
+
+
+kernel_rows = st.one_of(st.just((None, None)), st.tuples(row_entries, row_entries))
+
+
+@settings(max_examples=400)
+@given(st.lists(kernel_rows, max_size=6), st.integers(1, 3), st.integers(1, 6),
+       st.booleans(), st.booleans())
+def test_row_runs_match_the_frozen_cell_by_cell_kernel(rows, degree, den, zero_end, inf_end):
+    """The per-pair cut gives the runs of the kernel that labelled every pair
+    at every cell of the global cut (tests/row_runs_reference.py), also for
+    no rows, one row, zero entries and the zero row; the texts agree too."""
+    got = row_runs(rows, den, degree, zero_end, inf_end)
+    want = row_runs_reference.row_runs(rows, den, degree, zero_end, inf_end)
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("f, g, crossing", [

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import row_runs_reference
 from chart_reference import stratum_witnesses, unpruned_chart
 from troprays import strata
 from troprays.csfun import cs_restriction_pm
@@ -89,6 +90,41 @@ def test_stratify_m1_worked(m1, m1_fam, m1_iv):
     assert first.contains(ZERO) and not first.contains(t(0))
     assert last.contains(INF) and not last.contains(t(0))
     assert middle.contains(t(0))
+
+
+def test_m1_trace_forms_one_separator_ray_per_parameter(m1, m1_fam, m1_iv, monkeypatch):
+    """A one-point piece and the piece after it start at one parameter: the
+    README trace forms ray(0, 0) once and uses it as both separators, and the
+    five-function family forms one ray per distinct parameter."""
+    calls = []
+    real = RayInterval.pi
+    monkeypatch.setattr(RayInterval, "pi", lambda self, lam: calls.append(lam) or real(self, lam))
+    trace = stratify_interval(m1, m1_fam, m1_iv)
+    assert [str(p.signs) for p in trace.pieces] == ["<", "=", ">"]
+    assert calls == [t(0)]
+    assert trace.boundaries[1] == trace.boundaries[2] == (t(0), ray(0, 0))
+    del calls[:]
+    trace = stratify_interval(m1, example_family(m1, m1_iv.y1, m1_iv.y2), m1_iv)
+    assert calls == [t(-2), t(0), t(2)]
+    assert trace.boundaries[1:-1] == ((t(-2), ray(0, -2)), (t(0), ray(0, 0)),
+                                      (t(0), ray(0, 0)), (t(2), ray(-2, 0)))
+
+
+def test_sign_monotone_check_names_the_pair_the_reference_names():
+    """With four of six pairs failing, the one-match check and the frozen
+    per-pair loop name the same, first failing pair in pair_index order; the
+    pair before it, (0, 1), reads the monotone "<<<>"."""
+    labels = ["<<<<=<", "<=><=>", "<<<<<<", ">=<<=<"]
+    outcomes = []
+    for check in (_assert_sign_monotone, row_runs_reference._assert_sign_monotone):
+        with pytest.raises(VerificationFailed) as info:
+            check(labels, 4)
+        outcomes.append(str(info.value))
+    assert outcomes[0] == outcomes[1] == (
+        "sign pattern of pair (0,2) is not monotone: ['<', '=', '<', '=']")
+    # monotone columns pass both
+    _assert_sign_monotone(["<<>", "<=>", "==>"], 3)
+    row_runs_reference._assert_sign_monotone(["<<>", "<=>", "==>"], 3)
 
 
 def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, monkeypatch):
