@@ -51,6 +51,8 @@ ISOTROPY = "src/troprays/isotropy.py"
 ISO_TESTS = "tests/test_isotropy.py"
 PMFUNC = "src/troprays/pmfunc.py"
 PM_LATTICE = "tests/test_pm_lattice.py"
+ORACLE = "src/troprays/oracle.py"
+ORACLE_TESTS = "tests/test_oracle.py"
 
 MUTANTS = [
     {
@@ -269,6 +271,7 @@ MUTANTS = [
             "tests/test_strata.py::test_m1_trace_forms_one_separator_ray_per_parameter",
             "tests/test_numerator_trace.py::test_numerator_trace_matches_ratio_trace",
             "tests/test_numerator_trace.py::test_numerator_trace_matches_on_sampled_families",
+            "tests/test_strata.py::test_trace_boundaries_on_random_models",
         ],
     },
     {
@@ -307,6 +310,45 @@ MUTANTS = [
             f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2a]",
             f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2b]",
             f"{ISO_TESTS}::test_entrance_case_c2a",
+        ],
+    },
+    {
+        "name": "oracle-q-drops-off-diagonal",
+        "why": "the oracle's own kernel reads q off its diagonal terms alone",
+        "file": ORACLE,
+        "old": "if i == j else pair.b[i][j])\n                   for i in range(n) for j in range(i, n)]",
+        "new": "if i == j else pair.b[i][j])\n                   for i in range(n) for j in range(i, i + 1)]",
+        "tests": [
+            f"{ORACLE_TESTS}::test_kernel_cs_is_the_fraction_cs_ratio",
+            f"{ORACLE_TESTS}::test_kernel_cs_on_the_data_models",
+            f"{ORACLE_TESTS}::test_reconstruction_matches_the_frozen_reference_on_cs_profiles",
+            f"{ORACLE_TESTS}::test_suite_runs_on_a_kernel_of_its_own",
+        ],
+    },
+    {
+        "name": "oracle-column-takes-min",
+        "why": "the oracle's own column B (x) w keeps the smaller of two terms",
+        "file": ORACLE,
+        "old": "if ci is None or ci < v:",
+        "new": "if ci is None or ci > v:",
+        "tests": [
+            f"{ORACLE_TESTS}::test_kernel_cs_is_the_fraction_cs_ratio",
+            f"{ORACLE_TESTS}::test_kernel_cs_on_the_data_models",
+            f"{ORACLE_TESTS}::test_reconstruction_matches_the_frozen_reference_on_cs_profiles",
+            f"{ORACLE_TESTS}::test_suite_runs_on_a_kernel_of_its_own",
+        ],
+    },
+    {
+        "name": "oracle-fit-skips-integer-degree",
+        "why": "the int fit rounds a fractional slope down, so a window whose interior "
+               "lies on one monomial while its upper end does not fits anyway",
+        "file": ORACLE,
+        "old": "    if rest:\n        return None\n",
+        "new": "",
+        "tests": [
+            f"{ORACLE_TESTS}::test_reconstruction_matches_the_frozen_reference_on_pm_functions",
+            f"{ORACLE_TESTS}::test_fit_rejects_a_fractional_degree",
+            f"{ORACLE_TESTS}::test_a_window_without_a_fit_is_a_regions_failure",
         ],
     },
 ]

@@ -12,33 +12,181 @@ of a CS restriction lies in the four-element candidate set
 (discarding non-finite entries).  Between consecutive candidates the
 function is guaranteed monomial, so fitting one integer-degree monomial
 through the endpoints and checking it on interior probes is exact; a fit
-failure means corrupted inputs and raises instead of guessing.
+failure means corrupted inputs and raises instead of guessing.  The fit runs
+on int numerators: with the candidates over one denominator D, the probes of
+a window [lo, hi] are (4 lo + i (hi - lo)) / 4D, and the slope and the
+coefficient are exact integer divisions on one common denominator.
+
+The oracle evaluates q and b with a Gram kernel of its own, so that a fault
+in the library's kernel (``quadspace``), which ``build_fw`` and the traces
+run on, shows as a disagreement instead of hiding on both sides.
+``_Gram`` reads the model's Gram exponents once from ``q_diag`` and ``b`` as
+(i, j, numerator) terms over one denominator; a ``_Lattice`` puts those
+terms and a call's vectors on the lcm L of all their denominators, where q
+is the max over gamma_ij + x_i + x_j, the column B (x) w has entry i the max
+over beta_ij + w_j, and b(x, w) is the max over x_i plus that column, all in
+plain ints.  This is exact because max-plus arithmetic commutes with
+scaling by a positive integer: L max(a, b) = max(L a, L b) and
+L (a + b) = L a + L b.  Along an interval, ``_Along`` keeps one lattice per
+parameter denominator q, holding eps1, eps2, the column of w and q(w), and
+evaluates CS(pi(t^(p/q)), w) as x_i = max(eps1_i, p L/q + eps2_i), then one
+max for q(x) and one for b(x, w).  It forms no ``Ray``: the CS-ratio does
+not change when its argument is rescaled, so the unnormalised sum serves.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .csfun import build_fw
+from .errors import DimensionMismatch, IsotropicArgument, TropraysError
 from .pmfunc import PmFunction
-from .quadspace import QuadraticPair, Vector, validate_pair
+from .quadspace import QuadraticPair, Vector
 from .rays import Ray, RayInterval
 from .sampling import Sampler
-from .semifield import INF, ZERO, TropValue
+from .semifield import INF, ZERO, TropValue, _value
 
 
-def _fit_monomial(exps, values):
-    """The unique integer-degree monomial through the first and last sample,
-    or None when none exists or some sample disagrees."""
-    slope = (values[-1].exp - values[0].exp) / (exps[-1] - exps[0])
-    if slope.denominator != 1:
+class _Gram:
+    """A model's Gram exponents as int terms (i, j, numerator) over one
+    denominator ``den``: ``q_terms`` holds alpha_i at j = i and beta_ij at
+    j > i, ``b_terms`` every beta_ij; zero entries are left out."""
+
+    __slots__ = ("dim", "den", "q_terms", "b_terms", "_scaled")
+
+    def __init__(self, pair: QuadraticPair):
+        n = pair.dim
+        q_cells = [(i, j, pair.q_diag[i] if i == j else pair.b[i][j])
+                   for i in range(n) for j in range(i, n)]
+        b_cells = [(i, j, pair.b[i][j]) for i in range(n) for j in range(n)]
+        self.dim, self._scaled = n, {}
+        self.den = den = lcm(*[v.den for _, _, v in q_cells + b_cells if v.is_finite()])
+        self.q_terms, self.b_terms = [[(i, j, v.num * (den // v.den)) for i, j, v in cells
+                                       if v.is_finite()] for cells in (q_cells, b_cells)]
+
+    def on(self, den: int) -> tuple:
+        """(q terms, b terms) with numerators over den, a multiple of self.den."""
+        hit = self._scaled.get(den)
+        if hit is None:
+            s = den // self.den
+            hit = self._scaled[den] = ([(i, j, c * s) for i, j, c in self.q_terms],
+                                       [(i, j, c * s) for i, j, c in self.b_terms])
+        return hit
+
+
+def _top(values):
+    """The max-plus sum of lattice values: their max, None for the zero."""
+    best = None
+    for v in values:
+        if v is not None and (best is None or best < v):
+            best = v
+    return best
+
+
+class _Lattice:
+    """The model and the vectors of one call on one denominator ``den``, the
+    lcm of all their denominators and of ``dens``; ``nums`` holds each
+    vector's numerators on it, None for a zero coordinate."""
+
+    __slots__ = ("den", "nums", "_q_terms", "_b_terms")
+
+    def __init__(self, gram: _Gram, vectors, *dens: int):
+        for v in vectors:
+            if len(v.nums) != gram.dim:
+                raise DimensionMismatch(f"vector has length {len(v.nums)}, "
+                                        f"model dimension is {gram.dim}")
+        self.den = den = lcm(gram.den, *dens, *[v.d for v in vectors])
+        self.nums = [[None if x is None else x * (den // v.d) for x in v.nums]
+                     for v in vectors]
+        self._q_terms, self._b_terms = gram.on(den)
+
+    def q(self, xs):
+        """q(x): the max over gamma_ij + x_i + x_j."""
+        best = None
+        for i, j, c in self._q_terms:
+            xi, xj = xs[i], xs[j]
+            if xi is not None and xj is not None:
+                v = c + xi + xj
+                if best is None or best < v:
+                    best = v
+        return best
+
+    def column(self, ws) -> list:
+        """B (x) w: entry i is the max over beta_ij + w_j."""
+        col = [None] * len(ws)
+        for i, j, c in self._b_terms:
+            wj = ws[j]
+            if wj is not None:
+                v = c + wj
+                ci = col[i]
+                if ci is None or ci < v:
+                    col[i] = v
+        return col
+
+    @staticmethod
+    def b(xs, col):
+        """b(x, w) from the column of w: the max over x_i + col_i."""
+        best = None
+        for x, c in zip(xs, col):
+            if x is not None and c is not None:
+                v = x + c
+                if best is None or best < v:
+                    best = v
+        return best
+
+
+class _Along:
+    """lam -> CS(pi(lam), w) on the interval [ray(eps1), ray(eps2)], in ints:
+    one lattice per denominator q of lam holds eps1, eps2, the column of w,
+    q(w) and the step L/q, so that t^(p/q) shifts eps2 by p L/q."""
+
+    __slots__ = ("_model", "_vectors", "_by_den")
+
+    def __init__(self, gram: _Gram, eps1: Vector, eps2: Vector, w: Vector):
+        self._model, self._vectors, self._by_den = gram, (eps1, eps2, w), {}
+
+    def __call__(self, lam: TropValue) -> TropValue:
+        hit = self._by_den.get(lam.den)
+        if hit is None:
+            lat = _Lattice(self._model, self._vectors, lam.den)
+            e1, e2, ws = lat.nums
+            hit = self._by_den[lam.den] = (lat, e1, e2, lat.column(ws), lat.q(ws),
+                                           lat.den // lam.den)
+        lat, e1, e2, col, qw, step = hit
+        if lam.num is None:
+            x = e2 if lam.is_infinite() else e1
+        else:
+            shift, x = lam.num * step, []
+            for a, b in zip(e1, e2):
+                if b is not None:
+                    b += shift
+                    if a is None or a < b:
+                        a = b
+                x.append(a)
+        qx = lat.q(x)
+        if qx is None or qw is None:
+            raise IsotropicArgument("CS-ratio needs anisotropic arguments")
+        bxw = lat.b(x, col)
+        return ZERO if bxw is None else _value(2 * bxw - qx - qw, lat.den)
+
+
+def _fit_monomial(start: int, span: int, den: int, values):
+    """The unique integer-degree monomial through the first and last of the
+    values at the probes (start + i span) / den, i = 0..4, or None when none
+    exists or some value disagrees; on the lcm of den and the values'
+    denominators, the slope and the coefficient are exact int divisions."""
+    top = lcm(den, *[v.den for v in values])
+    s = top // den
+    ys = [v.num * (top // v.den) for v in values]
+    degree, rest = divmod(ys[-1] - ys[0], 4 * span * s)
+    if rest:
         return None
-    degree = slope.numerator
-    coeff = TropValue.finite(values[0].exp - degree * exps[0])
-    for e, v in zip(exps[1:-1], values[1:-1]):
-        if coeff.exp + degree * e != v.exp:
+    coeff = ys[0] - degree * start * s
+    for i in (1, 2, 3):
+        if coeff + degree * (start + i * span) * s != ys[i]:
             return None
-    return coeff, degree
+    return _value(coeff, top), degree
 
 
 def reconstruct_pm(fn, candidates) -> PmFunction:
@@ -50,24 +198,22 @@ def reconstruct_pm(fn, candidates) -> PmFunction:
     is exact.  Windows beyond the extreme candidates take their own probes
     two units out.
     """
-    cuts = sorted({c.exp for c in candidates if c.is_finite()})
-    if cuts:
-        walls = [cuts[0] - 2] + cuts + [cuts[-1] + 2]
-    else:
-        walls = [Fraction(0), Fraction(1)]
+    finite = [c for c in candidates if c.is_finite()]
+    den = lcm(*[c.den for c in finite])
+    cuts = sorted({c.num * (den // c.den) for c in finite})
+    walls = [cuts[0] - 2 * den, *cuts, cuts[-1] + 2 * den] if cuts else [0, den]
     breakpoints = [ZERO]
     segments = []
     for lo, hi in zip(walls, walls[1:]):
-        exps = [lo + (hi - lo) * Fraction(i, 4) for i in range(5)]
-        values = [fn(TropValue.finite(e)) for e in exps]
+        values = [fn(_value(4 * lo + i * (hi - lo), 4 * den)) for i in range(5)]
         if any(not v.is_finite() for v in values):
             raise ValueError("non-finite interior value; not a CS restriction")
-        fit = _fit_monomial(exps, values)
+        fit = _fit_monomial(4 * lo, hi - lo, 4 * den, values)
         if fit is None:
-            raise ValueError(f"window {lo}..{hi} is not monomial; "
+            raise ValueError(f"window {_value(lo, den)}..{_value(hi, den)} is not monomial; "
                              "candidate set incomplete")
         if segments and segments[-1] != fit:
-            breakpoints.append(TropValue.finite(lo))
+            breakpoints.append(_value(lo, den))
             segments.append(fit)
         elif not segments:
             segments.append(fit)
@@ -75,28 +221,34 @@ def reconstruct_pm(fn, candidates) -> PmFunction:
     return PmFunction(breakpoints, segments).normalize()
 
 
-def cs_breakpoint_candidates(pair: QuadraticPair, eps1: Vector, eps2: Vector,
-                             w: Vector) -> list:
-    """Every breakpoint of lam -> CS(ray(eps1 + lam eps2), w) lies here."""
-    b1 = pair.eval_b(eps1, w)
-    b2 = pair.eval_b(eps2, w)
-    a1, a2 = pair.eval_q(eps1), pair.eval_q(eps2)
-    a12 = pair.eval_b(eps1, eps2)
+def _candidates(gram: _Gram, eps1: Vector, eps2: Vector, w: Vector) -> list:
+    lat = _Lattice(gram, (eps1, eps2, w))
+    e1, e2, ws = lat.nums
+    col = lat.column(ws)
+    b1, b2 = _value(lat.b(e1, col), lat.den), _value(lat.b(e2, col), lat.den)
+    a1, a2 = _value(lat.q(e1), lat.den), _value(lat.q(e2), lat.den)
+    a12 = _value(lat.b(e1, lat.column(e2)), lat.den)
     out = [a1 / a12, a12 / a2, (a1 / a2).sqrt()]
     if not (b1.is_zero() and b2.is_zero()):
         out.append(b1 / b2)
     return out
 
 
+def cs_breakpoint_candidates(pair: QuadraticPair, eps1: Vector, eps2: Vector,
+                             w: Vector) -> list:
+    """Every breakpoint of lam -> CS(ray(eps1 + lam eps2), w) lies here."""
+    return _candidates(_Gram(pair), eps1, eps2, w)
+
+
+def _reconstruct(gram: _Gram, interval: RayInterval, w: Vector) -> PmFunction:
+    eps1, eps2 = interval.y1.base, interval.y2.base
+    return reconstruct_pm(_Along(gram, eps1, eps2, w), _candidates(gram, eps1, eps2, w))
+
+
 def reconstruct_cs_profile(pair: QuadraticPair, interval: RayInterval,
                            w: Vector) -> PmFunction:
     """The CS restriction rebuilt purely from cs-ratio point values."""
-    eps1, eps2 = interval.y1.base, interval.y2.base
-
-    def fn(lam):
-        return pair.cs(interval.pi(lam).base, w)
-
-    return reconstruct_pm(fn, cs_breakpoint_candidates(pair, eps1, eps2, w))
+    return _reconstruct(_Gram(pair), interval, w)
 
 
 def detect_regions(f: PmFunction):
@@ -136,9 +288,21 @@ def check_semifield_laws(sampler: Sampler, count: int) -> list:
 
 
 def check_companion(pair: QuadraticPair, sampler: Sampler, count: int) -> list:
-    report = validate_pair(pair, samples=count, rng=sampler)
-    return [f"companion identity: {x!r}, {y!r}: {lhs} != {rhs}"
-            for x, y, lhs, rhs in report.failures]
+    """q(x + y) = q(x) + q(y) + b(x, y) on every basis pair (e_i, e_j), i <= j,
+    then on `count` drawn pairs."""
+    gram, n = _Gram(pair), pair.dim
+    units = [Vector.unit(n, i) for i in range(n)]
+    basis = [(units[i], units[j]) for i in range(n) for j in range(i, n)]
+    failures = []
+    for x, y in chain(basis, ((sampler.vector(n), sampler.vector(n)) for _ in range(count))):
+        lat = _Lattice(gram, (x, y))
+        xs, ys = lat.nums
+        lhs = lat.q([_top(c) for c in zip(xs, ys)])
+        rhs = _top([lat.q(xs), lat.q(ys), lat.b(xs, lat.column(ys))])
+        if lhs != rhs:
+            failures.append(f"companion identity: {x!r}, {y!r}: "
+                            f"{_value(lhs, lat.den)} != {_value(rhs, lat.den)}")
+    return failures
 
 
 def check_reverse_identity(pair: QuadraticPair, sampler: Sampler, count: int) -> list:
@@ -156,40 +320,51 @@ def check_reverse_identity(pair: QuadraticPair, sampler: Sampler, count: int) ->
     return failures
 
 
-def _draw_admissible(pair: QuadraticPair, sampler: Sampler, interval=None) -> tuple:
+def _draw_admissible(gram: _Gram, sampler: Sampler, interval=None) -> tuple:
     """(interval, w) of one f_w check, drawn in this order: the interval
     unless given (distinct, anisotropic ends), then w (anisotropic, not
     orthogonal to both ends).  A failed draw reads None; no w follows a
     failed interval."""
-    n = pair.dim
+    n = gram.dim
     if interval is None:
         y1 = Ray(sampler.vector(n, p_zero=0.0))
         y2 = Ray(sampler.vector(n, p_zero=0.0))
-        if y1 == y2 or pair.eval_q(y1.base).is_zero() or pair.eval_q(y2.base).is_zero():
+        if y1 == y2:
+            return None, None
+        lat = _Lattice(gram, (y1.base, y2.base))
+        if lat.q(lat.nums[0]) is None or lat.q(lat.nums[1]) is None:
             return None, None
         interval = RayInterval(y1, y2)
     w = sampler.vector(n)
-    if pair.eval_q(w).is_zero() or (pair.eval_b(interval.y1.base, w).is_zero()
-                                    and pair.eval_b(interval.y2.base, w).is_zero()):
+    lat = _Lattice(gram, (interval.y1.base, interval.y2.base, w))
+    e1, e2, ws = lat.nums
+    col = lat.column(ws)
+    if lat.q(ws) is None or (lat.b(e1, col) is None and lat.b(e2, col) is None):
         return interval, None
     return interval, w
 
 
 def check_fw_oracle(pair: QuadraticPair, sampler: Sampler, witnesses: int,
                     count: int) -> list:
+    gram = _Gram(pair)
     failures = []
     interval = None
     for _ in range(witnesses):
-        interval, w = _draw_admissible(pair, sampler, interval)
+        interval, w = _draw_admissible(gram, sampler, interval)
         if interval is None:
             break
         if w is None:
             continue
-        profile = build_fw(pair, interval, w)
+        try:
+            profile = build_fw(pair, interval, w)
+        except TropraysError as ex:
+            failures.append(f"{type(ex).__name__} for w={w!r}: {ex}")
+            continue
+        cs = _Along(gram, interval.y1.base, interval.y2.base, w)
         # sample points of [0, oo] including all breakpoints of the profile
         for lam in sampler.many_parameters(count, include=profile.f.breakpoints):
             got = profile.f.eval(lam)
-            want = pair.cs(interval.pi(lam).base, w)
+            want = cs(lam)
             if got != want:
                 failures.append(f"f_w mismatch at {lam}: {got} != {want}")
     return failures
@@ -207,13 +382,18 @@ def check_pm_identity(sampler: Sampler, count: int) -> list:
 
 
 def check_regions(pair: QuadraticPair, sampler: Sampler, count: int) -> list:
+    gram = _Gram(pair)
     failures = []
     for _ in range(count):
-        interval, w = _draw_admissible(pair, sampler)
+        interval, w = _draw_admissible(gram, sampler)
         if w is None:
             continue
-        profile = build_fw(pair, interval, w)
-        rebuilt = reconstruct_cs_profile(pair, interval, w)
+        try:
+            profile = build_fw(pair, interval, w)
+            rebuilt = _reconstruct(gram, interval, w)
+        except (TropraysError, ValueError) as ex:
+            failures.append(f"{type(ex).__name__} for w={w!r}: {ex}")
+            continue
         if not profile.f.equivalent(rebuilt):
             failures.append(f"profile differs from reconstruction for w={w!r}")
             continue

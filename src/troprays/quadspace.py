@@ -427,7 +427,8 @@ class ValidationReport(NamedTuple):
 
 
 def validate_pair(pair: QuadraticPair, samples: int = 0, rng=None) -> ValidationReport:
-    """Check q(x+y) = q(x) + q(y) + b(x, y) on basis pairs and random pairs.
+    """Check q(x+y) = q(x) + q(y) + b(x, y) on basis pairs and on `samples`
+    random pairs drawn by ``Sampler(rng)``, rng a seed (0 when None).
 
     Basis pairs include the degenerate (e_i, e_i) case, which is what a
     diagonal companion entry exceeding q(e_i) would break.  The report
@@ -452,7 +453,7 @@ def validate_pair(pair: QuadraticPair, samples: int = 0, rng=None) -> Validation
     if samples:
         from .sampling import Sampler
 
-        sampler = rng if isinstance(rng, Sampler) else Sampler(0 if rng is None else rng)
+        sampler = Sampler(0 if rng is None else rng)
         for _ in range(samples):
             check(sampler.vector(n), sampler.vector(n))
     return ValidationReport(ok=not failures, balanced=pair.balanced,

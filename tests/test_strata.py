@@ -371,15 +371,19 @@ def test_derivate_path_property(m1, m1_fam):
 
 def test_trace_boundaries_on_random_models():
     """Boundary rays are pi at the boundary parameters and bracket their
-    pieces per the separator characterization."""
+    pieces per the separator characterization.  Families of two, three and
+    five functions: a pair of functions has at most one candidate point, so
+    only the larger families give traces with several inner separators."""
     from troprays.semifield import midpoint
 
     sampler = Sampler(53)
     done = 0
-    while done < 40:
+    for _ in range(60):  # 40 draws keep the 40 cases
+        if done == 40:
+            break
         pair = sampler.anisotropic_pair(sampler.rng.randint(2, 3))
         n = pair.dim
-        anchors = [Ray(sampler.vector(n, p_zero=0.0)) for _ in range(2)]
+        anchors = [Ray(sampler.vector(n, p_zero=0.0)) for _ in range((2, 3, 5)[done % 3])]
         fam = tuple(BasicFunction.cs(a) for a in anchors)
         y1, y2 = Ray(sampler.vector(n)), Ray(sampler.vector(n))
         if y1 == y2:
@@ -399,6 +403,7 @@ def test_trace_boundaries_on_random_models():
                 inner = midpoint(lo_param, hi_param)
                 assert piece.contains(inner)
                 assert sign_vector_at(pair, fam, interval.pi(inner)) == piece.signs
+    assert done == 40
 
 
 def test_chart_on_wall_model():
