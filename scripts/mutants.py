@@ -53,6 +53,7 @@ PMFUNC = "src/troprays/pmfunc.py"
 PM_LATTICE = "tests/test_pm_lattice.py"
 ORACLE = "src/troprays/oracle.py"
 ORACLE_TESTS = "tests/test_oracle.py"
+SAMPLING_TESTS = "tests/test_sampling.py"
 
 MUTANTS = [
     {
@@ -157,6 +158,40 @@ MUTANTS = [
         "tests": [
             f"{SF_TESTS}::test_mixed_operands_raise_type_error[add-int]",
             f"{SF_TESTS}::test_mixed_operands_raise_type_error[add-pm]",
+        ],
+    },
+    {
+        "name": "parse-drops-sign",
+        "why": "the text parser reads \"-3/4\" as t^(3/4)",
+        "file": SEMIFIELD,
+        "old": '    sign = -1 if body[:1] == "-" else 1\n',
+        "new": "    sign = 1\n",
+        "tests": [f"{SF_LATTICE}::test_parse", f"{SF_LATTICE}::test_finite"],
+    },
+    {
+        "name": "parse-decimal-scale-short",
+        "why": "the text parser scales a decimal by one power of ten too few, "
+               "so \"0.5\" reads as t^5",
+        "file": SEMIFIELD,
+        "old": "            den = 10 ** len(frac)\n",
+        "new": "            den = 10 ** (len(frac) - 1) if frac else 1\n",
+        "tests": [
+            f"{SF_TESTS}::test_float_exponents_are_rejected",
+            f"{SF_LATTICE}::test_parse",
+        ],
+    },
+    {
+        "name": "parse-admits-exponent",
+        "why": "the text parser hands text it does not read to Fraction, which "
+               "reads \"1e3\" as t^1000 and \"1_0\" as t^10",
+        "file": SEMIFIELD,
+        "old": '    raise ValueError(f"invalid exponent text {text!r}")\n',
+        "new": "    from fractions import Fraction\n    exp = Fraction(text)\n"
+               "    return _value(exp.numerator, exp.denominator)\n",
+        "tests": [
+            f"{SF_TESTS}::test_t_and_parse_refuse_what_value_of_refuses[1e3]",
+            f"{SF_TESTS}::test_t_and_parse_refuse_what_value_of_refuses[1_0]",
+            f"{SF_LATTICE}::test_parse",
         ],
     },
     {
@@ -349,6 +384,18 @@ MUTANTS = [
             f"{ORACLE_TESTS}::test_reconstruction_matches_the_frozen_reference_on_pm_functions",
             f"{ORACLE_TESTS}::test_fit_rejects_a_fractional_degree",
             f"{ORACLE_TESTS}::test_a_window_without_a_fit_is_a_regions_failure",
+        ],
+    },
+    {
+        "name": "randint-bits-of-n-minus-1",
+        "why": "Sampler.randint draws (n - 1).bit_length() bits, so a width that is a "
+               "power of two draws a different stream from random.randint",
+        "file": "src/troprays/sampling.py",
+        "old": "getrandbits, k = self.rng.getrandbits, n.bit_length()",
+        "new": "getrandbits, k = self.rng.getrandbits, (n - 1).bit_length()",
+        "tests": [
+            f"{SAMPLING_TESTS}::test_randint_draws_what_random_randint_draws",
+            f"{SAMPLING_TESTS}::test_draws_and_states_equal_the_fraction_sampler[bounds0]",
         ],
     },
 ]

@@ -275,7 +275,7 @@ def check_semifield_laws(sampler: Sampler, count: int) -> list:
         if a + b != b + a:
             failures.append(f"add commutativity: {a}, {b}")
         x, y = sampler.value(), sampler.value()
-        n = sampler.rng.randint(1, 12)
+        n = sampler.randint(1, 12)
         if x.root(n) ** n != x:
             failures.append(f"root inverse: {x}, n={n}")
         if (x * y).inverse() != x.inverse() * y.inverse():

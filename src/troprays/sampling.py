@@ -23,9 +23,22 @@ class Sampler:
         self.num_bound = num_bound
         self.den_bound = den_bound
 
+    def randint(self, a: int, b: int) -> int:
+        """A uniform int of [a, b], the same draw as ``self.rng.randint(a, b)``:
+        CPython's rejection sampling on ``getrandbits`` (3.10-3.13), without
+        the argument checks and calls of ``randrange``."""
+        n = b - a + 1
+        if n < 1:
+            raise ValueError(f"empty range [{a}, {b}]")
+        getrandbits, k = self.rng.getrandbits, n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
     def value(self) -> TropValue:
-        return _value(self.rng.randint(-self.num_bound, self.num_bound),
-                      self.rng.randint(1, self.den_bound))
+        return _value(self.randint(-self.num_bound, self.num_bound),
+                      self.randint(1, self.den_bound))
 
     def extended_value(self, p_zero: float = 0.1, p_inf: float = 0.1) -> TropValue:
         u = self.rng.random()
@@ -36,9 +49,9 @@ class Sampler:
         return self.value()
 
     def vector(self, dim: int, p_zero: float = 0.15, nonzero: bool = True) -> Vector:
-        rng, n, d = self.rng, self.num_bound, self.den_bound
+        rng, randint, n, d = self.rng, self.randint, self.num_bound, self.den_bound
         while True:  # each coordinate the zero or the two ints of value(), over their lcm
-            draws = [None if rng.random() < p_zero else (rng.randint(-n, n), rng.randint(1, d))
+            draws = [None if rng.random() < p_zero else (randint(-n, n), randint(1, d))
                      for _ in range(dim)]
             den = lcm(*[q for _, q in filter(None, draws)])
             v = _vector(den, tuple([None if x is None else x[0] * (den // x[1]) for x in draws]))
@@ -75,20 +88,20 @@ class Sampler:
         points = set(include)
         bound = max(self.num_bound, 2 * count)
         while len(points) < count:
-            points.add(_value(self.rng.randint(-bound, bound),
-                              self.rng.randint(1, self.den_bound * 2)))
+            points.add(_value(self.randint(-bound, bound),
+                              self.randint(1, self.den_bound * 2)))
         return sorted(points)
 
     def pm_function(self, max_cells: int = 4, max_degree: int = 3) -> PmFunction:
         """Random continuous pm function built cell by cell."""
-        cells = self.rng.randint(1, max_cells)
+        cells = self.randint(1, max_cells)
         cuts = sorted({self.value() for _ in range(cells - 1)})
         breakpoints = [ZERO, *cuts, INF]
         coeff = self.value()
-        degree = self.rng.randint(-max_degree, max_degree)
+        degree = self.randint(-max_degree, max_degree)
         segments = [(coeff, degree)]
         for beta in breakpoints[1:-1]:
-            new_degree = self.rng.randint(-max_degree, max_degree)
+            new_degree = self.randint(-max_degree, max_degree)
             # continuity pins the next coefficient: c2 = c1 * beta^(d1 - d2)
             coeff = coeff * beta ** (degree - new_degree)
             degree = new_degree

@@ -13,8 +13,10 @@ of finite values is one step on the int pairs, reduced once at the end by
 ``_value`` (which skips the gcd over denominator 1).  A ``+``, ``*``, ``/``,
 ``<`` or ``<=`` whose other operand is not a TropValue raises TypeError, as
 Python does for any unsupported operand.  All values are immutable and
-hashable; equal values have equal pairs.  ``exp`` builds the exponent as a
-Fraction on demand.  The layers above compute on integer numerators over one
+hashable; equal values have equal pairs.  Text exponents ("p", "p/q", a
+decimal) are read straight into a reduced int pair by ``_parse_finite``; no
+Fraction is built on the parse path, and ``exp`` imports ``fractions`` only
+when it is read.  The layers above compute on integer numerators over one
 denominator (the integer lattice); they convert TropValues to it with
 ``_lattice`` and back with ``_value``.  Input scalars enter by one rule,
 ``value_of``, which admits no float.
@@ -22,10 +24,13 @@ denominator (the integer lattice); they convert TropValues to it with
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError, UndefinedProduct
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _KZERO = -1
 _KFINITE = 0
@@ -43,20 +48,25 @@ class TropValue:
     @property
     def exp(self) -> Fraction | None:
         """The exponent of a finite value as a Fraction; None for 0 and oo."""
-        return None if self.num is None else Fraction(self.num, self.den)
+        if self.num is None:
+            return None
+        from fractions import Fraction  # here, so parsing and arithmetic never load it
+        return Fraction(self.num, self.den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def finite(cls, exp) -> "TropValue":
-        """Finite value t^exp; `exp` may be an int, Fraction, or string.  A
-        float raises TypeError: its binary expansion is not an exact input;
-        so does a bool, which is a truth value and not an exponent."""
-        if isinstance(exp, (float, bool)):
+        """Finite value t^exp; `exp` may be an int, Fraction, or string (read
+        by ``_parse_finite``).  A float raises TypeError: its binary expansion
+        is not an exact input; so does a bool, which is a truth value and not
+        an exponent, and anything without ``numerator``/``denominator``."""
+        if isinstance(exp, str):
+            return _parse_finite(exp)
+        if isinstance(exp, (float, bool)) or not hasattr(exp, "denominator"):
             raise TypeError(f"exponent {exp!r} is a {type(exp).__name__}; "
                             "pass an int, Fraction or string")
-        exp = Fraction(exp)
-        return cls(_KFINITE, exp.numerator, exp.denominator)
+        return _value(exp.numerator, exp.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "TropValue":
@@ -66,7 +76,7 @@ class TropValue:
             return ZERO
         if text in ("+inf", "inf"):
             return INF
-        return cls.finite(text)
+        return _parse_finite(text)
 
     # -- predicates --------------------------------------------------------
 
@@ -197,6 +207,35 @@ def _value(num, den: int) -> TropValue:
     return TropValue(_KFINITE, num // g, den // g)
 
 
+def _parse_finite(text: str) -> TropValue:
+    """t^p for the exponent text "p", "p/q" or a decimal ("1.5", ".5", "5."),
+    each with an optional sign and surrounding whitespace: what ``Fraction``
+    reads, less exponent notation, "_" separators and non-ASCII digits.  Any
+    other text raises ValueError, and q = 0 ZeroDivisionError."""
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("-", "+"):
+        body = body[1:]
+    p, slash, q = body.partition("/")
+    if slash:
+        if _digits(p) and _digits(q):
+            den = int(q)
+            if den == 0:
+                raise ZeroDivisionError(f"exponent {text!r} divides by zero")
+            return _value(sign * int(p), den)
+    else:
+        whole, _, frac = body.partition(".")
+        if _digits(whole + frac):  # each part digits or empty, not both empty
+            den = 10 ** len(frac)
+            return _value(sign * (int(whole or "0") * den + int(frac or "0")), den)
+    raise ValueError(f"invalid exponent text {text!r}")
+
+
+def _digits(s: str) -> bool:
+    """`s` is a non-empty run of ASCII digits."""
+    return s.isascii() and s.isdigit()
+
+
 def _lattice(values) -> tuple:
     """(d, nums): d is the lcm of the finite exponents' denominators and
     nums[k] = d * exponent of values[k], an int, or None for the zero."""
@@ -213,18 +252,18 @@ def value_of(x) -> TropValue:
     """The one entry rule for scalars: a TropValue as it is, an int (not a
     bool) as t^x, a str in the text encoding of :meth:`TropValue.parse`.
     Anything else (a float, a bool, None), and bad text, raises SchemaError.
-    Exponent notation ("1e3"), "_" separators and non-ASCII digits ("١"),
-    which ``Fraction`` would read, are bad text, refused before any int is
-    built from them: so "1e100000000" in a model file costs nothing."""
+    Text is read straight into an int pair by ``_parse_finite``, with no
+    ``Fraction``.  Exponent notation ("1e3"), "_" separators and non-ASCII
+    characters ("١", a no-break space) are bad text, refused before any int
+    is built from them: so "1e100000000" in a model file costs nothing."""
     if isinstance(x, TropValue):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return TropValue(_KFINITE, x)
     if not isinstance(x, str):
         raise SchemaError(f"semifield value {x!r} is not a str, an int or a TropValue")
-    if not x.isascii() or any(c in x for c in "eE_"):
-        raise SchemaError(f"bad semifield value {x!r}: the text encoding is ASCII, "
-                          "with no exponent notation or '_' separators")
+    if not x.isascii():
+        raise SchemaError(f"bad semifield value {x!r}: the text encoding is ASCII")
     try:
         return TropValue.parse(x)
     except (ValueError, ZeroDivisionError) as ex:

@@ -10,7 +10,6 @@ builds them, so loading models and vectors imports none of them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING
 
@@ -102,6 +101,7 @@ def model_to_json(pair: QuadraticPair) -> dict:
 
 
 def model_hash(pair: QuadraticPair) -> str:
+    import hashlib  # here: it maps OpenSSL, which only a hash needs
     blob = dumps(model_to_json(pair)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -1,9 +1,10 @@
 """``Fraction`` only at the edges of the library.
 
-Every layer computes on int numerators over one denominator; a Fraction is
-built only where text is parsed and ``exp`` is read (``semifield``) and in the
-independent reconstruction of ``oracle``.  This walks the syntax tree of each
-module and fails on any other import of ``fractions``.
+Every layer computes on int numerators over one denominator, and text is
+parsed straight into int pairs; a Fraction is built only where ``exp`` is read
+(``semifield``).  ``oracle`` may import ``fractions`` for its independent
+reconstruction.  This walks the syntax tree of each module and fails on any
+other import of ``fractions``.
 """
 
 import ast

@@ -23,6 +23,9 @@ EVERY_LAYER = ("import troprays.frontier, troprays.isotropy, troprays.oracle, "
                "troprays.instances, troprays.serialize")
 # the standard library's code-introspection modules, which dataclasses loads
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# hashlib and the OpenSSL binding it loads; fractions and what it imports
+OPENSSL = {"hashlib", "_hashlib"}
+FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
 def modules_after(code: str) -> set:
@@ -55,6 +58,20 @@ def test_records_load_no_introspection_module(code):
     any layer loads dataclasses or what it imports.  The baseline is what a
     bare interpreter loads here (a site hook may load some of them)."""
     assert (modules_after(code) - modules_after("pass")) & INTROSPECTION == set()
+
+
+@pytest.mark.parametrize("code", ["import troprays.cli", EVERY_LAYER],
+                         ids=["cli", "every-layer"])
+def test_import_loads_no_openssl(code):
+    """Only ``model_hash`` hashes, and it imports hashlib when it runs, so
+    importing the CLI or any layer maps no OpenSSL."""
+    assert (modules_after(code) - modules_after("pass")) & OPENSSL == set()
+
+
+def test_eval_loads_no_fractions():
+    """Scalar text is read straight into int pairs, so a CLI run that parses a
+    model and vectors loads neither fractions nor decimal nor numbers."""
+    assert (modules_after(CLI_EVAL) - modules_after("pass")) & FRACTIONS == set()
 
 
 def test_cli_imports_no_private_name():

@@ -7,6 +7,8 @@ draw, so over many seeds each draw must be equal, and so must the random
 state after it.
 """
 
+import random
+
 import pytest
 
 import sampling_reference as ref
@@ -41,3 +43,22 @@ def test_many_parameters_with_included_points():
         assert include == [old.value() for _ in range(3)]
         assert new.many_parameters(9, include) == old.many_parameters(9, include)
         assert new.rng.getstate() == old.rng.getstate()
+
+
+# widths 1, 2, powers of two and their neighbours, and ints past one 32-bit word
+RANGES = [(0, 0), (7, 7), (0, 1), (0, 3), (0, 4), (-8, 8), (1, 3), (1, 12), (1, 16),
+          (-3, 4), (5, 1029), (1, 2 ** 31), (-10 ** 20, 10 ** 20)]
+
+
+def test_randint_draws_what_random_randint_draws():
+    """Sampler.randint is CPython's randint on getrandbits: over many seeds and
+    ranges, with random() calls in between, the same ints and the same state."""
+    for seed in range(60):
+        sampler, rng = Sampler(seed), random.Random(seed)
+        for _ in range(3):
+            for a, b in RANGES:
+                assert sampler.randint(a, b) == rng.randint(a, b), (seed, a, b)
+                assert sampler.rng.random() == rng.random(), (seed, a, b)
+        assert sampler.rng.getstate() == rng.getstate(), seed
+    with pytest.raises(ValueError):
+        Sampler(0).randint(1, 0)

@@ -179,6 +179,15 @@ def test_exponent_notation_and_separators_are_bad_text(text):
     assert value_of("0.5") == t(Fraction(1, 2)) and value_of("inf") == INF
 
 
+@pytest.mark.parametrize("text", ["1e3", "1E-2", "1_0", "2.5e1", "\u0661", "1e100000000"])
+def test_t_and_parse_refuse_what_value_of_refuses(text):
+    """``t`` and ``parse`` read text as ``value_of`` does, with no Fraction: a
+    ValueError, and no 10^(10^8) int built for "1e100000000"."""
+    for read in (t, TropValue.finite, TropValue.parse):
+        with pytest.raises(ValueError):
+            read(text)
+
+
 @pytest.mark.parametrize("text", ["\u0661", "\uff11\uff12", "\u0663/\u0664", "1\u00a0",
                                   "\u00bd", "\U0001d7d9"])
 def test_non_ascii_text_is_bad_text(text):

@@ -128,18 +128,39 @@ def test_trop_sum(xs, start):
 
 
 TEXTS = ["-inf", "+inf", "inf", " -inf ", "0", "-0", "5", "-3/4", "7/2", "2/4",
-         " 6/-4 ", "1.5", "-0.25", "1e3", "x", "", "1/0", "--1", "3//4"]
+         " 6/-4 ", "1.5", "-0.25", "1e3", "x", "", "1/0", "--1", "3//4", ".5", "5.",
+         "-.5", "+3", ".", "1.5/2", "3 / 4", "1E-2", "1_0", "2.5e1", "\u0661", "1\u00a0",
+         "\u0663/\u0664"]
+# texts over the characters of the text grammar and of what it leaves out
+GRAMMAR = st.text("0123456789+-./ eE_\t", max_size=8)
 
 
-@given(st.one_of(st.sampled_from(TEXTS), specs.map(lambda x: str(reference(x)))))
+def refused(text) -> bool:
+    """Text outside the int-pair parser's grammar that Fraction may read:
+    exponent notation, "_" separators, non-ASCII digits, inner whitespace."""
+    return isinstance(text, str) and (
+        any(c in "eE_" or (c.isdigit() and not c.isascii()) for c in text)
+        or any(c.isspace() for c in text.strip()))
+
+
+def check_text(name, got, want, text):
+    """ValueError for a refused text, the reference's outcome for any other."""
+    if refused(text):
+        assert outcome(got)[0] is ValueError, name
+    else:
+        check_same(name, got, want)
+
+
+@given(st.one_of(st.sampled_from(TEXTS), GRAMMAR, specs.map(lambda x: str(reference(x)))))
 def test_parse(text):
-    check_same("parse", lambda: sf.TropValue.parse(text), lambda: ref.TropValue.parse(text))
+    check_text("parse", lambda: sf.TropValue.parse(text), lambda: ref.TropValue.parse(text), text)
 
 
-@given(st.one_of(exponents, exponents.map(str), st.sampled_from(["2/4", "-6/8", "x", "1/0"])))
+@given(st.one_of(exponents, exponents.map(str), GRAMMAR,
+                 st.sampled_from(["2/4", "-6/8", "x", "1/0", "1e3", "-1.5"])))
 def test_finite(exp):
-    check_same("finite", lambda: sf.TropValue.finite(exp), lambda: ref.TropValue.finite(exp))
-    check_same("t", lambda: sf.t(exp), lambda: ref.t(exp))
+    check_text("finite", lambda: sf.TropValue.finite(exp), lambda: ref.TropValue.finite(exp), exp)
+    check_text("t", lambda: sf.t(exp), lambda: ref.t(exp), exp)
 
 
 @given(st.one_of(st.none(), st.integers(-BIG, BIG)), st.integers(1, 10 ** 6))
