@@ -54,6 +54,8 @@ PM_LATTICE = "tests/test_pm_lattice.py"
 ORACLE = "src/troprays/oracle.py"
 ORACLE_TESTS = "tests/test_oracle.py"
 SAMPLING_TESTS = "tests/test_sampling.py"
+FRONTIER = "src/troprays/frontier.py"
+FR_TESTS = "tests/test_frontier.py"
 
 MUTANTS = [
     {
@@ -396,6 +398,44 @@ MUTANTS = [
         "tests": [
             f"{SAMPLING_TESTS}::test_randint_draws_what_random_randint_draws",
             f"{SAMPLING_TESTS}::test_draws_and_states_equal_the_fraction_sampler[bounds0]",
+        ],
+    },
+    {
+        "name": "galois-mask-ignores-pool-pair",
+        "why": "a Galois image's mask is read on any pool pair, so positions of one "
+               "pool order pick rays of another",
+        "file": FRONTIER,
+        "old": "if query.__class__ is _Image and query.relation is rel and query.side == dual:",
+        "new": "if query.__class__ is _Image and query.side == dual:",
+        "tests": [
+            f"{FR_TESTS}::test_galois_image_given_to_s_on_another_pool_pair",
+            f"{FR_TESTS}::test_galois_image_given_to_s_after_its_pools_grow[insert]",
+        ],
+    },
+    {
+        "name": "galois-memo-drops-direction",
+        "why": "the Galois answer memo keys a query mask without its direction, so an "
+               "S image and an L image of equal masks share one answer",
+        "file": FRONTIER,
+        "old": "key = query.mask << 1 | dual",
+        "new": "key = query.mask << 1",
+        "tests": [
+            f"{FR_TESTS}::test_galois_closure_chains_match_the_definition[1-True]",
+        ],
+    },
+    {
+        "name": "galois-plain-query-hits-memo",
+        "why": "a plain Galois query is answered by the memo of its mask, so an order "
+               "of its rays that raises reads the answer of one that ran dry first",
+        "file": FRONTIER,
+        "old": "            related = self._meet(rel, dual, query, slots, image)\n",
+        "new": "            key = sum(1 << i for i, k in enumerate(rel.first[dual]) if k in slots)\n"
+               "            related = rel.answers.get(key << 1 | dual)\n"
+               "            if related is None:\n"
+               "                related = rel.answers[key << 1 | dual] = self._meet(\n"
+               "                    rel, dual, query, slots, image)\n",
+        "tests": [
+            f"{FR_TESTS}::test_galois_witness_outside_t_raises_where_the_definition_does",
         ],
     },
 ]

@@ -100,8 +100,8 @@ class FrontierPair:
         self._bound = _Bound(pair, family)  # numerators per vector, for signs and boundaries
         self._signs = {}   # sign memo: ray.rep -> sign vector, whatever the pointed base
         self._boundaries = {}  # (y1.base, y2.base) -> derivate boundary for (T, T'), or None
-        self._relations = {}  # (U_pool, P_pool) -> masks, see _galois
-        self._last = None, None  # the pools and masks of the last _galois query
+        self._relations = {}  # (U_pool, P_pool) -> _Relation, see _galois
+        self._last = None, None  # the pools and relation of the last _galois query
 
     @classmethod
     def of_rays(cls, pair, family, w: Ray, u: Ray) -> "FrontierPair":
@@ -296,41 +296,96 @@ class FrontierPair:
     def _galois(self, query, u_pool, p_pool, dual: bool) -> tuple:
         """Rays of P_pool related to all of a U-query (L) or, when `dual`, rays
         of U_pool related to all of a P-query (S), read off the sector relation
-        on U_pool x P_pool: one rep -> bitmask dict per pool, a W's row of
-        P_pool indices and a Z's column of U_pool indices, each filled by
-        `sector_member` on first use, once every query ray is found in its
-        pool.  Masks are ANDed in query order until none is left, as a
-        short-circuiting per-ray test would evaluate them; a result no mask
-        cut is the image pool itself."""
+        on U_pool x P_pool (a `_Relation`, shared by pool pairs of equal rays):
+        a bitmask per pool ray, a W's row of P_pool indices and a Z's column of
+        U_pool indices, each filled by `sector_member` on first use.
+
+        A query is looked up ray by ray in its pool, and every ray must be
+        found there; its masks are then ANDed in query order until none is
+        left, as a short-circuiting per-ray test would evaluate them.  A
+        result no mask cut is the image pool itself.  Any other result, and
+        every result of an operator-made query, is an `_Image`: built once per
+        result mask, from the pool rays of the call that first reached it, it
+        carries that mask.  Given back as the query of the dual operator on
+        the relation the pools resolve to now (L(S(L(U))), say), an `_Image`
+        is read by its mask alone, in pool order, and its answer is memoised
+        by (relation, direction, mask).  That memo serves no plain query: two
+        orders of the same rays may differ, one raising where the other runs
+        dry first.
+        """
         pools = (tuple(u_pool), tuple(p_pool))
-        last, masks = self._last
+        last, rel = self._last
         # the last pools first: tuple == matches identical rays without hashing them
         if pools != last:
-            masks = self._relations.get(pools)
-            if masks is None:
-                masks = self._relations[pools] = tuple(dict.fromkeys(x.rep for x in pool)
-                                                       for pool in pools)
-            self._last = pools, masks
-        own, image = masks[dual], pools[not dual]
-        query = tuple(query)
-        found = [own.get(x.rep, _MISS) for x in query]
-        if _MISS in found:
-            raise ValueError("P must be a subset of P_pool" if dual
-                             else "U must be a subset of U_pool")
-        related = full = (1 << len(image)) - 1
-        for x, mask in zip(query, found):
+            rel = self._relations.get(pools)
+            if rel is None:
+                rel = self._relations[pools] = _Relation(pools)
+            self._last = pools, rel
+        image = pools[not dual]
+        if query.__class__ is _Image and query.relation is rel and query.side == dual:
+            key = query.mask << 1 | dual
+            related = rel.answers.get(key)
+            if related is None:
+                first, mask = rel.first[dual], query.mask
+                slots = [first[i] for i in range(len(first)) if mask >> i & 1]
+                related = rel.answers[key] = self._meet(rel, dual, query, slots, image)
+        else:
+            query, index = tuple(query), rel.index[dual]
+            slots = [index.get(x.rep) for x in query]
+            if None in slots:
+                raise ValueError("P must be a subset of P_pool" if dual
+                                 else "U must be a subset of U_pool")
+            related = self._meet(rel, dual, query, slots, image)
+            if related == (1 << len(image)) - 1:
+                return image
+        answers = rel.images[not dual]
+        answer = answers.get(related)
+        if answer is None:
+            answer = answers[related] = _Image(
+                [image[i] for i in range(len(image)) if related >> i & 1])
+            answer.relation, answer.side, answer.mask = rel, not dual, related
+        return answer
+
+    def _meet(self, rel, dual, query, slots, image) -> int:
+        """The AND of the masks at `slots` of the query side, in order, until
+        none is left; a mask not yet known is filled from its query ray."""
+        masks = rel.masks[dual]
+        related = (1 << len(image)) - 1
+        for x, k in zip(query, slots):
             if not related:
                 break
+            mask = masks[k]
             if mask is None:
-                mask = own[x.rep]  # filled meanwhile when an equal ray came earlier
-            if mask is None:
-                mask = own[x.rep] = sum(
+                mask = masks[k] = sum(
                     1 << i for i, y in enumerate(image)
                     if (self.sector_member(y, x) if dual else self.sector_member(x, y)))
             related &= mask
-        if related == full:
-            return image
-        return tuple([image[i] for i in range(len(image)) if related >> i & 1])
+        return related
+
+
+class _Relation:
+    """The sector relation of `FrontierPair._galois` on one pool pair, read
+    per side (0 the U_pool, 1 the P_pool): `index[side]` maps a rep to the
+    first position of its ray in that pool, `first[side]` each position to
+    that of its ray, `masks[side]` a first position to its ray's mask over
+    the other pool (None until filled) and `images[side]` a mask over the pool
+    to its `_Image`.  `answers` maps mask << 1 | side, for an `_Image` of that
+    side given as a query, to the answer's mask over the other pool."""
+
+    __slots__ = ("index", "first", "masks", "images", "answers")
+
+    def __init__(self, pools):
+        self.index = ({}, {})
+        self.first = tuple([index.setdefault(x.rep, i) for i, x in enumerate(pool)]
+                           for index, pool in zip(self.index, pools))
+        self.masks = tuple([None] * len(pool) for pool in pools)
+        self.images = ({}, {})
+        self.answers = {}
+
+
+class _Image(tuple):
+    """An L or S answer that knows its origin: the rays of the pool on `side`
+    of `relation` at the set bits of `mask`."""
 
 
 def scenarios(sampler):

@@ -2,8 +2,7 @@
 
 Every layer computes on int numerators over one denominator, and text is
 parsed straight into int pairs; a Fraction is built only where ``exp`` is read
-(``semifield``).  ``oracle`` may import ``fractions`` for its independent
-reconstruction.  This walks the syntax tree of each module and fails on any
+(``semifield``).  This walks the syntax tree of each module and fails on any
 other import of ``fractions``.
 """
 
@@ -14,7 +13,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "troprays")
 
-ALLOWED = {"semifield.py", "oracle.py"}
+ALLOWED = {"semifield.py"}
 
 
 def imports_fractions(node) -> bool:
@@ -23,7 +22,7 @@ def imports_fractions(node) -> bool:
     return isinstance(node, ast.ImportFrom) and node.module == "fractions"
 
 
-def test_only_semifield_and_oracle_import_fractions():
+def test_only_semifield_imports_fractions():
     modules = sorted(glob.glob(os.path.join(SRC, "*.py")))
     assert modules, f"no modules found under {SRC}"
     found = []
@@ -33,4 +32,4 @@ def test_only_semifield_and_oracle_import_fractions():
             tree = ast.parse(handle.read(), filename=path)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if imports_fractions(node) and name not in ALLOWED]
-    assert not found, f"fractions imported outside semifield and oracle: {found}"
+    assert not found, f"fractions imported outside semifield: {found}"

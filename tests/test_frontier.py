@@ -603,6 +603,129 @@ def test_galois_query_with_equal_rays_fills_their_row_once(counted_sectors):
     assert len(counted_sectors) == len(p_pool)
 
 
+def galois_op(fp, dual):
+    return fp.galois_S if dual else fp.galois_L
+
+
+@pytest.fixture
+def counted_hashes(monkeypatch):
+    """Hashes of vectors, as a dict lookup of a ray's rep makes them."""
+    calls = []
+    original = Vector.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Vector, "__hash__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, one_size", [(1, False), (2, False), (1, True)])
+def test_galois_closure_chains_match_the_definition(seed, one_size, counted_sectors,
+                                                    counted_hashes):
+    """Each link of L(S(L(U))) and S(L(S(P))) is the definition's answer to
+    the link before it, the chain closes (LSL = L, SLS = S), and a second
+    pass evaluates no sector and hashes no vector past its plain first
+    query.  On pools of one size a mask of U_pool and one of P_pool can be
+    the same number, here the whole pool: an S image that is all of U_pool
+    given to L, and an L image that is all of P_pool given to S, have
+    different answers."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, seed)
+    if one_size:
+        size = min(len(u_pool), len(p_pool))
+        u_pool, p_pool = u_pool[:size], p_pool[:size]
+        answers = fp.galois_L(u_pool, u_pool, p_pool), fp.galois_S(p_pool, u_pool, p_pool)
+        assert [p_pool.index(z) for z in answers[0]] != [u_pool.index(w) for w in answers[1]]
+    chains = {}  # (query, dual) -> [A, B, C]: A its image, B the dual image of A, C that of B
+    for query, dual in galois_queries(u_pool, p_pool):
+        first = galois_op(fp, dual)(query, u_pool, p_pool)
+        second = galois_op(fp, not dual)(first, u_pool, p_pool)
+        links = chains[query, dual] = [first, second,
+                                       galois_op(fp, dual)(second, u_pool, p_pool)]
+        for link, (given, side) in zip(links, ((query, dual), (first, not dual),
+                                               (second, dual))):
+            assert link == galois_by_definition(fp, given, u_pool, p_pool, side), query
+        assert links[2] == first
+    del counted_sectors[:]
+    for query, dual in galois_queries(u_pool, p_pool):
+        first = galois_op(fp, dual)(query, u_pool, p_pool)
+        del counted_hashes[:]
+        second = galois_op(fp, not dual)(first, u_pool, p_pool)
+        third = galois_op(fp, dual)(second, u_pool, p_pool)
+        if first != tuple(u_pool if dual else p_pool):  # else the plain pool tuple
+            assert counted_hashes == [], query
+        assert [first, second, third] == chains[query, dual]
+    assert counted_sectors == []
+
+
+def test_galois_image_given_to_s_on_another_pool_pair():
+    """An L image read on a pool pair of the same rays in another order, or
+    of more rays, is read as its rays, not as its mask."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 1)
+    more_u, more_p = ([x for x in more if x not in pool]
+                      for more, pool in zip(seeded_wall_pools(fp, 2), (u_pool, p_pool)))
+    assert more_u and more_p
+    others = [(u_pool[::-1], p_pool[::-1]), (u_pool, p_pool[1:] + p_pool[:1]),
+              (u_pool + more_u, more_p + p_pool), (u_pool, p_pool + more_p)]
+    moved = 0
+    for query, dual in galois_queries(u_pool, p_pool):
+        if dual:
+            continue
+        image = fp.galois_L(query, u_pool, p_pool)
+        for u_other, p_other in others:
+            got = galois_by_relation(fp, image, u_other, p_other, True)
+            assert got == galois_by_definition(fp, image, u_other, p_other, True), query
+            moved += [p_other.index(z) for z in image] != [p_pool.index(z) for z in image]
+    assert moved > 0
+
+
+@pytest.mark.parametrize("grow", ["append", "insert"])
+def test_galois_image_given_to_s_after_its_pools_grow(grow):
+    """Pool lists may change between calls: an L image given to S once a ray
+    is added to each pool in place is read against the pools as they are."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 3)
+    more_u, more_p = seeded_wall_pools(fp, 4)
+    images = [fp.galois_L(query, u_pool, p_pool)
+              for query, dual in galois_queries(u_pool, p_pool) if not dual]
+    extra_u = next(x for x in more_u if x not in u_pool)
+    extra_p = next(z for z in more_p if z not in p_pool)
+    if grow == "append":
+        u_pool.append(extra_u)
+        p_pool.append(extra_p)
+    else:
+        u_pool.insert(0, extra_u)
+        p_pool.insert(0, extra_p)
+    for image in images:
+        got = fp.galois_S(image, u_pool, p_pool)
+        assert got == galois_by_definition(fp, image, u_pool, p_pool, True), image
+        assert galois_by_relation(fp, got, u_pool, p_pool, False) == galois_by_definition(
+            fp, got, u_pool, p_pool, False)
+
+
+def test_galois_image_given_back_to_its_own_operator():
+    """An L image is a subset of P_pool, so given to L again it is a query of
+    rays, checked against U_pool and read row by row, whatever its mask says."""
+    fp = fresh_wall_frontier()
+    u_pool, p_pool = seeded_wall_pools(fp, 2)
+    both = u_pool + p_pool
+    images = [fp.galois_L(query, u_pool, p_pool)
+              for query, dual in galois_queries(u_pool, p_pool) if not dual]
+    images += [fp.galois_L(query, both, both)
+               for query, dual in galois_queries(u_pool, both) if not dual]
+    outcomes = set()
+    for image in images:
+        for u_other, p_other in ((u_pool, p_pool), (both, both), (p_pool, p_pool)):
+            got = galois_by_relation(fp, image, u_other, p_other, False)
+            assert got == galois_by_definition(fp, image, u_other, p_other, False), image
+            outcomes.add(got)
+    # outside U_pool, or rows of rays outside T
+    assert {ValueError, WitnessNotInStratum} <= outcomes
+
+
 def test_entrance_trace_memo_is_keyed_by_pointed_bases():
     """[W, U] and [W, t^-3 U] are the same ray interval with different
     parameters: ray(w + lam t^-3 u) = pi(t^-3 lam), so the entrance parameter
