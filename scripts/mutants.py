@@ -212,13 +212,28 @@ MUTANTS = [
     {
         "name": "numerator-b-for-2b",
         "why": "the term rule reads b(v, w) for 2 b(v, w), so CS loses its square",
-        "file": "src/troprays/csfun.py",
-        "old": "                        b = 2 * b + c\n",
-        "new": "                        b = b + c\n",
+        "file": QUADSPACE,
+        "old": "                    b = 2 * b + c\n",
+        "new": "                    b = b + c\n",
         "tests": [
             "tests/test_cs_lattice.py::test_zero_coefficients",
             "tests/test_cs_lattice.py::test_repeated_anchors",
             "tests/test_frame.py::test_anchor_equal_to_an_end_shares_its_gram_value",
+        ],
+    },
+    {
+        "name": "fill-reuses-first-entry",
+        "why": "a frame entry made after a fill starts with the first filled entry's column "
+               "and N, so a later vector on the same frame reads another vector's numerators",
+        "file": QUADSPACE,
+        "old": "hit = self._seen[v] = [xs, _q_max(self._q_rows, self._s, xs), None, None]",
+        "new": "hit = self._seen[v] = [xs, _q_max(self._q_rows, self._s, xs), *next(\n"
+               "                (e[2:] for e in self._seen.values() if e[3] is not None),\n"
+               "                (None, None))]",
+        "tests": [
+            "tests/test_frame.py::test_one_binding_read_many_times_matches_one_off_calls",
+            "tests/test_strata.py::test_chart_m1_chain",
+            "tests/test_strata.py::test_derivation_chart_forms_one_column_per_vector_and_lattice",
         ],
     },
     {
@@ -283,6 +298,19 @@ MUTANTS = [
             f"{PM_LATTICE}::test_row_runs_match_the_frozen_cell_by_cell_kernel",
             "tests/test_strata.py::test_stratify_m1_worked",
             "tests/test_rays.py::test_locate_matches_frozen_reference",
+        ],
+    },
+    {
+        "name": "row-runs-drops-a-gathered-point",
+        "why": "row_runs gathers no candidate point for a pair cut where row j's constant "
+               "meets row i's line, so its cell lookup fails or reads another pair's cell",
+        "file": PMFUNC,
+        "old": "                points.add(c - b)\n",
+        "new": "",
+        "tests": [
+            f"{PM_LATTICE}::test_row_runs_are_the_runs_of_the_ratios",
+            f"{PM_LATTICE}::test_row_runs_match_the_frozen_cell_by_cell_kernel",
+            "tests/test_strata.py::test_stratify_m1_worked",
         ],
     },
     {

@@ -29,19 +29,21 @@ and build their ratio by the same two rules: ``_row_pm`` hulls a row and
 multiplies it by ``_inverse_q``, the inverted q of a Gram triple.
 
 The binding.  Every read of a family goes through one :class:`_Bound`, built
-once per (model, family): its live terms, and one lattice frame
-(``quadspace._Frame``) of the model, the live anchors and the coefficients,
-on the lcm of their denominators, which hands out the frame of a call's
-vectors, one per denominator.  On each frame the binding keeps N(v) per
-vector, formed in ints by the one term rule ``_Bound._maxima`` with the
-exponent coeff - q(w) + 2 b(v, w); the envelopes of a row and of q are built
-by the int hull builder ``pmfunc._hull``.  A one-off call (a restriction, a
-trace, a sign vector, :meth:`BasicFunction.eval`) binds, reads once and drops
-the binding, and its Gram counts are those of one call: per interval q once
-per distinct vector (eps1, eps2 and each live anchor that is not one of
-them), b(eps1, eps2), and b(eps1, w), b(eps2, w) once per distinct live
-anchor w (at most 3 + 3 per anchor, 7 for the canonical M1 family, whose
-anchors are the ends); per ray q(x), then q(w) and b(w, x) once per distinct
+once per (model, family).  It owns one lattice frame (``quadspace._Frame``)
+of the model, the live anchors and the coefficients, on the lcm of their
+denominators, built with the family's live terms, and that frame hands out
+the frame of a call's vectors, one per denominator.  A frame keeps one entry
+per vector; ``_Frame.fill`` puts N(v) and v's column on it, N formed in ints
+by the one term rule with the exponent coeff - q(w) + 2 b(v, w), and the
+first fill on a frame puts the anchors and the term constants coeff - q(w)
+on the frame.  The envelopes of a row and of q are built by the int hull
+builder ``pmfunc._hull``.  A one-off call (a restriction, a trace, a sign
+vector, :meth:`BasicFunction.eval`) binds, reads once and drops the binding,
+and its Gram counts are those of one call: per interval q once per distinct
+vector (eps1, eps2 and each live anchor that is not one of them),
+b(eps1, eps2), and b(eps1, w), b(eps2, w) once per distinct live anchor w
+(at most 3 + 3 per anchor, 7 for the canonical M1 family, whose anchors are
+the ends); per ray q(x), then q(w) and b(w, x) once per distinct
 live anchor.  A binding that lives longer (``strata.derivation_chart``,
 ``frontier.FrontierPair``) reads q(w) once per frame and a vector's q, column
 and N once per frame, so a trace of two rays read before costs only
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import quadspace
 from .errors import (InfiniteCoefficient, IsotropicArgument, IsotropicEndpoint,
                      PerpendicularWitness, VerificationFailed)
 from .pmfunc import _ZERO_FN, PmFunction, _hull
@@ -114,21 +117,25 @@ class BasicFunction(_Frozen):
 class _Bound:
     """A family bound to a model: the one path by which values, sign vectors,
     numerator rows and restrictions read the family (see "The binding"
-    above).  Per lattice frame it keeps the anchors' terms (``_terms_on``)
-    and each vector's N(v) and column, only from reads that succeeded: an
-    isotropic or wrong-dimension live anchor raises on every read, with its
-    caller's message.
+    above).  It owns one lattice frame, built with the family's live terms;
+    the frames it hands out keep each vector's N(v) and column on the
+    vector's entry, only from reads that succeeded: an isotropic or
+    wrong-dimension live anchor raises on every read, with its caller's
+    message.
     """
 
-    __slots__ = ("_live", "_frame", "_on")
+    __slots__ = ("_frame",)
 
     def __init__(self, pair: QuadraticPair, family):
-        # a term with coefficient 0 drops out before its anchor is looked at
-        self._live = live = [[(coeff, anchor.base) for coeff, anchor in f.terms
-                              if coeff.kind == _KFINITE] for f in family]
-        self._frame = _Frame(pair, [w for terms in live for _, w in terms],
-                             [coeff for terms in live for coeff, _ in terms])
-        self._on = {}  # frame -> (anchors, terms, {id(frame.at(v)): (N(v), column)})
+        live = []
+        for f in family:
+            terms = []
+            for coeff, anchor in f.terms:
+                # a term with coefficient 0 drops out before its anchor is looked at
+                if coeff.kind == _KFINITE:
+                    terms.append((coeff, anchor.base))
+            live.append(terms)
+        self._frame = _Frame(pair, live=live)
 
     def values(self, x: Vector) -> tuple:
         """The family's values at x: (nums, den) with f_i(x) = t^(nums[i]/den),
@@ -139,10 +146,9 @@ class _Bound:
         """
         frame = self._frame.over(x.d)
         at = frame.at(x)
-        qx = at[1]
-        if qx is None:
+        if at[1] is None:
             raise IsotropicArgument("CS-functions live on the anisotropic ray space")
-        nums, _ = self._maxima(frame, at, "CS-ratio needs anisotropic arguments")
+        qx, nums = at[1], frame.fill(at, "CS-ratio needs anisotropic arguments")
         return [None if n is None else n - qx for n in nums], frame.den
 
     def numerators(self, eps1: Vector, eps2: Vector) -> tuple:
@@ -162,59 +168,8 @@ class _Bound:
         frame = self._frame.over(eps1.d, eps2.d)
         at1, at2 = frame.at(eps1), frame.at(eps2)
         message = "CS witness must be anisotropic"
-        n1, c1 = self._maxima(frame, at1, message)
-        n2, _ = self._maxima(frame, at2, message)
-        return list(zip(n1, n2)), frame.den, (at1[1], frame.b(c1, at2[0]), at2[1])
-
-    def _maxima(self, frame: _Frame, at: tuple, message: str) -> tuple:
-        """(N(v), column of v) for the frame entry ``at = frame.at(v)``: N(v)
-        by the one term rule, for each function the max over its live terms
-        of coeff / q(w) b(v, w)^2, ints on the frame's lattice (None for the
-        zero); the column once, then b(v, w) once per distinct anchor.  Both
-        are kept on success, keyed by the entry, which the frame keeps as
-        long as the binding lives and shares among equal vectors."""
-        on = self._on.get(frame)
-        if on is None:
-            on = self._on[frame] = self._terms_on(frame, message)
-        anchors, terms, known = on
-        hit = known.get(id(at))
-        if hit is None:
-            col, out = frame.column(at[0]), []
-            bs = [frame.b(col, ys) for ys in anchors]
-            for row in terms:
-                best = None
-                for c, i in row:
-                    b = bs[i]
-                    if b is not None:
-                        b = 2 * b + c
-                        if best is None or best < b:
-                            best = b
-                out.append(best)
-            hit = known[id(at)] = tuple(out), col
-        return hit
-
-    def _terms_on(self, frame: _Frame, message: str) -> tuple:
-        """(anchors, terms, {}) on the frame: the numerators ys of each
-        distinct live anchor w, in the order the terms read them, each
-        function's terms as (coeff - q(w), anchor index), ints over den, and
-        an empty memo of N.  An isotropic anchor raises
-        IsotropicArgument(message) and a wrong-dimension one
-        DimensionMismatch, before any later anchor is read."""
-        den, index, anchors, qs, terms = frame.den, {}, [], [], []
-        for live in self._live:
-            row = []
-            for coeff, w in live:
-                i = index.get(w)
-                if i is None:
-                    ys, qw = frame.at(w)
-                    if qw is None:
-                        raise IsotropicArgument(message)
-                    i = index[w] = len(anchors)
-                    anchors.append(ys)
-                    qs.append(qw)
-                row.append((coeff.num * (den // coeff.den) - qs[i], i))
-            terms.append(row)
-        return anchors, terms, {}
+        n1, n2 = frame.fill(at1, message), frame.fill(at2, message)
+        return list(zip(n1, n2)), frame.den, (at1[1], quadspace._dot(at1[2], at2[0]), at2[1])
 
 
 def cs_restriction_pm(pair: QuadraticPair, eps1: Vector, eps2: Vector, family) -> tuple:
@@ -277,17 +232,17 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
     must agree whenever B_w is nondegenerate, or VerificationFailed is raised.
     """
     eps1, eps2 = interval.y1.base, interval.y2.base
-    frame = _Frame(pair, (eps1, eps2, w))
-    (x1, a1), (ys, qw), (x2, a2) = frame.at(eps1), frame.at(w), frame.at(eps2)
+    frame, dot = _Frame(pair, (eps1, eps2, w)), quadspace._dot
+    (x1, a1), (ys, qw), (x2, a2) = frame.at(eps1)[:2], frame.at(w)[:2], frame.at(eps2)[:2]
     c1, cw = frame.column(x1), frame.column(ys)
-    b1, b2 = frame.b(c1, ys), frame.b(cw, x2)
+    b1, b2 = dot(c1, ys), dot(cw, x2)
     if b1 is None and b2 is None:
         raise PerpendicularWitness("witness is orthogonal to both base points")
     if a1 is None or a2 is None:
         raise IsotropicEndpoint("interval endpoint is isotropic")
     if qw is None:
         raise IsotropicArgument("CS witness must be anisotropic")
-    den, a12 = frame.den, frame.b(c1, x2)
+    den, a12 = frame.den, dot(c1, x2)
     f = _row_pm(tuple([None if b is None else 2 * b - qw for b in (b1, b2)]), den,
                 _inverse_q((a1, a12, a2), den))
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import quadspace
 from .csfun import _Bound, _inverse_q, _row_pm
 from .errors import IllposedApproach, IsotropicArgument, NoAnisotropicInterior, VerificationFailed
 from .pmfunc import PmFunction
@@ -65,22 +66,22 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
     :func:`troprays.strata.example_family`): the case analysis identifies
     strata with profile classes, which is specific to that family.
     """
-    frame = _Frame(pair, (eps, eta, y2.base, y3.base))
-    xs, q_eps = frame.at(eps)
+    frame, dot = _Frame(pair, (eps, eta, y2.base, y3.base)), quadspace._dot
+    xs, q_eps = frame.at(eps)[:2]
     if q_eps is not None:
         raise ValueError("eps must be isotropic")
     ts, eps_col = frame.on(eta), frame.column(xs)
-    if frame.b(eps_col, ts) is None and frame.at(eta)[1] is None:
+    if dot(eps_col, ts) is None and frame.at(eta)[1] is None:
         raise IllposedApproach("q(eps + t*eta) vanishes for every t")
 
-    (x2, a2), (x3, a3) = frame.at(y2.base), frame.at(y3.base)
-    a12, a13 = frame.b(eps_col, x2), frame.b(eps_col, x3)
+    (x2, a2), (x3, a3) = frame.at(y2.base)[:2], frame.at(y3.base)[:2]
+    a12, a13 = dot(eps_col, x2), dot(eps_col, x3)
     swapped = a12 is None and a13 is not None
     if swapped:
         x2, x3, a2, a3, a12, a13 = x3, x2, a3, a2, a13, a12
-    a23 = frame.b(frame.column(x2), x3)
+    a23 = dot(frame.column(x2), x3)
     eta_col = frame.column(ts)
-    b_eta_2, b_eta_3 = frame.b(eta_col, x2), frame.b(eta_col, x3)
+    b_eta_2, b_eta_3 = dot(eta_col, x2), dot(eta_col, x3)
     den, q = frame.den, (a2, a23, a3)
 
     profile = None

@@ -558,19 +558,22 @@ def row_runs(rows, den: int, degree: int, zero_end: bool = True,
     # the zero is read as low, below every entry
     low = min([v for row in rows for v in row if v is not None], default=0) - 1
     rows = [(low if a is None else a, low if b is None else b) for a, b in rows]
-    cuts = []
+    cuts, points = [], set()
     for i, (a, b) in enumerate(rows):
         for c, e in rows[i + 1:]:
-            zero, inf = "=><"[(a > c) - (a < c)], "=><"[(b > e) - (b < e)]
+            zero = ">" if a > c else "<" if a < c else "="
+            inf = ">" if b > e else "<" if b < e else "="
             # the constant of one row meets the line of the other, both maxima
             if low < a and low < e and b <= e and c <= a:
+                points.add(a - e)
                 cuts.append((a - e, zero, ">" if c < a else "=", "<" if b < e else "=", inf))
             elif low < c and low < b and e <= b and a <= c:
+                points.add(c - b)
                 cuts.append((c - b, zero, "<" if a < c else "=", ">" if e < b else "=", inf))
             else:
-                x, y = max(a, b), max(c, e)
-                cuts.append((None, zero, "=><"[(x > y) - (x < y)], None, inf))
-    points = sorted({cut[0] for cut in cuts if cut[0] is not None})
+                x, y = a if a > b else b, c if c > e else e
+                cuts.append((None, zero, ">" if x > y else "<" if x < y else "=", None, inf))
+    points = sorted(points)
     size = 2 * len(points) + 3
     cell = {p: 2 * i + 2 for i, p in enumerate(points)}
     columns = [zero + left * (size - 2) + inf if p is None else

@@ -38,10 +38,12 @@ gamma_ij + x_i + x_j, i <= j, off the model's q rows: alpha_i at j = i,
 beta_ij at j > i), ``_column`` for the column B (x) x (entry j the max over
 beta_ij + x_i) and ``_dot`` for b(x, y), the max of that column plus y.  A
 call that needs several Gram values builds one ``_Frame``: the model and
-every vector of the call on one denominator, q once per distinct vector and
-each column once, so that every further b is an O(n) maximum.  A family
-bound to the model (``csfun._Bound``) keeps one frame, and the finer frames
-it hands out per denominator, for as long as the binding lives.  The CS
+every vector of the call on one denominator, with one entry per distinct
+vector that holds its numerators and q, so that each b after a column is an
+O(n) maximum.  A family bound to the model (``csfun._Bound``) owns one frame
+built with its live terms; that frame, and the finer frames it hands out per
+lattice denominator (``over``), also keep a vector's column and the family
+numerators N(v) on its entry, for as long as the binding lives.  The CS
 layers (csfun, strata, isotropy) read their Gram values off frames only and
 work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
 ``coords`` build TropValues, themselves reduced int pairs, the first two
@@ -293,10 +295,10 @@ class QuadraticPair(_Frozen):
     def cs(self, x: Vector, y: Vector) -> TropValue:
         """CS(x, y) = b(x, y)^2 / (q(x) q(y)); requires both anisotropic."""
         frame = _Frame(self, (x, y))
-        (xs, qx), (ys, qy) = frame.at(x), frame.at(y)
+        (xs, qx), (ys, qy) = frame.at(x)[:2], frame.at(y)[:2]
         if qx is None or qy is None:
             raise IsotropicArgument("CS-ratio needs anisotropic arguments")
-        b = frame.b(frame.column(xs), ys)
+        b = _dot(frame.column(xs), ys)
         if b is None:
             return ZERO
         return _value(2 * b - qx - qy, frame.den)
@@ -359,40 +361,49 @@ def _dot(col, ys):
 
 
 class _Frame:
-    """A lattice: the model and every vector and scalar of a call on one
-    denominator ``den``, the lcm of all their denominators (and of ``den``,
-    when given).
+    """A lattice: the model and every vector of a call on one denominator
+    ``den``, the lcm of all their denominators (and of ``den``, when given).
 
-    ``at(v)`` puts v on the lattice (``on(v)``, for a vector whose q the
-    call may not need) and evaluates q(v), once per distinct vector;
-    ``column(xs)`` forms B (x) x once, after which each b(x, y) is the O(n)
-    maximum ``b(col, ys)``.  A vector's dimension is checked when the frame
-    first reads it, so errors come in the order the caller reads.  A frame
-    that outlives one call (``csfun._Bound`` keeps one per family) hands out
-    ``over(*dens)``: itself when a call's denominators divide den, else
-    one persistent finer frame per lattice denominator, so that a vector's
-    q is evaluated once per lattice however often it is read.
+    ``at(v)`` is the one entry of v, made when the frame first reads v: the
+    list [xs, q, col, N] of v's numerators and q(v) on the lattice, q None for
+    the zero, then v's column and its family numerators, None until ``fill``
+    forms them.  ``on(v)`` puts v on the lattice with no entry, for a vector
+    whose q the call may not need; ``column(xs)`` forms B (x) x, after which
+    each b(x, y) is the O(n) maximum ``_dot(col, ys)``.  A vector's dimension
+    is checked when the frame first reads it, so errors come in the order the
+    caller reads.
+
+    A frame built with a family's live terms ``live``, per function the
+    (coeff, anchor vector) of each term with coeff != 0, belongs to a binding
+    (``csfun._Bound``, which keeps it as long as it lives): its lattice holds
+    the anchors and the coefficients too, ``fill`` forms N(v) on it, and
+    ``over(d1, d2)`` hands out the frame of a call's one or two vectors,
+    itself when their denominators divide den, else one persistent finer
+    frame per lattice denominator with the same terms.  So a vector's q,
+    column and N are formed once per lattice however often it is read.
     """
 
-    __slots__ = ("den", "_pair", "_q_rows", "_rows", "_s", "_seen", "_finer")
+    __slots__ = ("den", "_pair", "_q_rows", "_rows", "_s", "_seen", "_finer", "_live",
+                 "_terms")
 
-    def __init__(self, pair: QuadraticPair, vectors=(), scalars=(), den: int = 1):
+    def __init__(self, pair: QuadraticPair, vectors=(), den: int = 1, live=()):
         d, self._q_rows, self._rows = pair._lat
-        self.den = den = lcm(d, den, *[v.d for v in vectors], *[c.den for c in scalars])
-        self._pair, self._s, self._seen, self._finer = pair, den // d, {}, {}
+        den = lcm(d, den, *[v.d for v in vectors])
+        for terms in live:
+            for coeff, w in terms:
+                den = lcm(den, coeff.den, w.d)
+        self.den, self._pair, self._s, self._seen, self._finer = den, pair, den // d, {}, {}
+        self._live, self._terms = live, None
 
-    def over(self, *dens: int) -> "_Frame":
-        """The frame of this one's lattice and the denominators `dens` of a
+    def over(self, d1: int, d2: int = 1) -> "_Frame":
+        """The frame of this one's lattice and the denominators d1, d2 of a
         call's vectors, kept per lattice denominator."""
-        for d in dens:
-            if self.den % d:
-                break
-        else:
+        if not (self.den % d1 or self.den % d2):
             return self
-        den = lcm(self.den, *dens)
+        den = lcm(self.den, d1, d2)
         frame = self._finer.get(den)
         if frame is None:
-            frame = self._finer[den] = _Frame(self._pair, den=den)
+            frame = self._finer[den] = _Frame(self._pair, den=den, live=self._live)
         return frame
 
     def on(self, v: Vector):
@@ -401,22 +412,62 @@ class _Frame:
             self._pair._check(v)
         return _on(v, self.den)
 
-    def at(self, v: Vector) -> tuple:
-        """(xs, q): v's numerators and q(v) on the lattice, q None for the zero."""
+    def at(self, v: Vector) -> list:
+        """The entry [xs, q, col, N] of v (see above)."""
         hit = self._seen.get(v)
         if hit is None:
-            if len(v.nums) != len(self._q_rows):
-                self._pair._check(v)
-            xs = _on(v, self.den)
-            hit = self._seen[v] = xs, _q_max(self._q_rows, self._s, xs)
+            xs = self.on(v)
+            hit = self._seen[v] = [xs, _q_max(self._q_rows, self._s, xs), None, None]
         return hit
 
     def column(self, xs) -> list:
         return _column(self._rows, self._s, xs)
 
-    def b(self, col, ys):
-        """b(x, y) on the lattice from the column of x and the numerators of y."""
-        return _dot(col, ys)
+    def fill(self, at: list, message: str) -> tuple:
+        """N(v) for the entry ``at = at(v)``, formed on first use and kept on
+        the entry with v's column: for each function the max over its live
+        terms (coeff, w) of coeff / q(w) b(v, w)^2, the int
+        coeff - q(w) + 2 b(v, w) on the lattice (None for the zero); b(v, w)
+        once per distinct anchor.
+
+        The first fill on a frame puts the terms on it: the numerators of each
+        distinct anchor, in the order the terms read them, and each term as
+        (coeff - q(w), anchor index).  An isotropic anchor raises
+        IsotropicArgument(message) and a wrong-dimension one
+        DimensionMismatch, before any later anchor is read, and then nothing
+        is kept, so the family raises on every read with its caller's message.
+        """
+        if at[3] is not None:
+            return at[3]
+        if self._terms is None:
+            den, index, entries, terms = self.den, {}, [], []
+            for live in self._live:
+                row = []
+                for coeff, w in live:
+                    i = index.get(w)
+                    if i is None:
+                        i = index[w] = len(entries)
+                        entries.append(self.at(w))
+                        if entries[i][1] is None:
+                            raise IsotropicArgument(message)
+                    row.append((coeff.num * (den // coeff.den) - entries[i][1], i))
+                terms.append(row)
+            self._terms = [entry[0] for entry in entries], terms
+        anchors, rows = self._terms
+        col = at[2] = _column(self._rows, self._s, at[0])
+        bs = [_dot(col, ys) for ys in anchors]
+        out = []
+        for row in rows:
+            best = None
+            for c, i in row:
+                b = bs[i]
+                if b is not None:
+                    b = 2 * b + c
+                    if best is None or best < b:
+                        best = b
+            out.append(best)
+        at[3] = out = tuple(out)
+        return out
 
 
 class ValidationReport(NamedTuple):

@@ -6,7 +6,7 @@ import pytest
 
 import row_runs_reference
 from chart_reference import stratum_witnesses, unpruned_chart
-from troprays import strata
+from troprays import quadspace, strata
 from troprays.csfun import cs_restriction_pm
 from troprays.errors import IsotropicArgument, NotStrictPair, VerificationFailed, WitnessNotInStratum
 from troprays.instances import (CHART, CORNER, M1, WALL, chart_family, chart_sample,
@@ -526,6 +526,25 @@ def test_derivation_chart_gram_count(gram_calls):
     and 81 b."""
     derivation_chart(CORNER, corner_family(), corner_sample())
     assert gram_calls == {"eval_q": 14, "eval_b": 33}
+
+
+def test_derivation_chart_forms_one_column_per_vector_and_lattice(monkeypatch):
+    """The chart's binding keeps one frame entry per vector and lattice, and
+    a vector's column B (x) x is formed once on it, however often traces and
+    sign vectors read the vector: the six CORNER rays on their own lattices
+    (dB, the one ray over 2, on the finer frame), and the two rays that a
+    trace reads with dB once more on that frame, 8 columns."""
+    columns = []
+    kernel = quadspace._column
+
+    def counted(rows, s, xs):
+        columns.append(tuple(xs))
+        return kernel(rows, s, xs)
+
+    monkeypatch.setattr(quadspace, "_column", counted)
+    derivation_chart(CORNER, corner_family(), corner_sample())
+    assert len(columns) == 8
+    assert len(set(columns)) == 8
 
 
 def test_sign_vector_rejects_isotropic_anchor():
