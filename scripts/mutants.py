@@ -62,11 +62,12 @@ MUTANTS = [
         "name": "value-unreduced",
         "why": "_value keeps num/den as it is, so equal values get unequal pairs",
         "file": SEMIFIELD,
-        "old": "    g = gcd(num, den)\n    return TropValue(_KFINITE, num // g, den // g)\n",
-        "new": "    return TropValue(_KFINITE, num, den)\n",
+        "old": "            num, den = num // g, den // g\n",
+        "new": "            pass\n",
         "tests": [
             f"{SF_TESTS}::test_products_and_quotients_come_out_reduced",
             f"{SF_LATTICE}::test_equal_values_by_different_routes",
+            f"{VEC_LATTICE}::test_products_and_quotients_on_one_denominator",
         ],
     },
     {
@@ -84,8 +85,8 @@ MUTANTS = [
         "name": "vector-unreduced",
         "why": "_vector keeps a common factor of d and the numerators",
         "file": QUADSPACE,
-        "old": "        d //= g\n        nums = tuple([None if x is None else x // g for x in nums])\n",
-        "new": "        pass\n",
+        "old": "            d //= g\n            nums = tuple([None if x is None else x // g for x in nums])\n",
+        "new": "            pass\n",
         "tests": [
             f"{QS_TESTS}::test_vector_sum_comes_out_reduced",
             f"{QS_TESTS}::test_vector_scaling_comes_out_reduced",
@@ -103,6 +104,61 @@ MUTANTS = [
             f"{QS_TESTS}::test_vector_sum_comes_out_reduced",
             f"{QS_TESTS}::test_validate_passes_on_m1",
             f"{VEC_LATTICE}::test_add",
+        ],
+    },
+    {
+        "name": "vector-sum-one-den-takes-min",
+        "why": "the sum on one denominator keeps the smaller of two finite numerators",
+        "file": QUADSPACE,
+        "old": "x if y is None or y < x else y",
+        "new": "x if y is None or y > x else y",
+        "tests": [
+            f"{QS_TESTS}::test_vector_sum_comes_out_reduced",
+            f"{VEC_LATTICE}::test_add_on_one_denominator",
+        ],
+    },
+    {
+        "name": "vector-gcd-stops-early",
+        "why": "_vector ends its gcd pass at the first finite numerator",
+        "file": QUADSPACE,
+        "old": "                if g == 1:\n                    break\n",
+        "new": "                break\n",
+        "tests": [
+            f"{VEC_LATTICE}::test_add_on_one_denominator",
+            f"{VEC_LATTICE}::test_scale_on_one_denominator",
+        ],
+    },
+    {
+        "name": "scale-admits-oo",
+        "why": "scaling by oo returns the zero vector instead of raising ValueError",
+        "file": QUADSPACE,
+        "old": "            if lam.kind > 0:\n",
+        "new": "            if False:\n",
+        "tests": [
+            f"{QS_TESTS}::test_vector_scaling_comes_out_reduced",
+            f"{VEC_LATTICE}::test_scale_on_one_denominator",
+        ],
+    },
+    {
+        "name": "gram-q-reads-unscaled-numerators",
+        "why": "q(x) reads x's numerators over x.d when the lattice is finer",
+        "file": QUADSPACE,
+        "old": "_q_max(q_rows, den // d, x.nums if den == x.d else _on(x, den))",
+        "new": "_q_max(q_rows, den // d, x.nums)",
+        "tests": [
+            f"{QS_TESTS}::test_gram_values_on_mixed_denominators",
+            f"{VEC_LATTICE}::test_gram_views_on_one_denominator",
+        ],
+    },
+    {
+        "name": "gram-b-reads-unscaled-numerators",
+        "why": "b(x, y) reads y's numerators over y.d when the lattice is finer",
+        "file": QUADSPACE,
+        "old": "y.nums if den == y.d else _on(y, den)), den",
+        "new": "y.nums), den",
+        "tests": [
+            f"{QS_TESTS}::test_gram_values_on_mixed_denominators",
+            f"{VEC_LATTICE}::test_gram_views_on_one_denominator",
         ],
     },
     {

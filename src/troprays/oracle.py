@@ -222,6 +222,7 @@ def reconstruct_pm(fn, candidates) -> PmFunction:
 
 
 def _candidates(gram: _Gram, eps1: Vector, eps2: Vector, w: Vector) -> list:
+    """Every breakpoint of lam -> CS(ray(eps1 + lam eps2), w) lies here."""
     lat = _Lattice(gram, (eps1, eps2, w))
     e1, e2, ws = lat.nums
     col = lat.column(ws)
@@ -232,12 +233,6 @@ def _candidates(gram: _Gram, eps1: Vector, eps2: Vector, w: Vector) -> list:
     if not (b1.is_zero() and b2.is_zero()):
         out.append(b1 / b2)
     return out
-
-
-def cs_breakpoint_candidates(pair: QuadraticPair, eps1: Vector, eps2: Vector,
-                             w: Vector) -> list:
-    """Every breakpoint of lam -> CS(ray(eps1 + lam eps2), w) lies here."""
-    return _candidates(_Gram(pair), eps1, eps2, w)
 
 
 def _reconstruct(gram: _Gram, interval: RayInterval, w: Vector) -> PmFunction:

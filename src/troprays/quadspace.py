@@ -22,9 +22,10 @@ coordinate, reduced so that gcd(d, nums) = 1.  Equal vectors thus have equal
 the TropValue view ``coords`` and the hash are built on first use.  Models
 keep their Gram data as numerators over one denominator too.  Every
 operation runs in Python ints over L, the lcm of the denominators involved,
-in one pass with one reduction at the end (``_vector``, no gcd over L = 1):
-a sum scales and takes the coordinatewise max of the numerators over
-L = lcm(d, d') in one loop, a scaling by t^(p/q) adds p L/q to every
+in one pass with one reduction at the end (``_vector``, which skips the
+gcd pass over L = 1 and ends it once the gcd is 1): a sum takes the
+coordinatewise max of the numerators over L = lcm(d, d') in one loop,
+scaling them only when d != d', a scaling by t^(p/q) adds p L/q to every
 numerator over L = lcm(d, q), and q and b take their max-plus sums
 beta_ij + x_i + y_j over the lcm of the model's and the vectors'
 denominators.  This is exact because max-plus arithmetic commutes with
@@ -48,7 +49,8 @@ layers (csfun, strata, isotropy) read their Gram values off frames only and
 work on these ints; only the views ``eval_q``, ``eval_b``, ``cs`` and
 ``coords`` build TropValues, themselves reduced int pairs, the first two
 through ``QuadraticPair._gram``, which compares the vector lengths inline
-(``_check`` runs only on a mismatch) and leaves one value to reduce.
+(``_check`` runs only on a mismatch), reads a vector's numerators as they
+are when its d is the lattice's, and leaves one value to reduce.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, IsotropicArgument, SchemaError, ZeroVector
-from .semifield import ZERO, TropValue, _lattice, _value, value_of
+from .semifield import ZERO, TropValue, _lattice, _new, _value, value_of
 
 
 class Vector:
@@ -113,7 +115,11 @@ class Vector:
         xs, ys = self.nums, other.nums
         if len(xs) != len(ys):
             raise DimensionMismatch("vector dimensions differ")
-        d = lcm(self.d, other.d)
+        d = self.d
+        if d == other.d:
+            return _vector(d, tuple([y if x is None else x if y is None or y < x else y
+                                     for x, y in zip(xs, ys)]))
+        d = lcm(d, other.d)
         sx, sy = d // self.d, d // other.d
         return _vector(d, tuple([(y if y is None else y * sy) if x is None
                                  else x * sx if y is None or y * sy < x * sx else y * sy
@@ -125,9 +131,9 @@ class Vector:
         A finite lam = p/q adds p L/q to every numerator over L = lcm(d, q)."""
         if not isinstance(lam, TropValue):
             raise TypeError(f"a vector scales by a TropValue, not {type(lam).__name__}")
-        if lam.is_infinite():
-            raise ValueError("scalars must lie in [0, oo[")
-        if lam.num is None:
+        if lam.kind:  # 0 or oo
+            if lam.kind > 0:
+                raise ValueError("scalars must lie in [0, oo[")
             return _vector(1, (None,) * len(self.nums))
         q = lam.den
         d = lcm(self.d, q)
@@ -155,14 +161,17 @@ class Vector:
 
 def _vector(d: int, nums: tuple) -> Vector:
     """The vector with numerators nums over d, reduced to gcd(d, nums) = 1."""
-    g = d
-    for x in nums:
-        if g > 1 and x is not None:
-            g = gcd(g, x)
-    if g > 1:
-        d //= g
-        nums = tuple([None if x is None else x // g for x in nums])
-    v = object.__new__(Vector)
+    if d > 1:
+        g = d
+        for x in nums:
+            if x is not None:
+                g = gcd(g, x)
+                if g == 1:
+                    break
+        if g > 1:
+            d //= g
+            nums = tuple([None if x is None else x // g for x in nums])
+    v = _new(Vector)
     v.d, v.nums, v._coords, v._hash = d, nums, None, None
     return v
 
@@ -278,11 +287,12 @@ class QuadraticPair(_Frozen):
             if len(x.nums) != self.dim:
                 self._check(x)
             den = lcm(d, x.d)
-            return _q_max(q_rows, den // d, _on(x, den)), den
+            return _q_max(q_rows, den // d, x.nums if den == x.d else _on(x, den)), den
         if len(x.nums) != self.dim or len(y.nums) != self.dim:
             self._check(x, y)
         den = lcm(d, x.d, y.d)
-        return _dot(_column(rows, den // d, _on(x, den)), _on(y, den)), den
+        return _dot(_column(rows, den // d, x.nums if den == x.d else _on(x, den)),
+                    y.nums if den == y.d else _on(y, den)), den
 
     def eval_q(self, x: Vector) -> TropValue:
         """q(x) = max over alpha_i x_i^2 and beta_ij x_i x_j (i < j)."""

@@ -10,7 +10,8 @@ never extreme rationals; the product 0*oo is undefined and raises
 
 Addition is the tropical maximum, written ``a + b``.  A product or quotient
 of finite values is one step on the int pairs, reduced once at the end by
-``_value`` (which skips the gcd over denominator 1).  A ``+``, ``*``, ``/``,
+``_value``, which skips the gcd over denominator 1 and sets the three slots
+of the result without ``__init__``.  A ``+``, ``*``, ``/``,
 ``<`` or ``<=`` whose other operand is not a TropValue raises TypeError, as
 Python does for any unsupported operand.  All values are immutable and
 hashable; equal values have equal pairs.  Text exponents ("p", "p/q", a
@@ -195,16 +196,20 @@ class TropValue:
 ZERO = TropValue(_KZERO)
 INF = TropValue(_KINF)
 ONE = TropValue(_KFINITE, 0)  # the idempotent unit e = t^0
+_new = object.__new__  # bound once: one global read per result, not an attribute lookup
 
 
 def _value(num, den: int) -> TropValue:
     """The TropValue of a lattice value num/den, den > 0 (None for the zero)."""
     if num is None:
         return ZERO
-    if den == 1:
-        return TropValue(_KFINITE, num)
-    g = gcd(num, den)
-    return TropValue(_KFINITE, num // g, den // g)
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    v = _new(TropValue)
+    v.kind, v.num, v.den = _KFINITE, num, den
+    return v
 
 
 def _parse_finite(text: str) -> TropValue:

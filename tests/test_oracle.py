@@ -130,8 +130,8 @@ def test_reconstruction_matches_the_frozen_reference_on_cs_profiles(case, keep):
     pair, interval, w = case
     fn = reference_cs(pair, interval, w)
     full = outcome(lambda: reference_candidates(pair, interval, w))
-    assert outcome(lambda: oracle.cs_breakpoint_candidates(
-        pair, interval.y1.base, interval.y2.base, w)) == full
+    assert outcome(lambda: oracle._candidates(
+        oracle._Gram(pair), interval.y1.base, interval.y2.base, w)) == full
     if full[0] is not None:
         return
     want = outcome(lambda: ref.reconstruct_pm(fn, full[1]))

@@ -310,3 +310,23 @@ def test_kernel_on_zero_gram_entries():
     assert pair.eval_q(vec(3, "-inf")) == ZERO
     assert pair.eval_b(x, vec("2/5", "-inf")) == ZERO
     assert pair.eval_q(x) == t(Fraction(1, 6) - Fraction(10, 3))
+
+
+# -- Gram counts of the public views ------------------------------------------
+
+@pytest.mark.parametrize("view,counts", [
+    (lambda m, x, y: m.eval_q(x), {"eval_q": 1, "eval_b": 0}),
+    (lambda m, x, y: m.eval_b(x, y), {"eval_q": 0, "eval_b": 1}),
+    (lambda m, x, y: m.cs(x, y), {"eval_q": 2, "eval_b": 1}),
+    (lambda m, x, y: m.is_isotropic(x), {"eval_q": 1, "eval_b": 0}),
+    (lambda m, x, y: validate_pair(m), {"eval_q": 9, "eval_b": 3}),
+], ids=["eval_q", "eval_b", "cs", "is_isotropic", "validate_pair"])
+@pytest.mark.parametrize("x,y", [(vec(0, 1), vec(2, "-inf")), (vec("1/2", 0), vec(1, "1/3"))],
+                         ids=["integer", "fractional"])
+def test_public_views_run_through_the_counted_kernels(m1, gram_calls, view, counts, x, y):
+    """Each Gram value of a public view runs through ``_q_max`` or ``_dot``
+    once, on integer and on fractional vectors: a fast path may not bypass
+    them.  ``validate_pair`` on the three basis pairs of M1 reads q(x + y),
+    q(x), q(y) and b(x, y) for each."""
+    view(m1, x, y)
+    assert gram_calls == counts

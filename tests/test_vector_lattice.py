@@ -9,13 +9,14 @@ sum, scaling, canonical representative) must be == with equal hashes.
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import semifield_reference as sref
 import vector_reference as ref
 from troprays.errors import ZeroVector
-from troprays.quadspace import Vector, vec
+from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval
-from troprays.semifield import INF, ZERO, t
+from troprays.semifield import INF, ZERO, TropValue, t
 
 BIG = 10 ** 40
 
@@ -157,3 +158,159 @@ def test_equality_and_hash_agree_with_reference(xs, ys, shared, lam):
         assert hash(a) == hash(b)
     if not (a.is_zero() or b.is_zero()):
         assert (Ray(a) == Ray(b)) == (ref.Ray(ref.Vector(xs)) == ref.Ray(ref.Vector(ys)))
+
+
+# -- one-denominator draws ----------------------------------------------------
+#
+# The draws above give each coordinate a denominator of its own, so two vectors
+# on one lattice denominator d > 1 are rare.  These force it: every finite
+# coordinate of a vector is n/den, and one numerator is prime to den, so the
+# vector's d is den itself.  The pairs share d = 1 or a d > 1, or have coprime
+# denominators; zero coordinates are drawn, and sums, scalings and products
+# whose numerators share a factor with d must come out reduced.
+
+DENS = [1, 2, 3, 4, 6, 12]
+COPRIME = [(1, 2), (2, 3), (3, 4), (4, 9), (5, 12)]
+
+
+@st.composite
+def on_den(draw, den, dim):
+    """Coordinates of a vector with d = den: each zero or t^(n/den), and the
+    numerator at one drawn index prime to den."""
+    nums = draw(st.lists(st.one_of(st.none(), st.integers(-40, 40)),
+                         min_size=dim, max_size=dim))
+    nums[draw(st.integers(0, dim - 1))] = draw(st.integers(-40, 40)) * den + 1
+    return [ZERO if n is None else t(Fraction(n, den)) for n in nums]
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two coordinate lists of one dimension on one denominator (1 or > 1)
+    or on coprime denominators, and that dimension."""
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d1 = d2 = draw(st.sampled_from(DENS))
+    else:
+        d1, d2 = draw(st.sampled_from(COPRIME).flatmap(st.permutations))
+    return draw(on_den(d1, dim)), draw(on_den(d2, dim)), dim
+
+
+def lattice_scalars(den):
+    """Zero, oo, or t^(n/q) with q = den, a divisor of den, or prime to it."""
+    qs = sorted({1, den, 5, *[q for q in DENS if den % q == 0]})
+    return st.one_of(st.just(ZERO), st.just(INF),
+                     st.builds(lambda n, q: t(Fraction(n, q)),
+                               st.integers(-40, 40), st.sampled_from(qs)))
+
+
+def parse_route(result, mirror):
+    """A kernel vector is == with equal hash to Vector.parse of the text of
+    the reference result."""
+    rebuilt = Vector.parse([str(c) for c in mirror.coords])
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+    assert result.d == rebuilt.d and result.nums == rebuilt.nums
+
+
+@given(lattice_pairs())
+@example(([t(Fraction(1, 2)), t(2)], [t(1), t(Fraction(1, 2))], 2))      # (2, 4)/2
+@example(([t(Fraction(1, 2)), ZERO], [t(Fraction(3, 2)), t(1)], 2))      # (3, 2)/2
+@example(([t(Fraction(5, 6)), t(2)], [t(Fraction(1, 6)), t(Fraction(7, 3))], 2))
+def test_add_on_one_denominator(case):
+    xs, ys, _ = case
+    a, b, ra, rb = Vector(xs), Vector(ys), ref.Vector(xs), ref.Vector(ys)
+    check_same("add", lambda: a + b, lambda: ra + rb)
+    check_same("add reversed", lambda: b + a, lambda: rb + ra)
+    parse_route(a + b, ra + rb)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+
+
+@given(st.sampled_from(DENS).flatmap(
+    lambda den: st.tuples(st.integers(1, 4).flatmap(lambda n: on_den(den, n)),
+                          lattice_scalars(den))))
+@example(([t(Fraction(1, 2)), t(Fraction(3, 2))], t(Fraction(1, 2))))   # (2, 4)/2
+@example(([t(Fraction(1, 6)), ZERO, t(Fraction(5, 6))], t(Fraction(1, 2))))
+def test_scale_on_one_denominator(case):
+    xs, lam = case
+    a, ra = Vector(xs), ref.Vector(xs)
+    check_same("scale", lambda: a.scale(lam), lambda: ra.scale(lam))
+    check_same("rmul", lambda: lam * a, lambda: lam * ra)
+    if not lam.is_infinite():
+        parse_route(a.scale(lam), ra.scale(lam))
+
+
+def ref_value(v):
+    return sref.TropValue.parse(str(v))
+
+
+def ref_gram(pair, xs, ys=None):
+    """q(x), or b(x, y) when ys is given, as a reference tropical sum of
+    reference products over the Gram formula."""
+    n, q, b = pair.dim, pair.q_diag, pair.b
+    xs = [ref_value(c) for c in xs]
+    if ys is None:
+        return sref.trop_sum(ref_value(q[i] if i == j else b[i][j]) * xs[i] * xs[j]
+                             for i in range(n) for j in range(i, n))
+    ys = [ref_value(c) for c in ys]
+    return sref.trop_sum(ref_value(b[i][j]) * xs[i] * ys[j]
+                         for i in range(n) for j in range(n))
+
+
+def same_value(got, want):
+    """The kernel value has the reference's text and is == with equal hash
+    to the kernel value parsed from that text."""
+    assert str(got) == str(want)
+    rebuilt = TropValue.parse(str(want))
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+@given(lattice_pairs(), st.data())
+def test_gram_views_on_one_denominator(case, data):
+    """eval_q and eval_b on a model whose Gram data lies on the first
+    vector's denominator, on 12 or on 1, against the reference formula; and
+    * and / of the values they return."""
+    xs, ys, n = case
+    den = data.draw(st.sampled_from(sorted({1, Vector(xs).d, 12})))
+    entries = iter(data.draw(st.lists(st.one_of(st.just(ZERO), st.builds(
+        lambda k: t(Fraction(k, den)), st.integers(-40, 40))),
+        min_size=n * (n + 1) // 2 + n, max_size=n * (n + 1) // 2 + n)))
+    b = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            b[i][j] = b[j][i] = next(entries)
+    pair = QuadraticPair(n, tuple(next(entries) for _ in range(n)), tuple(map(tuple, b)))
+    a, c = Vector(xs), Vector(ys)
+    qx, qy, bxy = pair.eval_q(a), pair.eval_q(c), pair.eval_b(a, c)
+    rqx, rqy, rbxy = ref_gram(pair, xs), ref_gram(pair, ys), ref_gram(pair, xs, ys)
+    same_value(qx, rqx)
+    same_value(qy, rqy)
+    same_value(bxy, rbxy)
+    same_value(pair.eval_b(c, a), rbxy)
+    same_value(bxy * bxy, rbxy * rbxy)
+    same_value(qx * qy, rqx * rqy)
+    if not (qx.is_zero() or qy.is_zero()):
+        same_value((bxy * bxy) / (qx * qy), (rbxy * rbxy) / (rqx * rqy))
+        same_value(pair.cs(a, c), (rbxy * rbxy) / (rqx * rqy))
+
+
+@given(st.sampled_from(DENS + COPRIME).flatmap(
+    lambda dens: st.tuples(*[st.one_of(st.just("zero"), st.just("inf"), st.builds(
+        lambda n, q=q: Fraction(n, q), st.integers(-40, 40)))
+        for q in (dens if isinstance(dens, tuple) else (dens, dens))])))
+@example(("zero", "inf"))
+@example((Fraction(1, 6), Fraction(1, 3)))                               # 1/2
+@example((Fraction(3, 2), Fraction(1, 2)))                               # 1 and 2
+def test_products_and_quotients_on_one_denominator(pair_of_specs):
+    """* and / of two values on one denominator (1 or > 1) or on coprime
+    denominators, zero and oo included, against the reference: equal text
+    and error types, and == with equal hash to the parsed reference text."""
+    x, y = pair_of_specs
+    kernel = {"zero": ZERO, "inf": INF}
+    a, b = kernel.get(x) or t(x), kernel.get(y) or t(y)
+    reference = {"zero": sref.ZERO, "inf": sref.INF}
+    ra, rb = reference.get(x) or sref.t(x), reference.get(y) or sref.t(y)
+    for name, got, want in (("mul", lambda: a * b, lambda: ra * rb),
+                            ("div", lambda: a / b, lambda: ra / rb),
+                            ("div reversed", lambda: b / a, lambda: rb / ra)):
+        assert outcome(lambda: str(got())) == outcome(lambda: str(want())), name
+        if outcome(got)[0] is None:
+            same_value(got(), want())
