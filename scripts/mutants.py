@@ -56,6 +56,7 @@ ORACLE_TESTS = "tests/test_oracle.py"
 SAMPLING_TESTS = "tests/test_sampling.py"
 FRONTIER = "src/troprays/frontier.py"
 FR_TESTS = "tests/test_frontier.py"
+RELAXATIONS = "tests/test_relaxations.py"
 
 MUTANTS = [
     {
@@ -425,12 +426,90 @@ MUTANTS = [
         "why": "under a strict bound stability_check reads the sample at t0, which lies "
                "outside the entrance stratum",
         "file": ISOTROPY,
-        "old": "if approach.strict and t_val >= approach.t0:",
-        "new": "if approach.strict and t_val > approach.t0:",
+        "old": "t_val >= t0 if approach.strict else t_val > t0",
+        "new": "t_val > t0 if approach.strict else t_val > t0",
         "tests": [
             f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2a]",
             f"{ISO_TESTS}::test_strict_bound_skips_a_sample_at_t0[C2b]",
             f"{ISO_TESTS}::test_entrance_case_c2a",
+        ],
+    },
+    {
+        "name": "stability-reads-oo-under-unbounded-t0",
+        "why": "stability_check skips only the sample 0, so with t0 = oo it reads the "
+               "sample oo, which is no parameter of the approach",
+        "file": ISOTROPY,
+        "old": "if not t_val.is_finite() or (",
+        "new": "if t_val.is_zero() or (",
+        "tests": [
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[C1-skips]",
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[B-skips]",
+        ],
+    },
+    {
+        "name": "stability-reads-zero",
+        "why": "stability_check skips only the sample oo, so it reads the sample 0, the "
+               "isotropic ray eps itself",
+        "file": ISOTROPY,
+        "old": "if not t_val.is_finite() or (",
+        "new": "if t_val.is_infinite() or (",
+        "tests": [
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[C1-skips]",
+            f"{ISO_TESTS}::test_stability_reads_past_the_first_violation[B-skips]",
+            f"{ISO_TESTS}::test_entrance_case_a_bound",
+        ],
+    },
+    {
+        "name": "satisfied-by-reads-first-admitted",
+        "why": "Relaxation.satisfied_by admits only the first sign a relaxed entry "
+               "admits, so '<=' rejects '='",
+        "file": STRATA,
+        "old": "all(s in r for s, r in zip(sv.signs, self.signs))",
+        "new": "all(s == r[0] for s, r in zip(sv.signs, self.signs))",
+        "tests": [
+            f"{RELAXATIONS}::test_relaxation_rules_match_the_sets_they_admit[2]",
+            f"{RELAXATIONS}::test_relaxation_rules_match_the_sets_they_admit[3]",
+            f"{RELAXATIONS}::test_relaxation_rules_match_on_drawn_vectors_of_four_functions",
+            "tests/test_strata.py::test_minimal_relaxation",
+        ],
+    },
+    {
+        "name": "minimal-relaxation-keeps-t-prime",
+        "why": "minimal_relaxation keeps the sign of T' where T is strict, '=', instead "
+               "of weakening T's sign",
+        "file": STRATA,
+        "old": 's if s == sp else s + "="',
+        "new": "s if s == sp else sp",
+        "tests": [
+            f"{RELAXATIONS}::test_relaxation_rules_match_the_sets_they_admit[2]",
+            f"{RELAXATIONS}::test_relaxation_rules_match_the_sets_they_admit[3]",
+            f"{RELAXATIONS}::test_relaxation_rules_match_on_drawn_vectors_of_four_functions",
+            "tests/test_strata.py::test_minimal_relaxation",
+        ],
+    },
+    {
+        "name": "components-keep-duplicates",
+        "why": "relaxation_components keeps every mask's vector, so a pair listed twice "
+               "forms each component twice",
+        "file": STRATA,
+        "old": "unique = list(dict.fromkeys(out))",
+        "new": "unique = out",
+        "tests": [
+            f"{RELAXATIONS}::test_relaxation_rules_match_on_drawn_vectors_of_four_functions",
+            f"{RELAXATIONS}::test_an_equal_pair_raises_and_repeated_pairs_form_each_component_once",
+        ],
+    },
+    {
+        "name": "chart-takes-a-non-neighbour-pair",
+        "why": "derivation_chart takes a witness pair whose trace is not one T piece then "
+               "one T' piece as a case1 certificate",
+        "file": STRATA,
+        "old": "t_prime))\n                          and entry[0]), None)",
+        "new": "t_prime))\n                          is None or entry[0]), None)",
+        "tests": [
+            "tests/test_strata.py::test_pruned_chart_equals_unpruned_chart[CORNER-4]",
+            "tests/test_strata.py::test_pruned_chart_equals_unpruned_chart[random-5]",
+            "tests/test_strata.py::test_corner_chart_tries_only_derivate_pairs",
         ],
     },
     {

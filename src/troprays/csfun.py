@@ -266,8 +266,7 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
         region_b = (region_a[1], region_c[0])
         if region_b != (u_w, v_w):
             raise VerificationFailed("region formulas disagree with the function")
-        inner = f.reduced_degrees()[1:-1] if len(f.segments) > 2 else ()
-        if 0 in inner:
+        if 0 in f.reduced_degrees()[1:-1]:
             raise VerificationFailed("B_w contains an interior constant piece")
     return IntervalCsProfile(interval, w, f, quasilinear,
                              region_a, region_b, region_c, u_w, v_w)

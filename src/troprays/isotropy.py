@@ -134,15 +134,10 @@ def stability_check(pair: QuadraticPair, family, approach: IsotropicApproach,
     of the smallest violating sample: ``samples_checked`` counts the in-bound
     samples up to and including it, or all of them when there is none.
     """
-    observed, bound = {}, _Bound(pair, family)
+    observed, bound, t0 = {}, _Bound(pair, family), approach.t0
     for t_val in sorted(set(t_samples)):
-        if t_val.is_zero() or t_val.is_infinite():
+        if not t_val.is_finite() or (t_val >= t0 if approach.strict else t_val > t0):
             continue
-        if approach.t0.is_finite():
-            if approach.strict and t_val >= approach.t0:
-                continue
-            if not approach.strict and t_val > approach.t0:
-                continue
         observed[t_val] = _sign_vector(bound, Ray(approach.eps + t_val * approach.eta))
     for checked, (t_val, sv) in enumerate(observed.items(), 1):
         if sv != approach.entrance:

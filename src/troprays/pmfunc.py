@@ -630,9 +630,9 @@ class _Runs(list):
             self.append([hi, label])
 
 
-def _point(n, den=1):
-    """The run end n/den over the run's lattice; None (oo) stays None."""
-    return None if n is None else (n, den)
+def _point(n):
+    """The run end n over the run's lattice as (n, 1); None (oo) stays None."""
+    return None if n is None else (n, 1)
 
 
 def _crossing(cf, kf, cg, kg) -> tuple:

@@ -25,7 +25,7 @@ from math import lcm
 
 from .errors import NotOnInterval, ZeroVector
 from .pmfunc import row_runs
-from .quadspace import Vector, _vector
+from .quadspace import Vector, _on, _vector
 from .semifield import INF, ZERO, TropValue
 
 
@@ -122,8 +122,7 @@ class RayInterval:
             return ZERO
         vectors = (self.y1.base, self.y2.base, z.rep)
         d = lcm(*[v.d for v in vectors])
-        eps1, eps2, target = [[None if x is None else x * (d // v.d) for x in v.nums]
-                              for v in vectors]
+        eps1, eps2, target = [_on(v, d) for v in vectors]
         rows = []
         for a, b, c in zip(eps1, eps2, target):
             if c is not None:

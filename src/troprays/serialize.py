@@ -155,18 +155,19 @@ def pm_from_json(obj) -> PmFunction:
         raise SchemaError(f"bad pm document: {ex}") from ex
 
 
+def _ends(piece, **fields) -> dict:
+    """The piece's two ends and their closures, with `fields` added."""
+    return {"lo": str(piece.lo), "lo_closed": piece.lo_closed,
+            "hi": str(piece.hi), "hi_closed": piece.hi_closed, **fields}
+
+
 def sign_piece_to_json(p: SignPiece) -> dict:
-    return {"lo": str(p.lo), "lo_closed": p.lo_closed,
-            "hi": str(p.hi), "hi_closed": p.hi_closed, "sign": p.sign}
+    return _ends(p, sign=p.sign)
 
 
 def trace_to_json(trace: StrataTrace) -> dict:
     return {
-        "pieces": [{
-            "signs": str(piece.signs),
-            "lo": str(piece.lo), "lo_closed": piece.lo_closed,
-            "hi": str(piece.hi), "hi_closed": piece.hi_closed,
-        } for piece in trace.pieces],
+        "pieces": [_ends(piece, signs=str(piece.signs)) for piece in trace.pieces],
         "separators": [{"param": str(par), "ray": ray_to_json(r)}
                        for par, r in trace.boundaries],
     }

@@ -114,24 +114,17 @@ class SignVector:
 
 
 class Relaxation(NamedTuple):
-    """A sign vector with some strict signs weakened to '<=', '>='."""
+    """A sign vector with some strict signs weakened to '<=', '>='.
+
+    Each entry is the string of the signs it admits: '<=' admits '<' and '=',
+    '<' admits only '<'.
+    """
 
     m: int
     signs: tuple  # entries in {"<", "=", ">", "<=", ">="}
 
     def satisfied_by(self, sv: SignVector) -> bool:
-        if sv.m != self.m:
-            return False
-        for s, r in zip(sv.signs, self.signs):
-            if r in ("<", "=", ">"):
-                if s != r:
-                    return False
-            elif r == "<=":
-                if s not in ("<", "="):
-                    return False
-            elif s not in (">", "="):
-                return False
-        return True
+        return sv.m == self.m and all(s in r for s, r in zip(sv.signs, self.signs))
 
     def __str__(self) -> str:
         return ",".join(self.signs)
@@ -315,7 +308,6 @@ def relaxation_components(t_vec: SignVector, relaxed, realized=None):
     sign in `t_vec`.  When `realized` (a collection of observed sign vectors)
     is given, only combinatorial components realized there are kept.
     """
-    relaxed = list(relaxed)
     m = t_vec.m
     idxs = []
     for k, l in relaxed:
@@ -332,8 +324,7 @@ def relaxation_components(t_vec: SignVector, relaxed, realized=None):
             if mask >> bit & 1:
                 signs[i] = "="
         out.append(SignVector(m, signs))
-    seen = set()
-    unique = [sv for sv in out if not (sv in seen or seen.add(sv))]
+    unique = list(dict.fromkeys(out))
     if realized is not None:
         realized = set(realized)
         unique = [sv for sv in unique if sv in realized]
@@ -348,13 +339,8 @@ def minimal_relaxation(t_vec: SignVector, t_prime: SignVector) -> Relaxation | N
     """
     if not t_prime.is_derivate_of(t_vec):
         return None
-    signs = []
-    for s, sp in zip(t_vec.signs, t_prime.signs):
-        if s == sp:
-            signs.append(s)
-        else:
-            signs.append("<=" if s == "<" else ">=")
-    return Relaxation(t_vec.m, tuple(signs))
+    return Relaxation(t_vec.m, tuple(s if s == sp else s + "="
+                                     for s, sp in zip(t_vec.signs, t_prime.signs)))
 
 
 def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
@@ -430,15 +416,9 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
         for t_prime in groups:
             if t_vec == t_prime or not t_prime.is_derivate_of(t_vec):
                 continue
-            found = None
-            for w in groups[t_vec]:
-                for wp in groups[t_prime]:
-                    entry = _boundary(bound, RayInterval(w, wp), t_vec, t_prime)
-                    if entry is not None and entry[0]:
-                        found = (w, wp)
-                        break
-                if found:
-                    break
+            found = next(((w, wp) for w in groups[t_vec] for wp in groups[t_prime]
+                          if (entry := _boundary(bound, RayInterval(w, wp), t_vec, t_prime))
+                          and entry[0]), None)
             if found:
                 edges.append((t_vec, t_prime))
                 witnesses.append(((t_vec, t_prime), found))

@@ -235,6 +235,8 @@ def stability_cases():
     c2a = entrance_stratum(MODEL_C2A, fam_c2a, Ray(e2), Ray(e3), e1, e3)
     fam_c1 = example_family(M3_C1, Ray(e2), Ray(e3))
     c1 = entrance_stratum(M3_C1, fam_c1, Ray(e2), Ray(e3), e1, e2)
+    fam_b = example_family(MODEL_B, Ray(e2), Ray(e3))
+    case_b = entrance_stratum(MODEL_B, fam_b, Ray(e2), Ray(e3), e1, vec("-inf", 0, 1))
     scaled = scaled_m3_family()
     fails = entrance_stratum(M3, scaled, Ray(e2), Ray(e3), e1, e3)
     return [
@@ -244,13 +246,16 @@ def stability_cases():
         (M3, fam_m3, m3, inside + [t(2), t(5)]),
         (M3, fam_m3, m3._replace(t0=INF, strict=False), inside + [t(2), t(5)]),
         (M3_C1, fam_c1, c1, [t(k) for k in range(-10, 11, 2)]),
+        (M3_C1, fam_c1, c1, [INF, *[t(k) for k in range(-4, 5)], ZERO]),
+        (MODEL_B, fam_b, case_b, [INF, *[t(k) for k in range(-4, 5)], ZERO]),
         (M3, scaled, fails, [fails.t_checked * t(-k) for k in range(5)]),
         (M3, scaled, fails, [t(k) for k in range(-3, 3)]),
     ]
 
 
-@pytest.mark.parametrize("case", range(8), ids=[
-    "A", "A-skips", "C2a", "C2b", "C2b-unbounded", "C1", "scaled-cli", "scaled"])
+@pytest.mark.parametrize("case", range(10), ids=[
+    "A", "A-skips", "C2a", "C2b", "C2b-unbounded", "C1", "C1-skips", "B-skips",
+    "scaled-cli", "scaled"])
 def test_stability_reads_past_the_first_violation(case):
     """The verdict, the count and the first violation are those of a check
     that stops at the first violation; ``observed`` holds every in-bound
