@@ -47,6 +47,7 @@ QS_TESTS = "tests/test_quadspace.py"
 VEC_LATTICE = "tests/test_vector_lattice.py"
 RECORDS = "tests/test_records.py"
 STRATA = "src/troprays/strata.py"
+RAYS = "src/troprays/rays.py"
 ISOTROPY = "src/troprays/isotropy.py"
 ISO_TESTS = "tests/test_isotropy.py"
 PMFUNC = "src/troprays/pmfunc.py"
@@ -380,6 +381,60 @@ MUTANTS = [
         "tests": [
             "tests/test_strata.py::test_sign_monotone_check_raises_under_optimize",
             "tests/test_strata.py::test_sign_monotone_check_names_the_pair_the_reference_names",
+        ],
+    },
+    {
+        "name": "monotone-returns-on-three-labels",
+        "why": "the sign-monotone check returns at once on three labels too, where a "
+               "column such as '<><' can break monotonicity",
+        "file": STRATA,
+        "old": "    if len(labels) < 3:\n",
+        "new": "    if len(labels) < 4:\n",
+        "tests": [
+            "tests/test_strata.py::test_sign_monotone_check_agrees_with_the_reference_on_every_short_list",
+            "tests/test_strata.py::test_non_monotone_sign_pattern_is_verification_failure",
+            "tests/test_strata.py::test_sign_monotone_check_raises_under_optimize",
+        ],
+    },
+    {
+        "name": "one-step-sign-vector-skips-length",
+        "why": "a sign vector built in one step off a kernel label skips the length "
+               "test, so a label of the wrong length makes a sign vector",
+        "file": STRATA,
+        "old": "    if len(signs) != m * (m - 1) // 2:\n"
+               "        raise ValueError(\"wrong number of pairwise signs\")\n",
+        "new": "",
+        "tests": [
+            "tests/test_strata.py::test_one_step_labels_keep_the_length_test",
+            "tests/test_strata.py::test_pair_index_and_opposite",
+        ],
+    },
+    {
+        "name": "pi-rep-skips-its-reduction",
+        "why": "pi builds the rep on the lattice of the unreduced list, so a rep that "
+               "reduces further than its base keeps a larger denominator",
+        "file": RAYS,
+        "old": "r.rep = _vector(d, tuple([None if v is None else v - top for v in nums]))",
+        "new": "r.rep = rep = _new(Vector)\n"
+               "        rep.d, rep.nums, rep._coords, rep._hash = "
+               "d, tuple([None if v is None else v - top for v in nums]), None, None",
+        "tests": [
+            f"{VEC_LATTICE}::test_pi_on_one_denominator",
+        ],
+    },
+    {
+        "name": "pi-top-reads-eps1-only",
+        "why": "pi subtracts the largest numerator of eps1's side, not of the maximum, "
+               "so a ray whose largest coordinate comes from lam eps2 gets a wrong rep",
+        "file": RAYS,
+        "old": "            if v is not None and (top is None or v > top):\n"
+               "                top = v\n",
+        "new": "            if x is not None and (top is None or x > top):\n"
+               "                top = x\n",
+        "tests": [
+            f"{VEC_LATTICE}::test_pi",
+            f"{VEC_LATTICE}::test_pi_on_one_denominator",
+            "tests/test_strata.py::test_m1_trace_forms_one_separator_ray_per_parameter",
         ],
     },
     {

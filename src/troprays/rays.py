@@ -26,7 +26,7 @@ from math import lcm
 from .errors import NotOnInterval, ZeroVector
 from .pmfunc import row_runs
 from .quadspace import Vector, _on, _vector
-from .semifield import INF, ZERO, TropValue
+from .semifield import INF, ZERO, TropValue, _new
 
 
 class Ray:
@@ -87,7 +87,11 @@ class RayInterval:
 
         For a finite lam = p/q, max(eps1_i, lam eps2_i) is formed in one pass
         on L = lcm(d1, d2, q), lam adding p L/q to every numerator of eps2,
-        and reduced twice: once for the base, once for the rep."""
+        and the largest numerator is found in the same pass.  The base and
+        the rep (the numerators less that largest one) are each reduced from
+        that one list, and the ray is built in one step, past
+        ``Ray.__init__``: the base holds eps1's finite coordinates, so it is
+        never the zero vector."""
         if lam.is_zero():
             return self.y1
         if lam.is_infinite():
@@ -96,12 +100,18 @@ class RayInterval:
         p, q = lam.num, lam.den
         d = lcm(e1.d, e2.d, q)
         s1, s2, shift = d // e1.d, d // e2.d, p * (d // q)
-        nums = []
+        nums, top = [], None
         for x, y in zip(e1.nums, e2.nums):
             x = None if x is None else x * s1
             y = None if y is None else y * s2 + shift
-            nums.append(y if x is None else x if y is None or y < x else y)
-        return Ray(_vector(d, tuple(nums)))
+            v = y if x is None else x if y is None or y < x else y
+            nums.append(v)
+            if v is not None and (top is None or v > top):
+                top = v
+        r = _new(Ray)
+        r.base = _vector(d, tuple(nums))
+        r.rep = _vector(d, tuple([None if v is None else v - top for v in nums]))
+        return r
 
     def locate(self, z: Ray) -> TropValue | None:
         """The smallest lam with pi(lam) = z, or None when z is off the interval.

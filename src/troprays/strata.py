@@ -46,9 +46,10 @@ from .errors import (IsotropicArgument, NotStrictPair, VerificationFailed,
 from .pmfunc import _signs, row_runs
 from .quadspace import QuadraticPair
 from .rays import Ray, RayInterval
-from .semifield import INF, ONE, ZERO, TropValue, midpoint
+from .semifield import INF, ONE, ZERO, TropValue, _new, midpoint
 
 OPPOSITE = {"<": ">", ">": "<", "=": "="}
+_tuple = tuple.__new__  # a TracePiece in one step, past NamedTuple's __new__
 
 
 def example_family(pair: QuadraticPair, y1: Ray, y2: Ray) -> tuple:
@@ -68,11 +69,7 @@ class SignVector:
     __slots__ = ("m", "signs")
 
     def __init__(self, m: int, signs):
-        signs = "".join(signs)
-        if len(signs) != m * (m - 1) // 2:
-            raise ValueError("wrong number of pairwise signs")
-        self.m = m
-        self.signs = signs
+        _labelled(self, m, "".join(signs))
 
     @staticmethod
     def pair_index(m: int, k: int, l: int) -> int:
@@ -113,6 +110,17 @@ class SignVector:
                    for s, b in zip(self.signs, base.signs))
 
 
+def _labelled(sv: SignVector, m: int, signs: str) -> SignVector:
+    """sv with its slots set to m and the label string `signs`: the one length
+    test of every sign vector.  A kernel label is already one string, so a
+    trace or a ray's signs build theirs in one step,
+    ``_labelled(_new(SignVector), m, label)``, with no ``__init__`` or re-join."""
+    if len(signs) != m * (m - 1) // 2:
+        raise ValueError("wrong number of pairwise signs")
+    sv.m, sv.signs = m, signs
+    return sv
+
+
 class Relaxation(NamedTuple):
     """A sign vector with some strict signs weakened to '<=', '>='.
 
@@ -143,7 +151,7 @@ def _sign_vector(bound: _Bound, x: Ray) -> SignVector:
     """:func:`sign_vector_at` through a bound family."""
     nums, _ = bound.values(x.base)
     low = min([n for n in nums if n is not None], default=0) - 1
-    return SignVector(len(nums), _signs([low if n is None else n for n in nums]))
+    return _labelled(_new(SignVector), len(nums), _signs([low if n is None else n for n in nums]))
 
 
 def _strata_of(bound: _Bound, rays) -> dict:
@@ -209,7 +217,9 @@ def _runs(bound: _Bound, interval: RayInterval,
     Reads every numerator row and cuts the parameter domain at the rows'
     candidate points.  A dropped end (isotropic endpoint) opens the adjacent
     run and belongs to no run; a kept isotropic end raises IsotropicArgument.
-    Every run list, with dropped ends or not, runs :func:`_assert_sign_monotone`.
+    Every run list, with dropped ends or not, goes through
+    :func:`_assert_sign_monotone`, which matches the pair columns when there
+    are three runs or more; one or two runs cannot break monotonicity.
 
     The signs are read off the numerators N_k = max(A_k, B_k lam^2) of
     f_k = N_k / q, never off the ratios, and that loses nothing.  Claim:
@@ -251,8 +261,9 @@ def _trace(bound: _Bound, interval: RayInterval,
     """The runs of :func:`_runs` as pieces, with one separator ray formed
     per parameter where pieces meet."""
     m, runs = _runs(bound, interval, drop_zero_end, drop_inf_end)
-    pieces = tuple(TracePiece(SignVector(m, signs), lo, lo_closed, hi, hi_closed)
-                   for lo, lo_closed, hi, hi_closed, signs in runs)
+    pieces = tuple([_tuple(TracePiece, (_labelled(_new(SignVector), m, signs), lo, lo_closed,
+                                        hi, hi_closed))
+                    for lo, lo_closed, hi, hi_closed, signs in runs])
     # a one-point piece and the piece after it start at one parameter: one ray
     inner, last = [], None
     for piece in pieces[1:]:
@@ -282,9 +293,14 @@ def _assert_sign_monotone(labels, m):
     """Each pair's sign sequence along the run labels is monotone with
     half-open boundary structure (its column string matches
     ``<*=*>*|>*=*<*``); CS-families always satisfy this, so a violation here
-    means corrupted inputs.  The columns are matched as one ``,``-joined
-    string; only a failed match walks the pairs to name the first failing
-    one."""
+    means corrupted inputs.  With fewer than three labels it returns at once:
+    every column then has at most two signs, and every such string over
+    ``<``, ``=``, ``>`` matches (the constant ones and ``<=``, ``<>``, ``=>``
+    the first branch, ``>=``, ``><``, ``=<`` the second).  Otherwise the
+    columns are matched as one ``,``-joined string; only a failed match walks
+    the pairs to name the first failing one."""
+    if len(labels) < 3:
+        return
     # column i holds the signs of pair i (in pair_index order) along the runs
     columns = list(map("".join, zip(*labels)))
     if _ALL_MONOTONE.fullmatch(",".join(columns)) is not None:

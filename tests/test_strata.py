@@ -1,8 +1,10 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import row_runs_reference
 from chart_reference import stratum_witnesses, unpruned_chart
@@ -125,6 +127,55 @@ def test_sign_monotone_check_names_the_pair_the_reference_names():
     # monotone columns pass both
     _assert_sign_monotone(["<<>", "<=>", "==>"], 3)
     row_runs_reference._assert_sign_monotone(["<<>", "<=>", "==>"], 3)
+
+
+def _monotone_outcome(check, labels, m):
+    """None when the check passes, else the VerificationFailed message."""
+    try:
+        check(labels, m)
+    except VerificationFailed as ex:
+        return str(ex)
+    return None
+
+
+def test_sign_monotone_check_agrees_with_the_reference_on_every_short_list():
+    """The check returns at once below three labels and changes no verdict:
+    on every list of 1-5 labels for m = 2 and of 1-3 labels for m = 3, it and
+    the frozen per-pair loop both pass or both raise the same message."""
+    failures = 0
+    for m, most in ((2, 5), (3, 3)):
+        labels = ["".join(p) for p in itertools.product("<=>", repeat=m * (m - 1) // 2)]
+        for n in range(1, most + 1):
+            for case in itertools.product(labels, repeat=n):
+                got = _monotone_outcome(_assert_sign_monotone, list(case), m)
+                assert got == _monotone_outcome(
+                    row_runs_reference._assert_sign_monotone, list(case), m), case
+                failures += got is not None
+    assert failures > 0
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([4, 5]).flatmap(lambda m: st.tuples(st.just(m), st.sampled_from(
+    ["<=>", "<=", "=>", "<>"]).flatmap(lambda signs: st.lists(st.text(
+        signs, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2), min_size=1, max_size=6)))))
+def test_sign_monotone_check_agrees_with_the_reference_on_drawn_lists(case):
+    """The same differential on drawn label lists for m = 4 and 5, each list
+    over one alphabet of signs, so that monotone lists are drawn too."""
+    m, labels = case
+    assert _monotone_outcome(_assert_sign_monotone, labels, m) == _monotone_outcome(
+        row_runs_reference._assert_sign_monotone, labels, m)
+
+
+def test_one_step_labels_keep_the_length_test(m1, m1_fam, m1_iv, monkeypatch):
+    """Traces and sign vectors build their SignVectors in one step off kernel
+    labels; a label of the wrong length still raises SignVector's ValueError."""
+    runs = [(ZERO, True, t(0), False, "<<"), (t(0), True, INF, True, "<=")]
+    monkeypatch.setattr(strata, "row_runs", lambda *args: runs)
+    with pytest.raises(ValueError, match="wrong number of pairwise signs"):
+        strata._trace(strata._Bound(m1, m1_fam), m1_iv)
+    monkeypatch.setattr(strata, "_signs", lambda values: "<=")
+    with pytest.raises(ValueError, match="wrong number of pairwise signs"):
+        sign_vector_at(m1, m1_fam, m1_iv.y1)
 
 
 def test_non_monotone_sign_pattern_is_verification_failure(m1, m1_fam, m1_iv, monkeypatch):

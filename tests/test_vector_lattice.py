@@ -8,15 +8,19 @@ sum, scaling, canonical representative) must be == with equal hashes.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import example, given, strategies as st
 
 import semifield_reference as sref
 import vector_reference as ref
 from troprays.errors import ZeroVector
+from troprays.instances import CORNER, M1, corner_family, corner_sample, m1_family, m1_interval
 from troprays.quadspace import QuadraticPair, Vector, vec
 from troprays.rays import Ray, RayInterval
 from troprays.semifield import INF, ZERO, TropValue, t
+from troprays.strata import (SignVector, TracePiece, example_family, sign_vector_at,
+                             stratify_interval)
 
 BIG = 10 ** 40
 
@@ -236,6 +240,56 @@ def test_scale_on_one_denominator(case):
     check_same("rmul", lambda: lam * a, lambda: lam * ra)
     if not lam.is_infinite():
         parse_route(a.scale(lam), ra.scale(lam))
+
+
+@given(lattice_pairs().flatmap(lambda case: st.tuples(
+    st.just(case), lattice_scalars(Vector(case[0]).d * Vector(case[1]).d))))
+@example((([t(Fraction(1, 2)), ZERO], [ZERO, t(Fraction(3, 2))], 2), t(0)))  # (1, 3)/2, (-1, 0)
+@example((([t(Fraction(1, 2)), t(1)], [t(Fraction(1, 3)), ZERO], 2), t(Fraction(2, 5))))
+@example((([t(1), ZERO, t(2)], [ZERO, t(1), t(Fraction(1, 2))], 3), t(Fraction(3, 2))))
+def test_pi_on_one_denominator(case):
+    """pi on ends of one denominator (1 or > 1) or coprime ones, at lam on
+    their denominators or prime to them: base and rep each reduced from the
+    one list max(eps1_i, lam eps2_i), against the reference and the parsed
+    reference text.  The examples: a rep that reduces further than its base,
+    lam prime to both ends' denominators, and ends with zero coordinates."""
+    (xs, ys, _), lam = case
+    try:
+        interval = RayInterval(Ray(Vector(xs)), Ray(Vector(ys)))
+    except ValueError:
+        return  # equal rays make no interval
+    y1, y2 = ref.Ray(ref.Vector(xs)), ref.Ray(ref.Vector(ys))
+    check_same("pi", lambda: interval.pi(lam), lambda: ref.pi(y1, y2, lam))
+    got, want = interval.pi(lam), ref.pi(y1, y2, lam)
+    parse_route(got.base, want.base)
+    parse_route(got.rep, want.rep)
+    assert got == Ray(got.base) and got.rep == Ray(got.base).rep
+
+
+def test_one_step_trace_records_equal_the_public_ones():
+    """Traces and sign vectors build their SignVectors and TracePieces in one
+    step off kernel labels: on M1 (both families) and on the CORNER family
+    between every two of its sample rays, each is ==, with equal hash and
+    repr, to the one built through SignVector(m, signs) and TracePiece."""
+    interval = m1_interval()
+    cases = [(M1, m1_family(), [interval]),
+             (M1, example_family(M1, interval.y1, interval.y2), [interval]),
+             (CORNER, corner_family(), [RayInterval(a, b)
+                                        for a, b in permutations(corner_sample(), 2)])]
+    for pair, family, intervals in cases:
+        for iv in intervals:
+            trace = stratify_interval(pair, family, iv)
+            vectors = [p.signs for p in trace.pieces]
+            vectors += [sign_vector_at(pair, family, y) for y in (iv.y1, iv.y2)]
+            for sv in vectors:
+                built = SignVector(sv.m, list(sv.signs))
+                assert type(sv) is SignVector and type(sv.signs) is str
+                assert sv == built and hash(sv) == hash(built) and repr(sv) == repr(built)
+            for piece in trace.pieces:
+                built = TracePiece(SignVector(piece.signs.m, piece.signs.signs), *piece[1:])
+                assert type(piece) is TracePiece
+                assert piece == built and hash(piece) == hash(built)
+                assert repr(piece) == repr(built) and str(piece) == str(built)
 
 
 def ref_value(v):
