@@ -331,6 +331,41 @@ MUTANTS = [
         ],
     },
     {
+        "name": "boundary-answers-case2-for-case1",
+        "why": "_boundary answers case2 for a trace whose T' piece holds its first ray",
+        "file": STRATA,
+        "old": 'return "case1" if closed else "case2"',
+        "new": 'return "case2" if closed else "case2"',
+        "tests": [
+            "tests/test_boundary.py::test_boundary_matches_the_trace_on_every_kind_of_trace",
+            "tests/test_strata.py::test_is_direct_derivate_cases",
+            f"{FR_TESTS}::test_entrance_worked",
+            f"{FR_TESTS}::test_certify_requires_case1",
+        ],
+    },
+    {
+        "name": "leq-shortcut-returns",
+        "why": "RayInterval.leq answers True for z <= z before locating z, so a ray off the "
+               "interval passes",
+        "file": RAYS,
+        "old": "        a = self.locate(z)\n",
+        "new": "        if z == zp:\n            return True\n        a = self.locate(z)\n",
+        "tests": [
+            "tests/test_rays.py::test_interval_leq",
+        ],
+    },
+    {
+        "name": "entrance-skips-zero-check",
+        "why": "entrance_stratum takes eps = 0 as isotropic and classifies its approach",
+        "file": ISOTROPY,
+        "old": "    if eps.is_zero():\n"
+               "        raise ZeroVector(\"the zero vector is neither isotropic nor anisotropic\")\n",
+        "new": "",
+        "tests": [
+            f"{ISO_TESTS}::test_entrance_rejects_the_zero_eps",
+        ],
+    },
+    {
         "name": "row-runs-left-stretch-reads-the-point",
         "why": "a pair cut where its constant meets the other row's line reads '=' left of "
                "the cut, the sign at the point, instead of the sign inside the stretch",
@@ -559,8 +594,8 @@ MUTANTS = [
         "why": "derivation_chart takes a witness pair whose trace is not one T piece then "
                "one T' piece as a case1 certificate",
         "file": STRATA,
-        "old": "t_prime))\n                          and entry[0]), None)",
-        "new": "t_prime))\n                          is None or entry[0]), None)",
+        "old": 'if case == "case1"), None)',
+        "new": 'if case != "case2"), None)',
         "tests": [
             "tests/test_strata.py::test_pruned_chart_equals_unpruned_chart[CORNER-4]",
             "tests/test_strata.py::test_pruned_chart_equals_unpruned_chart[random-5]",

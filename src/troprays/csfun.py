@@ -258,16 +258,14 @@ def build_fw(pair: QuadraticPair, interval: RayInterval, w: Vector) -> IntervalC
 
     region_a = (ZERO, f.breakpoints[1]) if f.segments[0][1] == 0 else (ZERO, ZERO)
     region_c = (f.breakpoints[-2], INF) if f.segments[-1][1] == 0 else (INF, INF)
+    region_b = (u_w, v_w)
     if len(f.segments) == 1:
         # constant everywhere; B_w degenerates to the common formula point
         region_a = region_c = (ZERO, INF)
-        region_b = (u_w, v_w)
-    else:
-        region_b = (region_a[1], region_c[0])
-        if region_b != (u_w, v_w):
-            raise VerificationFailed("region formulas disagree with the function")
-        if 0 in f.reduced_degrees()[1:-1]:
-            raise VerificationFailed("B_w contains an interior constant piece")
+    elif (region_a[1], region_c[0]) != region_b:
+        raise VerificationFailed("region formulas disagree with the function")
+    elif 0 in f.reduced_degrees()[1:-1]:
+        raise VerificationFailed("B_w contains an interior constant piece")
     return IntervalCsProfile(interval, w, f, quasilinear,
                              region_a, region_b, region_c, u_w, v_w)
 

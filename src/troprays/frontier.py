@@ -30,7 +30,6 @@ from .semifield import ZERO, TropValue
 from .strata import SignVector, _boundary, _sign_vector, _strata_of
 
 SCALE_BUDGET = 24  # representatives of z tried by FrontierPair.construct_butterfly
-_MISS = object()  # a memo's answer for a key it has not seen
 DRY_MODELS = 1000  # models in a row without a scenario before scenarios() gives up
 
 
@@ -99,7 +98,7 @@ class FrontierPair:
         self.t_prime = t_prime
         self._bound = _Bound(pair, family)  # numerators per vector, for signs and boundaries
         self._signs = {}   # sign memo: ray.rep -> sign vector, whatever the pointed base
-        self._boundaries = {}  # (y1.base, y2.base) -> derivate boundary for (T, T'), or None
+        self._boundaries = {}  # (y1.base, y2.base) -> derivate boundary (case, lam, Z) for (T, T')
         self._relations = {}  # (U_pool, P_pool) -> _Relation, see _galois
         self._last = None, None  # the pools and relation of the last _galois query
 
@@ -117,9 +116,8 @@ class FrontierPair:
         fp = cls.of_rays(pair, family, w, w_prime)
         if fp.t == fp.t_prime:
             raise ValueError("the two strata must be different")
-        entry = fp._boundary_of(w, w_prime)
-        if entry is None or not entry[0]:
-            case = "not_neighbors" if entry is None else "case2"
+        case, _, _ = fp._boundary_of(w, w_prime)
+        if case != "case1":
             raise VerificationFailed(f"witnesses certify {case}, not case1")
         return fp
 
@@ -132,14 +130,14 @@ class FrontierPair:
             sv = self._signs[x.rep] = _sign_vector(self._bound, x)
         return sv
 
-    def _boundary_of(self, y1: Ray, y2: Ray):
-        """The derivate boundary of [Y1, Y2] for (T, T') (``strata._boundary``),
-        memoised with None answers included.  The key is the pair of pointed
-        bases, not of rays: the separator's parameter depends on the scale of
-        eps1 and eps2."""
+    def _boundary_of(self, y1: Ray, y2: Ray) -> tuple:
+        """The derivate boundary (case, lam, Z) of [Y1, Y2] for (T, T')
+        (``strata._boundary``), memoised, "not_neighbors" answers included.
+        The key is the pair of pointed bases, not of rays: the separator's
+        parameter depends on the scale of eps1 and eps2."""
         key = (y1.base, y2.base)
-        entry = self._boundaries.get(key, _MISS)
-        if entry is _MISS:
+        entry = self._boundaries.get(key)
+        if entry is None:
             entry = self._boundaries[key] = _boundary(
                 self._bound, RayInterval(y1, y2), self.t, self.t_prime)
         return entry
@@ -155,11 +153,10 @@ class FrontierPair:
             raise WitnessNotInStratum("W does not satisfy T")
         if u == w:
             raise NoEntrance("U is W itself")
-        entry = self._boundary_of(w, u)
-        if entry is None:
+        case, lam, z = self._boundary_of(w, u)
+        if case == "not_neighbors":
             raise NoEntrance("trace of [W,U] is not a T piece followed by a T' piece")
-        closed, (lam, z) = entry
-        if not closed:
+        if case == "case2":
             raise NoEntrance("boundary case2: T' piece is open at its first ray")
         return z, lam
 
@@ -174,10 +171,10 @@ class FrontierPair:
             raise WitnessNotInStratum("W does not satisfy T")
         if self._sign(z) != self.t_prime:
             return False
-        entry = self._boundary_of(w, z)
+        case, _, start = self._boundary_of(w, z)
         # the T' piece may be a fat parameter interval when the fiber of Z
         # under pi is; membership asks that its rays all equal Z
-        return entry is not None and entry[0] and entry[1][1] == z
+        return case == "case1" and start == z
 
     def is_junction(self, w: Ray, w_prime: Ray, z: Ray) -> bool:
         """Z lies in the sectors of both W and W'."""

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 from . import quadspace
 from .csfun import _Bound, _inverse_q, _row_pm
-from .errors import IllposedApproach, IsotropicArgument, NoAnisotropicInterior, VerificationFailed
+from .errors import (IllposedApproach, IsotropicArgument, NoAnisotropicInterior,
+                     VerificationFailed, ZeroVector)
 from .pmfunc import PmFunction
 from .quadspace import QuadraticPair, Vector, _Frame
 from .rays import Ray, RayInterval
@@ -64,8 +65,11 @@ def entrance_stratum(pair: QuadraticPair, family, y2: Ray, y3: Ray,
 
     `family` must be the canonical family of the interval (Y2, Y3) (see
     :func:`troprays.strata.example_family`): the case analysis identifies
-    strata with profile classes, which is specific to that family.
+    strata with profile classes, which is specific to that family.  A zero
+    eps raises ZeroVector, as :meth:`QuadraticPair.is_isotropic` does.
     """
+    if eps.is_zero():
+        raise ZeroVector("the zero vector is neither isotropic nor anisotropic")
     frame, dot = _Frame(pair, (eps, eta, y2.base, y3.base)), quadspace._dot
     xs, q_eps = frame.at(eps)[:2]
     if q_eps is not None:

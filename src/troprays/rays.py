@@ -149,8 +149,6 @@ class RayInterval:
 
     def leq(self, z: Ray, zp: Ray) -> bool:
         """The interval ordering: z <= z' iff [Y1, z] is inside [Y1, z']."""
-        if z == zp:
-            return True
         a = self.locate(z)
         b = self.locate(zp)
         if a is None or b is None:

@@ -74,16 +74,11 @@ def model_from_json(obj) -> QuadraticPair:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("dim must be a positive integer")
-    q_diag = [value_of(x) for x in _array(obj["q_diag"], "q_diag")]
-    rows = _array(obj["b"], "b")
-    if len(q_diag) != dim or len(rows) != dim:
-        raise SchemaError("q_diag and b must have length dim")
-    b = []
-    for row in rows:
-        if len(_array(row, "each row of b")) != dim:
-            raise SchemaError("b must be a dim x dim matrix")
-        b.append(tuple(value_of(x) for x in row))
-    pair = QuadraticPair(dim, tuple(q_diag), tuple(b))
+    # the shape (dim entries of q_diag, a square b) is QuadraticPair's to check
+    q_diag = tuple(value_of(x) for x in _array(obj["q_diag"], "q_diag"))
+    b = tuple(tuple(value_of(x) for x in _array(row, "each row of b"))
+              for row in _array(obj["b"], "b"))
+    pair = QuadraticPair(dim, q_diag, b)
     for i in range(dim):
         if pair.b[i][i] > pair.q_diag[i]:
             raise SchemaError(

@@ -274,15 +274,18 @@ def _trace(bound: _Bound, interval: RayInterval,
 
 
 def _boundary(bound: _Bound, interval: RayInterval, t_vec: SignVector,
-              t_prime: SignVector) -> tuple | None:
-    """(closed, (lam, Z)) when the interval's trace is one T piece then one T'
-    piece, else None: Z is the T' piece's first ray, which it holds (`closed`,
-    case1) or not (case2).  Read straight off the runs: the one separator is
-    formed only when the run labels are exactly T then T'."""
+              t_prime: SignVector) -> tuple:
+    """The derivate boundary (case, lam, Z) of the interval [Y1, Y2] for (T, T'):
+    "case1" when its trace is [Y1, Z[ in T then [Z, Y2] in T', "case2" when it
+    is [Y1, Z] in T then ]Z, Y2] in T', Z = pi(lam) where the two pieces meet;
+    ("not_neighbors", None, None) for any other trace.  Read straight off the
+    runs: the one separator is formed only when the run labels are exactly T
+    then T'."""
     _, runs = _runs(bound, interval)
     if len(runs) != 2 or runs[0][4] != t_vec.signs or runs[1][4] != t_prime.signs:
-        return None
-    return runs[1][1], (runs[1][0], interval.pi(runs[1][0]))
+        return "not_neighbors", None, None
+    lam, closed = runs[1][:2]
+    return "case1" if closed else "case2", lam, interval.pi(lam)
 
 
 _MONOTONE = re.compile(r"<*=*>*|>*=*<*")
@@ -374,10 +377,8 @@ def is_direct_derivate(pair: QuadraticPair, family, t_vec: SignVector,
         raise WitnessNotInStratum("W does not satisfy T")
     if _sign_vector(bound, w_prime) != t_prime:
         raise WitnessNotInStratum("W' does not satisfy T'")
-    entry = _boundary(bound, RayInterval(w, w_prime), t_vec, t_prime)
-    if entry is None:
-        return "not_neighbors"
-    return "case1" if entry[0] else "case2"
+    case, _, _ = _boundary(bound, RayInterval(w, w_prime), t_vec, t_prime)
+    return case
 
 
 class DerivationChart(NamedTuple):
@@ -433,8 +434,8 @@ def derivation_chart(pair: QuadraticPair, family, sample) -> DerivationChart:
             if t_vec == t_prime or not t_prime.is_derivate_of(t_vec):
                 continue
             found = next(((w, wp) for w in groups[t_vec] for wp in groups[t_prime]
-                          if (entry := _boundary(bound, RayInterval(w, wp), t_vec, t_prime))
-                          and entry[0]), None)
+                          for case, _, _ in [_boundary(bound, RayInterval(w, wp), t_vec, t_prime)]
+                          if case == "case1"), None)
             if found:
                 edges.append((t_vec, t_prime))
                 witnesses.append(((t_vec, t_prime), found))

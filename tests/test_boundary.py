@@ -6,8 +6,8 @@ followed by one T' piece by comparing the run labels of ``strata._runs``
 with T and T', and forms the one separator only then;
 ``boundary_reference.derivate_boundary`` reads the same answer off the full
 trace of ``strata._trace``.  Both must agree on every interval: the same
-closure, the same parameter and the same separator ray (rep and base), or
-the same error.
+case ("case1", "case2" or "not_neighbors"), the same parameter and the same
+separator ray (rep and base), or the same error.
 Entrances, sectors and the derivation chart read ``_boundary``, so they must
 also run the sign-monotone self-check as every trace does.
 """
@@ -54,10 +54,15 @@ def instance(kind, seed):
 
 
 def read(entry):
+    """(case, lam, Z.rep, Z.base) of a boundary, given as the library's
+    (case, lam, Z) or as the reference's (closed, (lam, Z)) or None."""
     if entry is None:
-        return None
-    closed, (lam, z) = entry
-    return closed, lam, z.rep, z.base
+        return "not_neighbors", None, None, None
+    if isinstance(entry[0], bool):
+        closed, (lam, z) = entry
+        entry = "case1" if closed else "case2", lam, z
+    case, lam, z = entry
+    return (case, lam, None, None) if z is None else (case, lam, z.rep, z.base)
 
 
 def outcome(call):
@@ -133,7 +138,7 @@ def test_boundary_matches_the_trace_on_every_kind_of_trace():
                     if len(pieces) == 2:
                         closures.add(entry[1][0])
     assert sizes == {1, 2, 3}
-    assert closures == {True, False}
+    assert closures == {"case1", "case2"}
     # a kept isotropic end raises the same error on both paths
     e1, e2, e3 = (Vector.unit(3, i) for i in range(3))
     bound = _Bound(M3, example_family(M3, Ray(e2), Ray(e3)))
@@ -155,8 +160,8 @@ def test_boundary_forms_one_ray_only_for_a_t_then_t_prime_trace(monkeypatch):
             interval = RayInterval(w, u)
             t_vec, t_prime = _sign_vector(bound, w), _sign_vector(bound, u)
             del formed[:]
-            entry = _boundary(bound, interval, t_vec, t_prime)
-            assert len(formed) == (entry is not None)
+            case, _, _ = _boundary(bound, interval, t_vec, t_prime)
+            assert len(formed) == (case != "not_neighbors")
 
 
 NOT_MONOTONE = [(ZERO, True, t(0), False, "<"), (t(0), True, t(0), True, ">"),

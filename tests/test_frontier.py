@@ -759,7 +759,7 @@ def test_entrance_and_sector_read_the_trace_separator(monkeypatch):
     z, lam = fp.entrance_data(w, u)
     (entry,) = fp._boundaries.values()
     assert len(formed) == 1 and formed[0][0] == lam and formed[0][1] is z
-    assert entry == (True, (lam, z)) and entry[1][1] is z
+    assert entry == ("case1", lam, z) and entry[2] is z
     del formed[:]
     assert fp.sector_member(w, u) == (z == u)
     assert formed == []

@@ -1,7 +1,7 @@
 import pytest
 
 from troprays.csfun import BasicFunction
-from troprays.errors import IllposedApproach, NoAnisotropicInterior
+from troprays.errors import IllposedApproach, NoAnisotropicInterior, ZeroVector
 from troprays.instances import M3, M3_C1
 from troprays.isotropy import (
     entrance_stratum,
@@ -164,6 +164,18 @@ def test_entrance_requires_isotropic_eps(m3_setup):
     pair, fam, y2, y3, e1, e2, e3 = m3_setup
     with pytest.raises(ValueError):
         entrance_stratum(pair, fam, y2, y3, e2, e3)
+
+
+def test_entrance_rejects_the_zero_eps(gram_calls, m3_setup):
+    """eps = 0 is not isotropic: it raises ZeroVector, as is_isotropic does,
+    before any Gram value is read."""
+    pair, fam, y2, y3, e1, e2, e3 = m3_setup
+    zero = vec("-inf", "-inf", "-inf")
+    with pytest.raises(ZeroVector):
+        pair.is_isotropic(zero)
+    with pytest.raises(ZeroVector):
+        entrance_stratum(pair, fam, y2, y3, zero, e3)
+    assert gram_calls == {"eval_q": 0, "eval_b": 0}
 
 
 def test_stability_detects_change_across_threshold(m3_setup):

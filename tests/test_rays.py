@@ -85,9 +85,12 @@ def test_interval_leq(m1_iv):
     assert m1_iv.leq(a, b)
     assert not m1_iv.leq(b, a)
     assert m1_iv.leq(a, a)
+    three = RayInterval(Ray(Vector.unit(3, 0)), Ray(Vector.unit(3, 1)))
+    e3_ray = Ray(Vector.unit(3, 2))
     with pytest.raises(NotOnInterval):
-        three = RayInterval(Ray(Vector.unit(3, 0)), Ray(Vector.unit(3, 1)))
-        three.leq(Ray(Vector.unit(3, 2)), three.y1)
+        three.leq(e3_ray, three.y1)
+    with pytest.raises(NotOnInterval):
+        three.leq(e3_ray, e3_ray)
 
 
 def test_pi_monotone_under_leq():

@@ -379,8 +379,9 @@ def assert_input_error(res):
     b'{"dim": 2, "q_diag": ["0", "0"], "b": [["0", "2"]',
     None,
     b'{"dim": 1, "q_diag": ["1e4000"], "b": [["0"]]}',
+    json.dumps({"dim": 2, "q_diag": ["0", "0"], "b": [["0", "2"], ["2"]]}).encode(),
 ], ids=["scalar-q-diag", "not-utf8", "nested-too-deeply", "5000-digit-int", "truncated",
-                   "missing", "exponent-notation"])
+                   "missing", "exponent-notation", "short-row"])
 def test_cli_bad_model_file_is_input_error(tmp_path, contents):
     model = tmp_path / "model.json"
     if contents is not None:
